@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .data import (
 )
 from .metrics import ScoredSet, roc_points, write_roc_csv, write_roc_svg
 from .model import (
-    EncoderConfig,
     init_classifier_params,
     init_encoder_params,
     init_projection_params,
@@ -38,18 +37,18 @@ from .pipeline import (
     PipelineError,
     ablation_grid,
     fingerprint,
+    format_value,
     load_config,
     load_encoder_checkpoint,
     pretrain,
     resolved_text,
     run_experiment,
-    save_encoder_checkpoint,
     score_dataset,
     summarize_scores,
     write_ablation_csv,
+    write_pretrain_artifacts,
     write_report,
 )
-from .pipeline.experiment import _fmt
 
 
 class CliError(Exception):
@@ -110,7 +109,7 @@ def cmd_augment(args) -> None:
             delta = np.abs(view.matrix - conn.matrix)
             iu = np.triu_indices(conn.n_nodes, k=1)
             changed = int((delta[iu] > 0).sum())
-            writer.writerow([name, changed, _fmt(float(delta[iu].mean()))])
+            writer.writerow([name, changed, format_value(float(delta[iu].mean()))])
     print(f"wrote views and diff summary to {out}")
 
 
@@ -119,14 +118,7 @@ def cmd_pretrain(args) -> None:
     cfg = _load_experiment_config(args, ds.n_nodes)
     result = pretrain(ds, cfg.encoder, cfg.pretrain, cfg.augment)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(resolved_text(cfg))
-    with (out / "pretrain_log.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss_mean", "queue_len", "lr"])
-        for epoch, loss_mean, queue_len, lr in result.epoch_log:
-            writer.writerow([epoch, _fmt(loss_mean), queue_len, _fmt(lr)])
-    save_encoder_checkpoint(out / "pretrained.bnck", result.encoder_params, cfg.encoder)
+    write_pretrain_artifacts(out, cfg, result)
     final = result.epoch_log[-1][1] if result.epoch_log else float("nan")
     print(f"pretrained {cfg.pretrain.epochs} epochs on {len(ds)} samples; "
           f"final epoch mean loss {final:.4f}")
@@ -138,7 +130,14 @@ def cmd_finetune(args) -> None:
     cfg = _load_experiment_config(args, ds.n_nodes)
     encoder_ckpt = None
     if args.ckpt is not None:
-        encoder_ckpt, _ = load_encoder_checkpoint(args.ckpt)
+        encoder_ckpt, ckpt_cfg = load_encoder_checkpoint(args.ckpt)
+        # proj_dim sizes the pretraining projection head, which the checkpoint lacks
+        run = asdict(cfg.encoder.resolved())
+        differ = [f"{name} {value} in the checkpoint, {run[name]} in this run"
+                  for name, value in asdict(ckpt_cfg).items()
+                  if name != "proj_dim" and value != run[name]]
+        if differ:
+            _fail(f"{args.ckpt}: encoder config differs: " + "; ".join(differ))
     report, results, pre = run_experiment(ds, cfg, encoder_ckpt=encoder_ckpt)
     write_report(args.out, report, results, cfg, pre)
     print(f"config fingerprint: {report.config_fingerprint}")
@@ -154,13 +153,9 @@ def cmd_evaluate(args) -> None:
     ds = load_dataset(args.data).labeled()
     if len(ds) == 0:
         _fail("evaluation needs labeled samples")
-    arrays, meta = load_encoder_checkpoint(args.model)
+    arrays, cfg = load_encoder_checkpoint(args.model)
     if not any(k.startswith("classifier.") for k in arrays):
         _fail("checkpoint has no classification head; pass a finetuned model")
-    cfg = EncoderConfig(n_nodes=meta["n_nodes"], layers=meta["layers"],
-                        heads=meta["heads"], d_model=meta["d_model"],
-                        ffn_dim=meta["ffn_dim"], n_clusters=meta["n_clusters"],
-                        cluster_dim=meta["cluster_dim"], proj_dim=meta["proj_dim"])
     if ds.n_nodes != cfg.n_nodes:
         _fail(f"model expects V={cfg.n_nodes}, data has V={ds.n_nodes}")
     scores = score_dataset(ds, arrays, cfg)
@@ -174,7 +169,7 @@ def cmd_evaluate(args) -> None:
             writer = csv.writer(fh)
             writer.writerow(["subject_id", "score", "label"])
             for sample, score in zip(ds, scores.scores):
-                writer.writerow([sample.subject_id, _fmt(float(score)), sample.label])
+                writer.writerow([sample.subject_id, format_value(float(score)), sample.label])
         curve = roc_points(scores)
         write_roc_csv(out / "roc.csv", curve)
         write_roc_svg(out / "roc.svg", {"evaluation": curve})
@@ -209,9 +204,9 @@ def cmd_roc(args) -> None:
 
 def cmd_describe(args) -> None:
     if args.ckpt is not None:
-        arrays, meta = load_encoder_checkpoint(args.ckpt)
+        arrays, cfg = load_encoder_checkpoint(args.ckpt)
         print(f"checkpoint: {args.ckpt}")
-        print("configuration: " + ", ".join(f"{k}={v}" for k, v in sorted(meta.items())))
+        print("configuration: " + ", ".join(f"{k}={v}" for k, v in sorted(asdict(cfg).items())))
         counts = parameter_counts(arrays)
     else:
         if args.nodes is None:
@@ -260,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--length", type=int, default=30)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--sample-jitter", type=float, default=0.3)
+    p.add_argument("--separation", type=float, default=ClassSpec.separation)
+    p.add_argument("--blocks", type=int, default=ClassSpec.blocks)
+    p.add_argument("--noise-sd", type=float, default=ClassSpec.noise_sd)
+    p.add_argument("--sample-jitter", type=float, default=ClassSpec.sample_jitter)
     p.add_argument("--matrices", action="store_true",
                    help="write connectome files instead of time series")
     p.add_argument("--seed", type=int)
@@ -276,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="write two augmented views of one connectome")
     p.add_argument("--input", required=True, help="a .conn.csv file")
     p.add_argument("--out", required=True)
-    p.add_argument("--k-min", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--delta-max", type=float, default=0.5)
-    p.add_argument("--noise", default="N(0,0.01)")
+    p.add_argument("--k-min", type=int, default=AugmentConfig.k_min)
+    p.add_argument("--k-max", type=int, default=AugmentConfig.k_max)
+    p.add_argument("--delta-max", type=float, default=AugmentConfig.delta_max)
+    p.add_argument("--noise", default=str(AugmentConfig().noise))
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_augment)
 

@@ -69,9 +69,6 @@ class Dataset:
     def labeled(self) -> "Dataset":
         return Dataset(tuple(s for s in self.samples if s.label is not None))
 
-    def subset(self, ids: set[str]) -> "Dataset":
-        return Dataset(tuple(s for s in self.samples if s.subject_id in ids))
-
 
 # ---------------------------------------------------------------------------
 # file parsing

@@ -19,7 +19,7 @@ together with that axis permutes the encoder output rows the same way (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class EncoderConfig:
     @property
     def feature_dim(self) -> int:
         return self.n_clusters * self.cluster_dim
+
+    def resolved(self) -> "EncoderConfig":
+        """The same encoder with the derived widths written out."""
+        return replace(self, d_model=self.width, ffn_dim=self.ffn_width)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ broadcasting the model needs (scalars and row vectors against matrices).
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "concat",
     "stack",
 ]
-
-_seq_counter = itertools.count()
 
 
 class GraphError(ValueError):
@@ -52,7 +49,7 @@ class Tensor:
     read-only; build a new Tensor instead of mutating.
     """
 
-    __slots__ = ("data", "op", "parents", "_vjps", "requires_grad", "_seq")
+    __slots__ = ("data", "op", "parents", "_vjps", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
@@ -66,7 +63,6 @@ class Tensor:
         self.parents = parents
         self._vjps = vjps
         self.requires_grad = requires_grad
-        self._seq = next(_seq_counter)
 
     # ------------------------------------------------------------------
     # basics

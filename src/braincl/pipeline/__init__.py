@@ -5,6 +5,7 @@ from .config import (
     FinetuneConfig,
     PretrainConfig,
     fingerprint,
+    format_value,
     load_config,
     resolved_text,
 )
@@ -18,6 +19,7 @@ from .experiment import (
     run_experiment,
     save_encoder_checkpoint,
     write_ablation_csv,
+    write_pretrain_artifacts,
     write_report,
 )
 from .finetune import FinetuneResult, finetune, score_dataset, summarize_scores
@@ -25,10 +27,10 @@ from .pretrain import PipelineError, PretrainResult, pretrain
 
 __all__ = [
     "PretrainConfig", "FinetuneConfig", "ExperimentConfig",
-    "load_config", "resolved_text", "fingerprint",
+    "load_config", "resolved_text", "fingerprint", "format_value",
     "pretrain", "PretrainResult", "PipelineError",
     "finetune", "FinetuneResult", "score_dataset", "summarize_scores",
-    "run_experiment", "ExperimentReport", "write_report",
+    "run_experiment", "ExperimentReport", "write_report", "write_pretrain_artifacts",
     "ablation_grid", "write_ablation_csv",
     "ABLATION_NODE_RANGES", "ABLATION_NOISES", "FULL_SCALE_REFERENCE",
     "save_encoder_checkpoint", "load_encoder_checkpoint",

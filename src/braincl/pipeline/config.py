@@ -3,7 +3,8 @@
 One INI-style file mirrors the config types section by section. Every run
 resolves its configuration (data-derived node count, CLI seed overrides)
 into a canonical text form that is written next to the run artifacts; its
-SHA-256 is the config fingerprint recorded in reports.
+SHA-256 is the config fingerprint recorded in reports. Parsing and the
+resolved text walk the dataclass fields: a setting is written down once.
 """
 
 from __future__ import annotations
@@ -11,14 +12,18 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
+from typing import get_args, get_type_hints
 
 from ..augment import AugmentConfig, NoiseSpec
 from ..data import SplitSpec
 from ..model import EncoderConfig
 
 __all__ = ["PretrainConfig", "FinetuneConfig", "ExperimentConfig",
-           "load_config", "resolved_text", "fingerprint"]
+           "load_config", "resolved_text", "fingerprint", "format_value", "RNG"]
+
+RNG = "numpy PCG64"
 
 
 @dataclass(frozen=True)
@@ -77,23 +82,79 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the file layout, derived from the dataclass fields
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    if cast is bool:
+def _layout(cls=ExperimentConfig, path=(), section="experiment"):
+    """(section, key, attribute path, type) of every setting, in field order.
+
+    A nested config opens a section named after its field (``encoder`` is
+    ``[model]``); a NoiseSpec is one setting. The split expands in place to
+    ``<part>_fraction`` keys; its seed follows ``[finetune] seed``.
+    """
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = next((k for k in get_args(hints[f.name]) if k is not type(None)),
+                    hints[f.name])  # int | None -> int
+        here = path + (f.name,)
+        if kind is SplitSpec:
+            yield from ((section, f"{key}_fraction", p, k)
+                        for _, key, p, k in _layout(kind, here) if key != "seed")
+        elif is_dataclass(kind) and kind is not NoiseSpec:
+            yield from _layout(kind, here, "model" if f.name == "encoder" else f.name)
+        else:
+            yield section, f.name, here, kind
+
+
+_SETTINGS = tuple(_layout())
+
+
+def format_value(value) -> str:
+    """Canonical text of a setting or a logged number: floats by repr (they
+    parse back exactly), booleans in lower case, everything else by str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _parse(kind: type, raw: str):
+    if kind is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    if kind is NoiseSpec:
+        return NoiseSpec.parse(raw)
+    return kind(raw)
+
+
+def _data_defaults(n_nodes: int, d_model: int | None) -> dict[str, dict[str, int]]:
+    """The node count, and head count, cluster count and augmented-node
+    range scaled down for small graphs; explicit values validate strictly."""
+    width = d_model if d_model is not None else n_nodes
+    heads = EncoderConfig.heads
+    while width % heads:
+        heads //= 2
+    k_max = min(AugmentConfig.k_max, n_nodes)
+    return {
+        "encoder": {"n_nodes": n_nodes, "heads": heads,
+                    "n_clusters": min(EncoderConfig.n_clusters, width)},
+        "augment": {"k_min": min(AugmentConfig.k_min, k_max), "k_max": k_max},
+    }
+
+
+def _build(cls, values: dict):
+    """Instantiate ``cls`` from a nested dict of field values."""
+    hints = get_type_hints(cls)
+    return cls(**{name: _build(hints[name], value) if isinstance(value, dict) else value
+                  for name, value in values.items()})
 
 
 def load_config(path=None, *, n_nodes: int, text: str | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from an optional INI file.
 
     ``n_nodes`` comes from the dataset; a file may pin it for validation.
-    Missing sections and keys fall back to the dataclass defaults.
+    Missing sections and keys fall back to the dataclass defaults; unknown
+    ones are errors.
     """
     parser = configparser.ConfigParser()
     if text is not None:
@@ -102,110 +163,47 @@ def load_config(path=None, *, n_nodes: int, text: str | None = None) -> Experime
         with open(path) as fh:
             parser.read_file(fh)
 
-    if parser.has_option("model", "n_nodes"):
-        pinned = parser.getint("model", "n_nodes")
-        if pinned != n_nodes:
-            raise ValueError(f"config pins n_nodes={pinned} but data has {n_nodes}")
+    known = {(section, key): (attrs, kind) for section, key, attrs, kind in _SETTINGS}
+    # rng is recorded in every resolved text, so a config file may carry it
+    accepted = set(known) | {("experiment", "rng")}
+    sections = {section for section, _ in accepted}
+    unknown = [f"section [{section}]" for section in parser.sections()
+               if section not in sections]
+    unknown += [f"key [{section}] {key}" for section in parser.sections()
+                if section in sections for key in parser.options(section)
+                if (section, key) not in accepted]
+    if unknown:
+        raise ValueError("unknown config " + ", ".join(unknown))
 
-    d_model = _get(parser, "model", "d_model", int, None)
-    ffn_dim = _get(parser, "model", "ffn_dim", int, None)
-    width = d_model if d_model is not None else n_nodes
-    # unspecified head/cluster/node-count defaults scale down with small V;
-    # explicit values still validate strictly
-    default_heads = next(h for h in (4, 2, 1) if width % h == 0)
-    encoder = EncoderConfig(
-        n_nodes=n_nodes,
-        layers=_get(parser, "model", "layers", int, 2),
-        heads=_get(parser, "model", "heads", int, default_heads),
-        d_model=d_model,
-        ffn_dim=ffn_dim,
-        n_clusters=_get(parser, "model", "n_clusters", int, min(100, width)),
-        cluster_dim=_get(parser, "model", "cluster_dim", int, 8),
-        proj_dim=_get(parser, "model", "proj_dim", int, 128),
-    )
-    default_k_max = min(20, n_nodes)
-    augment = AugmentConfig(
-        k_min=_get(parser, "augment", "k_min", int, min(5, default_k_max)),
-        k_max=_get(parser, "augment", "k_max", int, default_k_max),
-        delta_max=_get(parser, "augment", "delta_max", float, 0.5),
-        noise=NoiseSpec.parse(_get(parser, "augment", "noise", str, "N(0,0.01)")),
-    )
-    pretrain = PretrainConfig(
-        epochs=_get(parser, "pretrain", "epochs", int, 900),
-        lr=_get(parser, "pretrain", "lr", float, 1e-5),
-        batch_size=_get(parser, "pretrain", "batch_size", int, 64),
-        queue_capacity=_get(parser, "pretrain", "queue_capacity", int, 512),
-        momentum=_get(parser, "pretrain", "momentum", float, 0.999),
-        temperature=_get(parser, "pretrain", "temperature", float, 0.07),
-        seed=_get(parser, "pretrain", "seed", int, 0),
-    )
-    split = SplitSpec(
-        train=_get(parser, "finetune", "train_fraction", float, 0.70),
-        val=_get(parser, "finetune", "val_fraction", float, 0.10),
-        test=_get(parser, "finetune", "test_fraction", float, 0.20),
-        seed=_get(parser, "finetune", "seed", int, 0),
-    )
-    finetune = FinetuneConfig(
-        epochs=_get(parser, "finetune", "epochs", int, 200),
-        lr=_get(parser, "finetune", "lr", float, 5e-5),
-        weight_decay=_get(parser, "finetune", "weight_decay", float, 5e-5),
-        batch_size=_get(parser, "finetune", "batch_size", int, 64),
-        repeats=_get(parser, "finetune", "repeats", int, 5),
-        split=split,
-        freeze_encoder=_get(parser, "finetune", "freeze_encoder", bool, False),
-        seed=_get(parser, "finetune", "seed", int, 0),
-    )
-    return ExperimentConfig(
-        encoder=encoder, augment=augment, pretrain=pretrain, finetune=finetune,
-        pretrain_scope=_get(parser, "experiment", "pretrain_scope", str, "all"),
-    )
+    values: dict = {}
+    for (section, key), (attrs, kind) in known.items():
+        if parser.has_option(section, key):
+            node = values
+            for name in attrs[:-1]:
+                node = node.setdefault(name, {})
+            node[attrs[-1]] = _parse(kind, parser.get(section, key))
+
+    encoder = values.get("encoder", {})
+    for name, defaults in _data_defaults(n_nodes, encoder.get("d_model")).items():
+        values[name] = {**defaults, **values.get(name, {})}
+    if values["encoder"]["n_nodes"] != n_nodes:
+        raise ValueError(f"config pins n_nodes={values['encoder']['n_nodes']} "
+                         f"but data has {n_nodes}")
+    finetune = values.get("finetune", {})
+    if "seed" in finetune:
+        finetune.setdefault("split", {})["seed"] = finetune["seed"]
+    return _build(ExperimentConfig, values)
 
 
 def resolved_text(cfg: ExperimentConfig) -> str:
     """Canonical INI dump of every resolved value."""
+    cfg = replace(cfg, encoder=cfg.encoder.resolved())
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, attrs, _ in _SETTINGS:
+        sections.setdefault(section, {})[key] = format_value(reduce(getattr, attrs, cfg))
+    sections["experiment"]["rng"] = RNG
     parser = configparser.ConfigParser()
-    enc = cfg.encoder
-    parser["model"] = {
-        "n_nodes": str(enc.n_nodes),
-        "layers": str(enc.layers),
-        "heads": str(enc.heads),
-        "d_model": str(enc.width),
-        "ffn_dim": str(enc.ffn_width),
-        "n_clusters": str(enc.n_clusters),
-        "cluster_dim": str(enc.cluster_dim),
-        "proj_dim": str(enc.proj_dim),
-    }
-    parser["augment"] = {
-        "k_min": str(cfg.augment.k_min),
-        "k_max": str(cfg.augment.k_max),
-        "delta_max": repr(cfg.augment.delta_max),
-        "noise": str(cfg.augment.noise),
-    }
-    parser["pretrain"] = {
-        "epochs": str(cfg.pretrain.epochs),
-        "lr": repr(cfg.pretrain.lr),
-        "batch_size": str(cfg.pretrain.batch_size),
-        "queue_capacity": str(cfg.pretrain.queue_capacity),
-        "momentum": repr(cfg.pretrain.momentum),
-        "temperature": repr(cfg.pretrain.temperature),
-        "seed": str(cfg.pretrain.seed),
-    }
-    parser["finetune"] = {
-        "epochs": str(cfg.finetune.epochs),
-        "lr": repr(cfg.finetune.lr),
-        "weight_decay": repr(cfg.finetune.weight_decay),
-        "batch_size": str(cfg.finetune.batch_size),
-        "repeats": str(cfg.finetune.repeats),
-        "train_fraction": repr(cfg.finetune.split.train),
-        "val_fraction": repr(cfg.finetune.split.val),
-        "test_fraction": repr(cfg.finetune.split.test),
-        "freeze_encoder": str(cfg.finetune.freeze_encoder).lower(),
-        "seed": str(cfg.finetune.seed),
-    }
-    parser["experiment"] = {
-        "pretrain_scope": cfg.pretrain_scope,
-        "rng": "numpy PCG64",
-    }
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..augment import AugmentConfig, NoiseSpec
+from ..augment import NoiseSpec
 from ..data import Dataset, stratified_split
 from ..metrics import roc_points, write_roc_csv, write_roc_svg
+from ..model import EncoderConfig
 from ..numcore import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, fingerprint, resolved_text
+from .config import RNG, ExperimentConfig, fingerprint, format_value, resolved_text
 from .finetune import FinetuneResult, finetune
 from .pretrain import PipelineError, PretrainResult, pretrain
 
-__all__ = ["ExperimentReport", "run_experiment", "write_report",
+__all__ = ["ExperimentReport", "run_experiment", "write_report", "write_pretrain_artifacts",
            "save_encoder_checkpoint", "load_encoder_checkpoint",
            "ablation_grid", "write_ablation_csv",
            "ABLATION_NODE_RANGES", "ABLATION_NOISES",
@@ -112,58 +113,64 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig,
 # checkpoint files (encoder weights + the config scalars needed to rebuild)
 
 
-def save_encoder_checkpoint(path, arrays: dict[str, np.ndarray], cfg) -> None:
+def save_encoder_checkpoint(path, arrays: dict[str, np.ndarray], cfg: EncoderConfig) -> None:
     payload = {f"param.{name}": arr for name, arr in arrays.items()}
-    payload["meta.n_nodes"] = np.array(float(cfg.n_nodes))
-    payload["meta.layers"] = np.array(float(cfg.layers))
-    payload["meta.heads"] = np.array(float(cfg.heads))
-    payload["meta.d_model"] = np.array(float(cfg.width))
-    payload["meta.ffn_dim"] = np.array(float(cfg.ffn_width))
-    payload["meta.n_clusters"] = np.array(float(cfg.n_clusters))
-    payload["meta.cluster_dim"] = np.array(float(cfg.cluster_dim))
-    payload["meta.proj_dim"] = np.array(float(cfg.proj_dim))
+    payload.update((f"meta.{name}", np.array(float(value)))
+                   for name, value in asdict(cfg.resolved()).items())
     save_checkpoint(path, payload)
 
 
-def load_encoder_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
+def load_encoder_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
     raw = load_checkpoint(path)
+    for name, arr in raw.items():
+        if not np.isfinite(arr).all():
+            raise PipelineError(f"{path}: entry {name!r} holds non-finite values")
     arrays = {name[len("param."):]: arr for name, arr in raw.items()
               if name.startswith("param.")}
     meta = {name[len("meta."):]: int(arr) for name, arr in raw.items()
             if name.startswith("meta.")}
-    if not arrays or "n_nodes" not in meta:
+    if not arrays or set(meta) != {f.name for f in fields(EncoderConfig)}:
         raise PipelineError(f"{path}: not an encoder checkpoint")
-    return arrays, meta
+    return arrays, EncoderConfig(**meta)
 
 
 # ---------------------------------------------------------------------------
 # artifact writing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_pretrain_artifacts(out_dir, cfg: ExperimentConfig,
+                             result: PretrainResult | None) -> None:
+    """config.resolved, plus pretrain_log.csv and pretrained.bnck if pretrained."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.resolved").write_text(resolved_text(cfg))
+    if result is None:
+        return
+    with (out / "pretrain_log.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "loss_mean", "queue_len", "lr"])
+        for epoch, loss_mean, queue_len, lr in result.epoch_log:
+            writer.writerow([epoch, format_value(loss_mean), queue_len, format_value(lr)])
+    save_encoder_checkpoint(out / "pretrained.bnck", result.encoder_params, cfg.encoder)
 
 
 def write_report(out_dir, report: ExperimentReport, results: list[FinetuneResult],
                  cfg: ExperimentConfig, pretrain_result: PretrainResult | None) -> None:
-    """config.resolved, report.csv/json, logs, per-repeat scores and models."""
+    """Pretrain artifacts, report.csv/json, logs, per-repeat scores and models."""
+    write_pretrain_artifacts(out_dir, cfg, pretrain_result)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(resolved_text(cfg))
 
     with (out / "report.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["repeat", "accuracy", "auroc", "sensitivity", "specificity"])
         for row in report.rows:
-            writer.writerow([row["repeat"]] + [_fmt(row[m]) for m in METRIC_NAMES])
-        writer.writerow(["mean"] + [_fmt(report.mean[m]) for m in METRIC_NAMES])
-        writer.writerow(["std"] + [_fmt(report.std[m]) for m in METRIC_NAMES])
+            writer.writerow([row["repeat"]] + [format_value(row[m]) for m in METRIC_NAMES])
+        writer.writerow(["mean"] + [format_value(report.mean[m]) for m in METRIC_NAMES])
+        writer.writerow(["std"] + [format_value(report.std[m]) for m in METRIC_NAMES])
 
     (out / "report.json").write_text(json.dumps({
         "config_fingerprint": report.config_fingerprint,
-        "rng": "numpy PCG64",
+        "rng": RNG,
         "seeds": list(report.seeds),
         "rows": list(report.rows),
         "mean": report.mean,
@@ -171,27 +178,18 @@ def write_report(out_dir, report: ExperimentReport, results: list[FinetuneResult
         "reference": report.reference,
     }, indent=2, sort_keys=True) + "\n")
 
-    if pretrain_result is not None:
-        with (out / "pretrain_log.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss_mean", "queue_len", "lr"])
-            for epoch, loss_mean, queue_len, lr in pretrain_result.epoch_log:
-                writer.writerow([epoch, _fmt(loss_mean), queue_len, _fmt(lr)])
-        save_encoder_checkpoint(out / "pretrained.bnck",
-                                pretrain_result.encoder_params, cfg.encoder)
-
     curves = {}
     for i, result in enumerate(results):
         with (out / f"finetune_log_repeat{i}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_auroc"])
             for epoch, loss, val in result.epoch_log:
-                writer.writerow([epoch, _fmt(loss), _fmt(val)])
+                writer.writerow([epoch, format_value(loss), format_value(val)])
         with (out / f"scores_repeat{i}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["score", "label"])
             for score, label in zip(result.test_scores.scores, result.test_scores.labels):
-                writer.writerow([_fmt(float(score)), int(label)])
+                writer.writerow([format_value(float(score)), int(label)])
         save_encoder_checkpoint(out / f"model_repeat{i}.bnck", result.params, cfg.encoder)
         curves[f"repeat{i}"] = roc_points(result.test_scores)
 
@@ -219,9 +217,8 @@ def ablation_grid(ds: Dataset, cfg: ExperimentConfig):
     for k_min, k_max in ABLATION_NODE_RANGES:
         used_min, used_max = min(k_min, n_nodes), min(k_max, n_nodes)
         for noise_text in ABLATION_NOISES:
-            augment = AugmentConfig(k_min=used_min, k_max=used_max,
-                                    delta_max=cfg.augment.delta_max,
-                                    noise=NoiseSpec.parse(noise_text))
+            augment = replace(cfg.augment, k_min=used_min, k_max=used_max,
+                              noise=NoiseSpec.parse(noise_text))
             cell_cfg = replace(cfg, augment=augment)
             report, _, _ = run_experiment(ds, cell_cfg)
             yield ({"nodes_nominal": f"{k_min}~{k_max}",
@@ -239,5 +236,5 @@ def write_ablation_csv(path, cells: list[tuple[dict, ExperimentReport]]) -> None
         for info, report in cells:
             row = [info["nodes_nominal"], info["nodes_used"], info["noise"]]
             for m in METRIC_NAMES:
-                row += [_fmt(report.mean[m]), _fmt(report.std[m])]
+                row += [format_value(report.mean[m]), format_value(report.std[m])]
             writer.writerow(row)

@@ -25,9 +25,9 @@ from ..model import (
     init_classifier_params,
     init_encoder_params,
 )
-from ..numcore import NonFiniteError, Tensor, adam, backward, opt_step, stack
+from ..numcore import Tensor, adam, backward, opt_step, stack
 from .config import FinetuneConfig
-from .pretrain import PipelineError, batched_indices
+from .pretrain import PipelineError, batched_indices, non_finite_guard
 
 __all__ = ["FinetuneResult", "finetune", "score_dataset", "summarize_scores"]
 
@@ -86,8 +86,8 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
 
     train, val, test = stratified_split(labeled, cfg.split)
     ids = tuple(frozenset(s.subject_id for s in part) for part in (train, val, test))
-    assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2]), \
-        "split produced overlapping folds"
+    if ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2]:
+        raise PipelineError("split produced overlapping folds")
     for name, part in zip(("train", "validation", "test"), (train, val, test)):
         if len(set(part.labels)) < 2:
             raise PipelineError(f"{name} fold ended up single-class; "
@@ -113,7 +113,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         order = order_rng.permutation(len(train))
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
-            try:
+            with non_finite_guard(f"finetuning epoch {epoch} batch {batch_no}"):
                 leaves = as_tensors(params)
                 centers = gram_schmidt(leaves["readout.centers"])
                 losses = []
@@ -125,10 +125,6 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
                     losses.append(cross_entropy(logits, sample.label))
                 batch_loss = stack(losses).mean()
                 grads = backward(batch_loss, wrt=list(leaves.values()))
-            except NonFiniteError as exc:
-                raise PipelineError(
-                    f"non-finite value during finetuning epoch {epoch} "
-                    f"batch {batch_no}: {exc}") from exc
 
             named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}
             if cfg.freeze_encoder:
@@ -139,14 +135,16 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
                 params = opt_step(optimizer, params, named_grads)
             loss_total += batch_loss.item() * len(batch)
 
-        val_auroc = auroc(score_dataset(val, params, encoder_cfg))
+        with non_finite_guard(f"finetuning epoch {epoch} validation"):
+            val_auroc = auroc(score_dataset(val, params, encoder_cfg))
         log.append((epoch, loss_total / len(train), val_auroc))
         if val_auroc > best_auroc:
             best_auroc = val_auroc
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
 
-    test_scores = score_dataset(test, best_params, encoder_cfg)
+    with non_finite_guard("test scoring"):
+        test_scores = score_dataset(test, best_params, encoder_cfg)
     return FinetuneResult(
         params=best_params,
         best_epoch=best_epoch,

@@ -9,6 +9,7 @@ batch keys pushed into the queue. Labels are never consulted.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,22 @@ from ..numcore import NonFiniteError, Tensor, backward, opt_step, sgd, stack
 from .config import PretrainConfig
 
 __all__ = ["PretrainResult", "PipelineError", "pretrain", "ENCODER_PREFIXES",
-           "encoder_only", "batched_indices"]
+           "encoder_only", "batched_indices", "non_finite_guard"]
 
 ENCODER_PREFIXES = ("embed.", "layer", "readout.")
 
 
 class PipelineError(RuntimeError):
     pass
+
+
+@contextmanager
+def non_finite_guard(where: str):
+    """Re-raise a NaN/Inf failure inside the block as a PipelineError."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise PipelineError(f"non-finite value during {where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
         order = order_rng.permutation(len(ds))
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
-            try:
+            with non_finite_guard(f"pretraining epoch {epoch} batch {batch_no}"):
                 leaves = as_tensors(query)
                 key_leaves = {k: Tensor(v, requires_grad=False)
                               for k, v in moco.key_params.items()}
@@ -104,10 +114,6 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
 
                 batch_loss = stack(losses).mean()
                 grads = backward(batch_loss, wrt=list(leaves.values()))
-            except NonFiniteError as exc:
-                raise PipelineError(
-                    f"non-finite value during pretraining epoch {epoch} "
-                    f"batch {batch_no}: {exc}") from exc
 
             named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}
             query = opt_step(optimizer, query, named_grads)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from braincl.cli import main
+from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
+from braincl.pipeline import save_encoder_checkpoint
 
 CONFIG = """
 [model]
@@ -127,7 +129,42 @@ def test_describe_from_config_and_checkpoint(workdir, capsys):
     assert main(["describe", "--ckpt", str(pre_out / "pretrained.bnck")]) == 0
     out = capsys.readouterr().out
     assert "n_nodes=10" in out
+    assert ("configuration: cluster_dim=8, d_model=10, ffn_dim=20, heads=2, layers=1, "
+            "n_clusters=4, n_nodes=10, proj_dim=8") in out
     assert "readout" in out
+
+
+def test_evaluate_rejects_non_finite_checkpoint(workdir, capsys):
+    cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    rng = np.random.default_rng(0)
+    arrays = {**init_encoder_params(cfg, rng), **init_classifier_params(cfg, rng)}
+    arrays["classifier.w1"][0, 0] = np.inf
+    bad = workdir / "bad.bnck"
+    save_encoder_checkpoint(bad, arrays, cfg)
+    assert main(["evaluate", "--data", str(workdir / "data"), "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad.bnck" in err and "classifier.w1" in err
+
+
+def test_finetune_rejects_checkpoint_with_other_encoder_config(workdir, capsys):
+    # heads changes no parameter shape, so only the recorded config tells
+    run = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    other = EncoderConfig(n_nodes=10, layers=1, heads=1, n_clusters=4, proj_dim=8)
+    ckpt = workdir / "heads1.bnck"
+    save_encoder_checkpoint(ckpt, init_encoder_params(other, np.random.default_rng(0)), other)
+    args = ["finetune", "--data", str(workdir / "data"), "--config",
+            str(workdir / "run.ini"), "--ckpt", str(ckpt)]
+    assert main(args + ["--out", str(workdir / "ft_bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "heads 1 in the checkpoint, 2 in this run" in err
+    assert not (workdir / "ft_bad").exists()
+
+    # proj_dim sizes only the pretraining projection head: not compared
+    wide = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=16)
+    save_encoder_checkpoint(ckpt, init_encoder_params(run, np.random.default_rng(0)), wide)
+    assert main(args + ["--out", str(workdir / "ft_ok")]) == 0
 
 
 def test_ablate_emits_full_grid(workdir):

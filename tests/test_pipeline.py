@@ -1,4 +1,5 @@
 import filecmp
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,36 @@ def test_finetune_aborts_on_non_finite_checkpoint():
         finetune(ds, broken, ECFG, cfg)
 
 
+def test_finetune_overlapping_folds_raise_pipeline_error(monkeypatch):
+    # a real error, not an assert: python -O must not skip the check
+    ft = importlib.import_module("braincl.pipeline.finetune")
+    from braincl.data import Dataset
+    real_split = ft.stratified_split
+
+    def overlapping(ds, spec):
+        train, val, test = real_split(ds, spec)
+        return train, Dataset(val.samples + train.samples[:1]), test
+
+    monkeypatch.setattr(ft, "stratified_split", overlapping)
+    cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1)
+    with pytest.raises(PipelineError, match="overlapping folds"):
+        finetune(tiny_ds(), None, ECFG, cfg)
+
+
+def test_finetune_non_finite_validation_raises_pipeline_error(monkeypatch):
+    ft = importlib.import_module("braincl.pipeline.finetune")
+
+    def diverging_step(optimizer, params, grads):
+        return {name: np.full_like(arr, np.inf) for name, arr in params.items()}
+
+    monkeypatch.setattr(ft, "opt_step", diverging_step)
+    # one batch per epoch, so validation scoring meets the infinite weights first
+    cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=64, repeats=1)
+    with pytest.raises(PipelineError, match="non-finite value during finetuning "
+                                            "epoch 1 validation"):
+        finetune(tiny_ds(), None, ECFG, cfg)
+
+
 def test_freeze_encoder_leaves_encoder_untouched():
     ds = tiny_ds()
     ckpt = init_encoder_params(ECFG, np.random.default_rng(2))
@@ -251,43 +282,152 @@ def test_config_defaults_scale_to_small_data():
     assert cfg.pretrain.lr == 1e-5
 
 
-def test_config_file_round_trip(tmp_path):
-    text = """
+# every key set away from its default (n_nodes comes from the data)
+EVERY_KEY = """
 [model]
+n_nodes = 10
 layers = 1
-heads = 2
-n_clusters = 4
-proj_dim = 8
+heads = 3
+d_model = 12
+ffn_dim = 18
+n_clusters = 6
+cluster_dim = 4
+proj_dim = 16
 
 [augment]
-k_min = 1
-k_max = 3
+k_min = 2
+k_max = 7
+delta_max = 0.25
 noise = uniform(-0.1,0.1)
 
 [pretrain]
 epochs = 5
 lr = 0.01
 batch_size = 8
+queue_capacity = 32
+momentum = 0.9
+temperature = 0.2
+seed = 3
 
 [finetune]
 epochs = 3
+lr = 0.001
+weight_decay = 0.0001
+batch_size = 16
 repeats = 2
+train_fraction = 0.6
+val_fraction = 0.15
+test_fraction = 0.25
+freeze_encoder = true
 seed = 9
+
+[experiment]
+pretrain_scope = train_only
+rng = numpy PCG64
 """
+
+
+def _resolved_items(text: str) -> dict[tuple[str, str], str]:
+    import configparser
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return {(section, key): parser.get(section, key)
+            for section in parser.sections() for key in parser.options(section)}
+
+
+def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(text)
+    path.write_text(EVERY_KEY)
     cfg = load_config(path, n_nodes=10)
     assert cfg.encoder.layers == 1
     assert cfg.augment.noise.kind == "uniform"
     assert cfg.pretrain.epochs == 5
     assert cfg.finetune.repeats == 2
     assert cfg.finetune.split.seed == 9
+    assert cfg.finetune.freeze_encoder is True
+    assert cfg.pretrain_scope == "train_only"
+
+    # the file sets every resolved key, each away from its default
+    resolved = resolved_text(cfg)
+    items = _resolved_items(resolved)
+    assert items == _resolved_items(EVERY_KEY)
+    defaults = _resolved_items(resolved_text(load_config(None, n_nodes=10)))
+    assert set(items) == set(defaults)
+    for entry, value in items.items():
+        if entry not in (("model", "n_nodes"), ("experiment", "rng")):
+            assert value != defaults[entry], entry
 
     # resolved text parses back to an identical resolved text
-    resolved = resolved_text(cfg)
     again = load_config(None, n_nodes=10, text=resolved)
+    assert again == cfg
     assert resolved_text(again) == resolved
     assert fingerprint(again) == fingerprint(cfg)
+
+
+DEFAULT_RESOLVED_V20 = """\
+[model]
+n_nodes = 20
+layers = 2
+heads = 4
+d_model = 20
+ffn_dim = 40
+n_clusters = 20
+cluster_dim = 8
+proj_dim = 128
+
+[augment]
+k_min = 5
+k_max = 20
+delta_max = 0.5
+noise = N(0,0.01)
+
+[pretrain]
+epochs = 900
+lr = 1e-05
+batch_size = 64
+queue_capacity = 512
+momentum = 0.999
+temperature = 0.07
+seed = 0
+
+[finetune]
+epochs = 200
+lr = 5e-05
+weight_decay = 5e-05
+batch_size = 64
+repeats = 5
+train_fraction = 0.7
+val_fraction = 0.1
+test_fraction = 0.2
+freeze_encoder = false
+seed = 0
+
+[experiment]
+pretrain_scope = all
+rng = numpy PCG64
+
+"""
+
+
+def test_default_resolved_text_and_fingerprint_are_pinned():
+    # recorded fingerprints must not drift: any change here re-keys every report
+    cfg = load_config(None, n_nodes=20)
+    assert resolved_text(cfg) == DEFAULT_RESOLVED_V20
+    assert fingerprint(cfg) == \
+        "93ecc4292407a2f429990570cbcbee2252a39319468a724d82d783262d1164ac"
+
+
+def test_config_rejects_unknown_sections_and_keys():
+    with pytest.raises(ValueError, match=r"key \[pretrain\] learning_rate"):
+        load_config(None, n_nodes=10, text="[pretrain]\nlearning_rate = 0.1\n")
+    with pytest.raises(ValueError, match=r"section \[trainer\]"):
+        load_config(None, n_nodes=10, text="[trainer]\nepochs = 1\n")
+    with pytest.raises(ValueError, match=r"key \[finetune\] split"):
+        load_config(None, n_nodes=10, text="[finetune]\nsplit = 0.5\n")
+    # the keys a resolved text records are accepted
+    cfg = load_config(None, n_nodes=10,
+                      text="[model]\nn_nodes = 10\n[experiment]\nrng = numpy PCG64\n")
+    assert cfg == load_config(None, n_nodes=10)
 
 
 def test_config_rejects_mismatched_pinned_nodes(tmp_path):
@@ -312,8 +452,8 @@ def test_encoder_checkpoint_round_trip(tmp_path):
     arrays = init_encoder_params(ECFG, np.random.default_rng(4))
     path = tmp_path / "enc.bnck"
     save_encoder_checkpoint(path, arrays, ECFG)
-    loaded, meta = load_encoder_checkpoint(path)
-    assert meta["n_nodes"] == 10
-    assert meta["n_clusters"] == 4
+    loaded, cfg = load_encoder_checkpoint(path)
+    assert cfg.n_nodes == 10
+    assert cfg.n_clusters == 4
     for name in arrays:
         np.testing.assert_array_equal(loaded[name], arrays[name])
