@@ -4,9 +4,9 @@ contrastive projection heads.
 
 Node j enters the encoder as row j of the connectivity matrix, is embedded
 once, then flows through post-norm attention/feed-forward blocks. The
-readout orthonormalizes a learnable center matrix every forward pass (so
-the centers stay trainable yet orthonormal, with gradients flowing through
-the orthonormalization), softly assigns node embeddings to centers, and
+readout orthonormalizes a learnable center matrix every forward pass with
+one sign-fixed QR node whose backward is closed-form (so the centers stay
+trainable yet orthonormal), softly assigns node embeddings to centers, and
 projects each pooled cluster embedding to a fixed per-cluster width. The
 flattened readout is what both heads consume.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import Tensor, concat, stack
+from .numcore import Tensor, concat
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
@@ -87,15 +87,6 @@ def _affine(rng: np.random.Generator, fan_in: int, fan_out: int):
     return w, b
 
 
-def _orthonormal_rows(rng: np.random.Generator, n_rows: int, dim: int) -> np.ndarray:
-    rows = rng.standard_normal((n_rows, dim))
-    for i in range(n_rows):
-        for j in range(i):
-            rows[i] -= (rows[i] @ rows[j]) * rows[j]
-        rows[i] /= np.linalg.norm(rows[i])
-    return rows
-
-
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     d = cfg.width
     params: dict[str, np.ndarray] = {}
@@ -110,7 +101,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
         params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"] = _affine(rng, cfg.ffn_width, d)
         params[f"{pre}.norm2.gain"] = np.ones(d)
         params[f"{pre}.norm2.bias"] = np.zeros(d)
-    params["readout.centers"] = _orthonormal_rows(rng, cfg.n_clusters, d)
+    params["readout.centers"] = gram_schmidt(Tensor(rng.standard_normal((cfg.n_clusters, d)))).data
     params["readout.w_out"], _ = _affine(rng, d, cfg.cluster_dim)
     return params
 
@@ -139,26 +130,32 @@ def as_tensors(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 
 def gram_schmidt(centers: Tensor) -> Tensor:
-    """Orthonormalize rows (modified Gram-Schmidt), differentiably.
-
+    """Orthonormalize rows in one graph node: Q.T of the reduced QR of
+    ``centers.T`` with R's diagonal made positive (modified Gram-Schmidt's
+    rows), with the reduced-QR vjp of Seeger et al. 2017 (arXiv:1710.08717).
     Raises RankDeficiencyError naming the first row whose residual norm
-    drops below 1e-8 during the sweep.
+    |R_ii| is below 1e-8.
     """
     if centers.ndim != 2:
         raise ValueError(f"expected a matrix of rows, got shape {centers.shape}")
-    n_rows = centers.shape[0]
-    rows: list[Tensor] = []
-    for i in range(n_rows):
-        v = centers[i]
-        for q in rows:
-            v = v - (v * q).sum() * q
-        norm_sq = (v * v).sum()
-        if math.sqrt(norm_sq.item()) < 1e-8:
-            raise RankDeficiencyError(
-                f"row {i} is linearly dependent on the rows before it "
-                f"(residual norm {math.sqrt(norm_sq.item()):.3e})")
-        rows.append(v / norm_sq.sqrt())
-    return stack(rows)
+    q, r = np.linalg.qr(centers.data.T)
+    # R has one row per basis vector; rows of `centers` past those lie in their span
+    residuals = np.append(np.abs(np.diagonal(r)), np.zeros(r.shape[1] - r.shape[0]))
+    i = int(np.argmax(residuals < 1e-8))  # the first dependent row, if there is one
+    if residuals[i] < 1e-8:
+        raise RankDeficiencyError(
+            f"row {i} is linearly dependent on the rows before it "
+            f"(residual norm {residuals[i]:.3e})")
+    signs = np.sign(np.diagonal(r))
+    q, r = q * signs, r * signs[:, None]
+
+    def vjp(g):
+        m = -g @ q
+        m = np.tril(m) + np.tril(m, -1).T  # symmetric from the lower triangle
+        return np.linalg.solve(r, g + m @ q.T)
+
+    return Tensor(q.T, op="gram_schmidt", parents=(centers,), vjps=(vjp,),
+                  requires_grad=centers.requires_grad)
 
 
 def _as_input(conn) -> Tensor:
@@ -202,7 +199,7 @@ def readout(z: Tensor, params: dict[str, Tensor], cfg: EncoderConfig,
     """Soft-assign node embeddings to orthonormal centers and pool.
 
     ``centers`` may be passed in when the caller has already orthonormalized
-    them (one Gram-Schmidt sweep can be shared across a whole batch).
+    them (one ``gram_schmidt`` QR node can be shared across a whole batch).
     Returns an (n_clusters, cluster_dim) feature matrix.
     """
     if z.ndim != 2 or z.shape[1] != cfg.width:

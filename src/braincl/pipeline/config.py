@@ -119,12 +119,14 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _parse(kind: type, raw: str):
-    if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if kind is NoiseSpec:
-        return NoiseSpec.parse(raw)
-    return kind(raw)
+def _parse(parser: configparser.ConfigParser, section: str, key: str, kind: type):
+    try:
+        if kind is bool:
+            return parser.getboolean(section, key)  # configparser's BOOLEAN_STATES only
+        raw = parser.get(section, key)
+        return NoiseSpec.parse(raw) if kind is NoiseSpec else kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
 
 
 def _data_defaults(n_nodes: int, d_model: int | None) -> dict[str, dict[str, int]]:
@@ -154,9 +156,9 @@ def load_config(path=None, *, n_nodes: int, text: str | None = None) -> Experime
 
     ``n_nodes`` comes from the dataset; a file may pin it for validation.
     Missing sections and keys fall back to the dataclass defaults; unknown
-    ones are errors.
+    ones, [DEFAULT] among them, and values that do not parse are errors.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # no section applies to all
     if text is not None:
         parser.read_string(text)
     elif path is not None:
@@ -181,7 +183,7 @@ def load_config(path=None, *, n_nodes: int, text: str | None = None) -> Experime
             node = values
             for name in attrs[:-1]:
                 node = node.setdefault(name, {})
-            node[attrs[-1]] = _parse(kind, parser.get(section, key))
+            node[attrs[-1]] = _parse(parser, section, key, kind)
 
     encoder = values.get("encoder", {})
     for name, defaults in _data_defaults(n_nodes, encoder.get("d_model")).items():

@@ -187,3 +187,8 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["ingest", "--data", str(tmp_path / "missing")]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["describe"]) == 2
+    bad_config = tmp_path / "bad.ini"
+    bad_config.write_text("[pretrain]\nepochs = 1.5\n")
+    capsys.readouterr()
+    assert main(["describe", "--config", str(bad_config), "--nodes", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: [pretrain] epochs:")

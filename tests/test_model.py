@@ -19,7 +19,7 @@ from braincl.model import (
     readout,
     relabel_nodes,
 )
-from braincl.numcore import Tensor, gradcheck
+from braincl.numcore import Tensor, backward, gradcheck, stack
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -157,9 +157,68 @@ def test_gram_schmidt_idempotent():
 
 
 def test_gram_schmidt_rank_deficiency_error_names_row():
-    e = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(RankDeficiencyError, match="row 1"):
-        gram_schmidt(Tensor(e))
+    later = np.random.default_rng(10).standard_normal((4, 6))
+    later[2] = later[0] - 2.0 * later[1]
+    cases = [
+        (np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]), "row 1"),
+        (later, "row 2"),  # the first dependent row is named, not row 0 or 3
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), "row 2"),  # more rows than dims
+    ]
+    for e, row in cases:
+        with pytest.raises(RankDeficiencyError, match=row):
+            gram_schmidt(Tensor(e))
+    # the threshold: row 2's residual norm is its last entry, and 1e-8 is the limit
+    def near(residual):
+        return Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, residual]])
+
+    with pytest.raises(RankDeficiencyError, match=r"row 2 .*residual norm 1\.000e-09"):
+        gram_schmidt(near(1e-9))
+    np.testing.assert_allclose(gram_schmidt(near(1e-6)).data, np.eye(3), atol=1e-12)
+
+
+def mgs_reference(centers: Tensor) -> Tensor:
+    """Modified Gram-Schmidt as a graph of elementary ops: the reference the
+    single-node QR form must reproduce, values and gradients."""
+    rows: list[Tensor] = []
+    for i in range(centers.shape[0]):
+        v = centers[i]
+        for q in rows:
+            v = v - (v * q).sum() * q
+        rows.append(v / (v * v).sum().sqrt())
+    return stack(rows)
+
+
+@pytest.mark.parametrize("n_rows, dim", [(10, 20), (30, 60)])
+def test_gram_schmidt_matches_mgs_graph(n_rows, dim):
+    rng = np.random.default_rng(n_rows)
+    e = rng.standard_normal((n_rows, dim))
+    w = Tensor(rng.standard_normal((n_rows, dim)), requires_grad=False)
+    results = []
+    for fn in (gram_schmidt, mgs_reference):
+        leaf = Tensor(e)
+        out = fn(leaf)
+        results.append((out.data, backward((out * w).sum(), wrt=[leaf])[leaf].data))
+    (qr_out, qr_grad), (mgs_out, mgs_grad) = results
+    assert np.abs(qr_out - mgs_out).max() < 1e-12
+    assert np.abs(qr_grad - mgs_grad).max() < 1e-12
+
+    leaf = Tensor(e)
+    assert gram_schmidt(leaf).parents == (leaf,)
+
+
+@pytest.mark.parametrize("n_rows, dim", [(1, 5), (3, 3), (4, 7)])
+def test_gram_schmidt_gradcheck(n_rows, dim):
+    rng = np.random.default_rng(dim)
+    e = rng.standard_normal((n_rows, dim))
+    w = Tensor(rng.standard_normal((n_rows, dim)), requires_grad=False)
+    assert gradcheck(lambda t: (gram_schmidt(t) * w).sum(), e) < 1e-6
+
+
+def test_init_centers_orthonormal_at_paper_scale():
+    cfg = EncoderConfig(n_nodes=200, layers=1, n_clusters=100)
+    centers = init_encoder_params(cfg, np.random.default_rng(0))["readout.centers"]
+    assert centers.shape == (100, 200)
+    assert np.abs(centers @ centers.T - np.eye(100)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

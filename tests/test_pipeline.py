@@ -424,6 +424,17 @@ def test_config_rejects_unknown_sections_and_keys():
         load_config(None, n_nodes=10, text="[trainer]\nepochs = 1\n")
     with pytest.raises(ValueError, match=r"key \[finetune\] split"):
         load_config(None, n_nodes=10, text="[finetune]\nsplit = 0.5\n")
+    # [DEFAULT] keys would silently apply to every section that has them
+    with pytest.raises(ValueError, match=r"section \[DEFAULT\]"):
+        load_config(None, n_nodes=10, text="[DEFAULT]\nseed = 3\n[pretrain]\n")
+    # bad values name their key; booleans accept only configparser's spellings
+    for text, prefix in (("[finetune]\nfreeze_encoder = ture\n", r"\[finetune\] freeze_encoder:"),
+                         ("[pretrain]\nepochs = 1.5\n", r"\[pretrain\] epochs:"),
+                         ("[augment]\nnoise = N(0,x)\n", r"\[augment\] noise:")):
+        with pytest.raises(ValueError, match="^" + prefix):
+            load_config(None, n_nodes=10, text=text)
+    assert load_config(None, n_nodes=10,
+                       text="[finetune]\nfreeze_encoder = Yes\n").finetune.freeze_encoder
     # the keys a resolved text records are accepted
     cfg = load_config(None, n_nodes=10,
                       text="[model]\nn_nodes = 10\n[experiment]\nrng = numpy PCG64\n")
