@@ -62,32 +62,37 @@ def _check_unit_rows(rows: np.ndarray, what: str) -> None:
 
 
 def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: float) -> Tensor:
-    """Contrastive loss of one query against its positive key and the queue.
+    """Contrastive loss of each query against its positive key and the queue.
 
     loss = -log e^(s+/t) / (e^(s+/t) + sum_k e^(sk/t)) with cosine
     similarities; since all inputs are unit vectors the cosines are plain
-    dot products. With an empty queue the ratio is 1 and the loss 0.
-    Gradients flow only into ``query``; keys are treated as constants.
+    dot products. ``query`` and ``key_pos`` are one (dim,) vector each or a
+    (B, dim) batch of rows, and the loss is the mean over the batch. With an
+    empty queue the ratio is 1 and the loss 0. Gradients flow only into
+    ``query``; keys are treated as constants.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     q = np.asarray(queue, dtype=np.float64)
     if q.size and q.ndim != 2:
         raise ValueError("queue must be a (n_keys, dim) array")
-    _check_unit_rows(query.data[None, :], "query")
-    _check_unit_rows(key_pos.data[None, :], "positive key")
+    if query.ndim not in (1, 2) or key_pos.shape != query.shape:
+        raise ValueError(f"query {query.shape} and positive key {key_pos.shape} must be "
+                         f"matching (dim,) vectors or (B, dim) batches")
+    _check_unit_rows(query.data, "query")
+    _check_unit_rows(key_pos.data, "positive key")
     if q.size:
         _check_unit_rows(q, "queue")
 
     key_const = key_pos.detach()
-    positive = (query * key_const).sum().reshape(1)
+    positive = (query * key_const).sum(axis=-1, keepdims=True)
     if q.size:
-        negatives = Tensor(q, requires_grad=False) @ query
-        similarities = concat([positive, negatives])
+        negatives = query @ Tensor(q.T, requires_grad=False)
+        similarities = concat([positive, negatives], axis=-1)
     else:
         similarities = positive
-    log_p = (similarities / temperature).log_softmax()
-    return -log_p[0]
+    log_p = (similarities / temperature).log_softmax(axis=-1)
+    return -log_p[..., 0].mean()
 
 
 def momentum_update(key_params: dict[str, np.ndarray],

@@ -10,6 +10,9 @@ trainable yet orthonormal), softly assigns node embeddings to centers, and
 projects each pooled cluster embedding to a fixed per-cluster width. The
 flattened readout is what both heads consume.
 
+Every forward path works over trailing axes: a (V, V) connectome is one
+sample and a stacked (B, V, V) array is a batch that runs as one graph.
+
 Node relabeling: the embedding weight's input axis is the only
 node-indexed parameter, so permuting a connectome's rows and columns
 together with that axis permutes the encoder output rows the same way (see
@@ -167,9 +170,10 @@ def _as_input(conn) -> Tensor:
 
 
 def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
-    """Node embeddings, one row per node."""
+    """Node embeddings, one row per node: (V, V) -> (V, d), and a stacked
+    batch (B, V, V) -> (B, V, d)."""
     x = _as_input(conn)
-    if x.shape != (cfg.n_nodes, cfg.n_nodes):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_nodes, cfg.n_nodes):
         raise ValueError(f"input shape {x.shape} does not match V={cfg.n_nodes}")
     d = cfg.width
     head_dim = d // cfg.heads
@@ -184,9 +188,9 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
         heads = []
         for h in range(cfg.heads):
             sl = slice(h * head_dim, (h + 1) * head_dim)
-            scores = (q[:, sl] @ k[:, sl].T) * scale
-            heads.append(scores.softmax(axis=-1) @ v[:, sl])
-        attn = concat(heads, axis=1) @ params[f"{pre}.attn.wo"] + params[f"{pre}.attn.ob"]
+            scores = (q[..., sl] @ k[..., sl].T) * scale
+            heads.append(scores.softmax(axis=-1) @ v[..., sl])
+        attn = concat(heads, axis=-1) @ params[f"{pre}.attn.wo"] + params[f"{pre}.attn.ob"]
         z = (z + attn).layer_norm() * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
         hidden = (z @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"]).leaky_relu(LEAKY_SLOPE)
         ffn = hidden @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
@@ -200,9 +204,10 @@ def readout(z: Tensor, params: dict[str, Tensor], cfg: EncoderConfig,
 
     ``centers`` may be passed in when the caller has already orthonormalized
     them (one ``gram_schmidt`` QR node can be shared across a whole batch).
-    Returns an (n_clusters, cluster_dim) feature matrix.
+    Returns an (n_clusters, cluster_dim) feature matrix per sample, so a
+    (B, V, d) batch of embeddings gives (B, n_clusters, cluster_dim).
     """
-    if z.ndim != 2 or z.shape[1] != cfg.width:
+    if z.ndim not in (2, 3) or z.shape[-1] != cfg.width:
         raise ValueError(f"embeddings shape {z.shape} does not match d_model={cfg.width}")
     if centers is None:
         centers = gram_schmidt(params["readout.centers"])
@@ -213,32 +218,41 @@ def readout(z: Tensor, params: dict[str, Tensor], cfg: EncoderConfig,
 
 def features(conn, params: dict[str, Tensor], cfg: EncoderConfig,
              centers: Tensor | None = None) -> Tensor:
-    """Flattened readout of length n_clusters * cluster_dim."""
-    z = encoder_forward(conn, params, cfg)
-    return readout(z, params, cfg, centers=centers).flatten()
+    """Flattened readout of length n_clusters * cluster_dim, one row per
+    sample when ``conn`` is a stacked (B, V, V) batch."""
+    pooled = readout(encoder_forward(conn, params, cfg), params, cfg, centers=centers)
+    return pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,))
 
 
 def classify(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Two-way logits from the flattened readout."""
+    """Two-way logits from the flattened readout (along the last axis)."""
     h = (feats @ params["classifier.w1"] + params["classifier.b1"]).leaky_relu(LEAKY_SLOPE)
     h = (h @ params["classifier.w2"] + params["classifier.b2"]).leaky_relu(LEAKY_SLOPE)
     return h @ params["classifier.w3"] + params["classifier.b3"]
 
 
 def project(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Unit-norm contrastive embedding; cosine of two outputs is their dot."""
+    """Unit-norm contrastive embedding per row; cosine of two outputs is
+    their dot."""
     h = (feats @ params["project.w1"] + params["project.b1"]).leaky_relu(LEAKY_SLOPE)
     raw = h @ params["project.w2"] + params["project.b2"]
-    norm_sq = (raw * raw).sum()
-    if norm_sq.item() < 1e-30:
+    norm_sq = (raw * raw).sum(axis=-1, keepdims=True)
+    if norm_sq.data.min() < 1e-30:
         raise ValueError("projection collapsed to the zero vector; cannot normalize")
     return raw / norm_sq.sqrt()
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    return -logits.log_softmax()[label]
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """Mean negative log-likelihood of ``label`` (an int for (2,) logits,
+    an array of ints for a (B, 2) batch)."""
+    labels = np.asarray(label)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"labels must be 0 or 1, got {label}")
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
+    log_p = logits.log_softmax(axis=-1)
+    # log_p[i, labels[i]] for every sample i; log_p[label] for a single one
+    return -log_p[(*np.indices(labels.shape), labels.astype(np.intp))].mean()
 
 
 # ---------------------------------------------------------------------------

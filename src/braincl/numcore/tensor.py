@@ -4,10 +4,12 @@ Every operation records its parents and the vector-Jacobian products needed
 to run the chain rule backwards. Graphs are built immutably: a Tensor never
 changes after construction, so sharing subgraphs (e.g. one orthonormalized
 center matrix feeding every sample in a batch) is safe and gradients simply
-accumulate where paths merge.
+accumulate where paths merge. An operation none of whose inputs requires a
+gradient records nothing, so inference and the key encoder hold no graph.
 
-Scope is deliberately small: 1-D/2-D arrays, float64 only, and just the
-broadcasting the model needs (scalars and row vectors against matrices).
+Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
+leading axis of a 3-D array is a batch of matrices. Elementwise operations
+and ``@`` broadcast as numpy does.
 """
 
 from __future__ import annotations
@@ -34,19 +36,24 @@ class NonFiniteError(FloatingPointError):
     """Raised when an operation would produce NaN or Inf values."""
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim > 2:
-        raise GraphError(f"tensors are limited to 2 dimensions, got shape {arr.shape}")
+MAX_RANK = 3
+
+
+def _as_array(values, copy: bool) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+    if arr.ndim > MAX_RANK:
+        raise GraphError(f"tensors are limited to {MAX_RANK} dimensions, got shape {arr.shape}")
     return arr
 
 
 class Tensor:
     """A node in the computation graph.
 
-    Leaves are created directly (``Tensor([1., 2.])``); interior nodes are
-    created by operations and carry one vjp callable per parent. ``data`` is
-    read-only; build a new Tensor instead of mutating.
+    Leaves are created directly (``Tensor([1., 2.])``) from a copy of the
+    values; interior nodes are created by operations and carry one vjp
+    callable per parent, unless ``requires_grad`` is false, in which case
+    they keep no parents. ``data`` is read-only; build a new Tensor instead
+    of mutating.
     """
 
     __slots__ = ("data", "op", "parents", "_vjps", "requires_grad")
@@ -54,14 +61,14 @@ class Tensor:
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
                  vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()):
-        data = _as_array(values)
+        data = _as_array(values, copy=op == "leaf")  # op results are fresh arrays
         if not np.isfinite(data).all():
             raise NonFiniteError(f"non-finite values in '{op}' result")
         data.flags.writeable = False
         self.data = data
         self.op = op
-        self.parents = parents
-        self._vjps = vjps
+        self.parents = parents if requires_grad else ()
+        self._vjps = vjps if requires_grad else ()
         self.requires_grad = requires_grad
 
     # ------------------------------------------------------------------
@@ -85,8 +92,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        """A leaf with the same values and no history."""
-        return Tensor(self.data, requires_grad=False)
+        """A constant with the same values and no history."""
+        return Tensor(self.data, requires_grad=False, op="detach")
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
@@ -138,24 +145,24 @@ class Tensor:
         other = _coerce(other)
         a, b = self.data, other.data
         if a.ndim == 0 or b.ndim == 0:
-            raise GraphError("matmul requires 1-D or 2-D operands")
+            raise GraphError("matmul requires operands of at least 1 dimension")
         try:
             out = a @ b
         except ValueError as exc:
             raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}") from exc
 
-        if a.ndim == 2 and b.ndim == 2:
-            vjp_a = lambda g: g @ b.T
-            vjp_b = lambda g: a.T @ g
-        elif a.ndim == 2 and b.ndim == 1:
-            vjp_a = lambda g: np.outer(g, b)
-            vjp_b = lambda g: a.T @ g
-        elif a.ndim == 1 and b.ndim == 2:
-            vjp_a = lambda g: b @ g
-            vjp_b = lambda g: np.outer(a, g)
-        else:
-            vjp_a = lambda g: g * b
-            vjp_b = lambda g: g * a
+        # promote vectors to matrices, so one pair of vjps covers every rank
+        a2 = a[None, :] if a.ndim == 1 else a
+        b2 = b[:, None] if b.ndim == 1 else b
+
+        def grad_out(g):  # g in the shape of a2 @ b2
+            g = np.expand_dims(g, -2) if a.ndim == 1 else g
+            return g[..., None] if b.ndim == 1 else g
+
+        vjp_a = lambda g: _unbroadcast(grad_out(g) @ np.swapaxes(b2, -1, -2),
+                                       a2.shape).reshape(a.shape)
+        vjp_b = lambda g: _unbroadcast(np.swapaxes(a2, -1, -2) @ grad_out(g),
+                                       b2.shape).reshape(b.shape)
         return Tensor(out, op="matmul", parents=(self, other), vjps=(vjp_a, vjp_b),
                       requires_grad=self.requires_grad or other.requires_grad)
 
@@ -164,10 +171,12 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        if self.ndim != 2:
-            raise GraphError(f"transpose needs a 2-D tensor, got shape {self.shape}")
-        return Tensor(self.data.T, op="transpose", parents=(self,),
-                      vjps=(lambda g: g.T,), requires_grad=self.requires_grad)
+        """Swap the last two axes (a batch of matrices transposes each one)."""
+        if self.ndim < 2:
+            raise GraphError(f"transpose needs at least 2 dimensions, got shape {self.shape}")
+        return Tensor(np.swapaxes(self.data, -1, -2), op="transpose", parents=(self,),
+                      vjps=(lambda g: np.swapaxes(g, -1, -2),),
+                      requires_grad=self.requires_grad)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -175,9 +184,6 @@ class Tensor:
         old = self.data.shape
         return Tensor(self.data.reshape(shape), op="reshape", parents=(self,),
                       vjps=(lambda g: g.reshape(old),), requires_grad=self.requires_grad)
-
-    def flatten(self) -> "Tensor":
-        return self.reshape(self.data.size)
 
     def __getitem__(self, idx) -> "Tensor":
         out = self.data[idx]
@@ -194,15 +200,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # reductions
 
-    def sum(self, axis: int | None = None) -> "Tensor":
+    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         shape = self.data.shape
 
         def vjp(g):
-            if axis is None:
+            if axis is None or keepdims:
                 return np.broadcast_to(g, shape).copy()
             return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-        return Tensor(self.data.sum(axis=axis), op="sum", parents=(self,),
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), op="sum", parents=(self,),
                       vjps=(vjp,), requires_grad=self.requires_grad)
 
     def mean(self, axis: int | None = None) -> "Tensor":
@@ -303,15 +309,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-_ALLOWED_BROADCASTS = "equal shapes, a scalar, or a row vector against a matrix"
-
-
 def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     b = _coerce(other)
     sa, sb = a.data.shape, b.data.shape
-    if not (sa == sb or a.data.size == 1 or b.data.size == 1
-            or (len(sa) == 2 and sb == sa[1:]) or (len(sb) == 2 and sa == sb[1:])):
-        raise GraphError(f"{op} shape mismatch {sa} vs {sb}; supported: {_ALLOWED_BROADCASTS}")
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        raise GraphError(f"{op} shape mismatch {sa} vs {sb}: "
+                         f"shapes must broadcast as in numpy") from None
     with np.errstate(invalid="ignore", divide="ignore"):
         out = fwd(a.data, b.data)
     ad, bd = a.data, b.data
@@ -417,11 +422,11 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
     leaves = {node: grads[id(node)] for node in order
               if not node.parents and node.requires_grad and id(node) in grads}
     if wrt is None:
-        return {t: Tensor(g, requires_grad=False) for t, g in leaves.items()}
+        return {t: Tensor(g, requires_grad=False, op="grad") for t, g in leaves.items()}
     result: dict[Tensor, Tensor] = {}
     for t in wrt:
         g = leaves.get(t)
         if g is None:
             g = np.zeros_like(t.data)
-        result[t] = Tensor(g, requires_grad=False)
+        result[t] = Tensor(g, requires_grad=False, op="grad")
     return result

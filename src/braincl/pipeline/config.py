@@ -158,6 +158,14 @@ def load_config(path=None, *, n_nodes: int, text: str | None = None) -> Experime
     Missing sections and keys fall back to the dataclass defaults; unknown
     ones, [DEFAULT] among them, and values that do not parse are errors.
     """
+    try:
+        return _load(path, text, n_nodes)
+    except configparser.Error as exc:  # malformed INI: no section header, bad % syntax
+        source = "config text" if text is not None else f"config file {path}"
+        raise ValueError(f"{source}: {' '.join(exc.message.split())}") from None
+
+
+def _load(path, text: str | None, n_nodes: int) -> ExperimentConfig:
     parser = configparser.ConfigParser(default_section="")  # no section applies to all
     if text is not None:
         parser.read_string(text)

@@ -25,11 +25,13 @@ from ..model import (
     init_classifier_params,
     init_encoder_params,
 )
-from ..numcore import Tensor, adam, backward, opt_step, stack
+from ..numcore import Tensor, adam, backward, opt_step
 from .config import FinetuneConfig
 from .pretrain import PipelineError, batched_indices, non_finite_guard
 
 __all__ = ["FinetuneResult", "finetune", "score_dataset", "summarize_scores"]
+
+SCORE_BATCH = 64  # samples per batched forward in score_dataset
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,17 @@ class FinetuneResult:
 
 def score_dataset(ds: Dataset, arrays: dict[str, np.ndarray],
                   cfg: EncoderConfig) -> ScoredSet:
-    """Class-1 probabilities for every (labeled) sample."""
+    """Class-1 probabilities for every (labeled) sample, scored in batched
+    slices of SCORE_BATCH samples."""
     params = {k: Tensor(v, requires_grad=False) for k, v in arrays.items()}
     centers = gram_schmidt(params["readout.centers"])
-    scores, labels = [], []
-    for sample in ds:
-        logits = classify(features(sample.connectome, params, cfg, centers=centers),
-                          params)
-        scores.append(float(logits.softmax().data[1]))
-        labels.append(sample.label)
-    return ScoredSet(scores=np.array(scores), labels=np.array(labels))
+    scores = []
+    for start in range(0, len(ds), SCORE_BATCH):
+        conns = np.stack([s.connectome.matrix for s in ds.samples[start:start + SCORE_BATCH]])
+        logits = classify(features(conns, params, cfg, centers=centers), params)
+        scores.append(logits.softmax(axis=-1).data[:, 1])
+    return ScoredSet(scores=np.concatenate(scores) if scores else np.array([]),
+                     labels=np.array([s.label for s in ds]))
 
 
 def summarize_scores(scores: ScoredSet) -> dict[str, float]:
@@ -116,14 +119,11 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
             with non_finite_guard(f"finetuning epoch {epoch} batch {batch_no}"):
                 leaves = as_tensors(params)
                 centers = gram_schmidt(leaves["readout.centers"])
-                losses = []
-                for idx in batch:
-                    sample = train.samples[int(idx)]
-                    logits = classify(
-                        features(sample.connectome, leaves, encoder_cfg, centers=centers),
-                        leaves)
-                    losses.append(cross_entropy(logits, sample.label))
-                batch_loss = stack(losses).mean()
+                samples = [train.samples[int(idx)] for idx in batch]
+                conns = np.stack([sample.connectome.matrix for sample in samples])
+                logits = classify(features(conns, leaves, encoder_cfg, centers=centers),
+                                  leaves)
+                batch_loss = cross_entropy(logits, [sample.label for sample in samples])
                 grads = backward(batch_loss, wrt=list(leaves.values()))
 
             named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}

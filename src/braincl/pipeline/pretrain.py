@@ -1,8 +1,9 @@
 """Contrastive pretraining loop.
 
-Each step augments every sample in the batch into two views, embeds view
-one with the query encoder and view two with the trailing key encoder,
-scores the query against its key and the queue of past keys, and updates:
+Each step augments every sample in the batch into two views, embeds the
+stacked first views with the query encoder and the stacked second views with
+the trailing key encoder (one batched forward each), scores every query
+against its key and the queue of past keys, and updates:
 gradient step on the query side, exponential trailing on the key side,
 batch keys pushed into the queue. Labels are never consulted.
 """
@@ -26,7 +27,7 @@ from ..model import (
     init_projection_params,
     project,
 )
-from ..numcore import NonFiniteError, Tensor, backward, opt_step, sgd, stack
+from ..numcore import NonFiniteError, Tensor, backward, opt_step, sgd
 from .config import PretrainConfig
 
 __all__ = ["PretrainResult", "PipelineError", "pretrain", "ENCODER_PREFIXES",
@@ -97,22 +98,19 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                 centers = gram_schmidt(leaves["readout.centers"])
                 key_centers = gram_schmidt(key_leaves["readout.centers"])
 
-                losses = []
-                new_keys = []
-                for idx in batch:
+                pairs = []
+                for idx in batch:  # sample by sample, in batch order: this fixes the RNG stream
                     sample = ds.samples[int(idx)]
-                    pair = make_view_pair(sample.connectome, augment_cfg,
-                                          augment_rng, source_id=sample.subject_id)
-                    q_vec = project(
-                        features(pair.first, leaves, encoder_cfg, centers=centers),
-                        leaves)
-                    k_vec = project(
-                        features(pair.second, key_leaves, encoder_cfg, centers=key_centers),
-                        key_leaves).detach()
-                    losses.append(info_nce(q_vec, k_vec, moco.queue, moco.temperature))
-                    new_keys.append(k_vec.data)
+                    pairs.append(make_view_pair(sample.connectome, augment_cfg,
+                                                augment_rng, source_id=sample.subject_id))
+                firsts = np.stack([pair.first.matrix for pair in pairs])
+                seconds = np.stack([pair.second.matrix for pair in pairs])
 
-                batch_loss = stack(losses).mean()
+                q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers),
+                                 leaves)
+                k_vecs = project(features(seconds, key_leaves, encoder_cfg,
+                                          centers=key_centers), key_leaves)
+                batch_loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
                 grads = backward(batch_loss, wrt=list(leaves.values()))
 
             named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}
@@ -121,7 +119,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                 MoCoState(key_params=momentum_update(moco.key_params, query, moco.momentum),
                           queue=moco.queue, capacity=moco.capacity,
                           momentum=moco.momentum, temperature=moco.temperature),
-                np.vstack(new_keys))
+                k_vecs.data)
             loss_total += batch_loss.item() * len(batch)
         log.append((epoch, loss_total / len(ds), moco.queue.shape[0], cfg.lr))
 

@@ -192,3 +192,8 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert main(["describe", "--config", str(bad_config), "--nodes", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: [pretrain] epochs:")
+    # malformed INI files: no section header, and a bare % in a value
+    for text in ("epochs = 1\n", "[pretrain]\nlr = 5%\n"):
+        bad_config.write_text(text)
+        assert main(["describe", "--config", str(bad_config), "--nodes", "10"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {bad_config}:")

@@ -102,6 +102,23 @@ def test_gradient_reaches_query_only_and_matches_finite_differences():
     np.testing.assert_array_equal(grads[k].data, np.zeros(dim))  # keys detached
 
 
+def test_batched_info_nce_is_mean_of_per_sample():
+    rng = np.random.default_rng(40)
+    queries, keys, queue = (random_units(rng, n, 6) for n in (4, 4, 9))
+    per_sample = [info_nce(Tensor(q), Tensor(k), queue, 0.07).item()
+                  for q, k in zip(queries, keys)]
+    batched = info_nce(Tensor(queries), Tensor(keys), queue, 0.07)
+    assert batched.item() == pytest.approx(np.mean(per_sample), rel=1e-12)
+    empty = info_nce(Tensor(queries), Tensor(keys), np.zeros((0, 6)), 0.07)
+    assert empty.item() == 0.0
+
+    def loss(t: Tensor) -> Tensor:
+        rows = t / (t * t).sum(axis=-1, keepdims=True).sqrt()
+        return info_nce(rows, Tensor(keys), queue, temperature=0.07)
+
+    assert gradcheck(loss, queries + 0.1) < 1e-6
+
+
 def test_info_nce_input_validation():
     q = Tensor(unit([1.0, 1.0]))
     with pytest.raises(ValueError):

@@ -115,6 +115,35 @@ def test_forward_is_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_batched_features_match_per_sample():
+    # one forward over a stacked (B, V, V) batch is the per-sample forward,
+    # values and parameter gradients alike
+    cfg = small_cfg()
+    arrays = full_params(cfg, seed=25)
+    rng = np.random.default_rng(26)
+    conns = [random_connectome(rng, 8).matrix for _ in range(5)]
+    weights = rng.standard_normal((5, cfg.feature_dim))
+
+    leaves = as_tensors(arrays)
+    batched = features(np.stack(conns), leaves, cfg)
+    assert batched.shape == (5, cfg.feature_dim)
+    batched_grads = backward((batched * Tensor(weights, requires_grad=False)).sum(),
+                             wrt=list(leaves.values()))
+
+    leaves_one = as_tensors(arrays)
+    singles = [features(c, leaves_one, cfg) for c in conns]
+    loss = stack([(f * Tensor(w, requires_grad=False)).sum()
+                  for f, w in zip(singles, weights)]).sum()
+    single_grads = backward(loss, wrt=list(leaves_one.values()))
+
+    np.testing.assert_allclose(batched.data, np.stack([f.data for f in singles]),
+                               rtol=0, atol=1e-12)
+    for name in arrays:
+        np.testing.assert_allclose(batched_grads[leaves[name]].data,
+                                   single_grads[leaves_one[name]].data,
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_encoder_rejects_wrong_shape():
     cfg = small_cfg()
     params = as_tensors(init_encoder_params(cfg, np.random.default_rng(0)))
@@ -289,6 +318,11 @@ def test_projection_unit_norm_and_cosine():
     a = project(Tensor(np.ones(32)), params).data
     b = project(Tensor(np.ones(32)), params).data
     assert abs(float(a @ b) - 1.0) <= 1e-12
+    # a (B, F) batch normalizes each row on its own
+    batch = rng.standard_normal((5, 32))
+    rows = project(Tensor(batch), params).data
+    np.testing.assert_allclose(rows, [project(Tensor(r), params).data for r in batch],
+                               rtol=0, atol=1e-15)
 
 
 def test_projection_gradcheck_and_zero_error():
@@ -302,11 +336,33 @@ def test_projection_gradcheck_and_zero_error():
     zero_params = {name: Tensor(np.zeros_like(p.data)) for name, p in params.items()}
     with pytest.raises(ValueError, match="zero vector"):
         project(Tensor(np.ones(32)), zero_params)
+    # one collapsed row in a batch is enough: a zero input row with zero biases
+    no_bias = {**params, "project.b1": Tensor(np.zeros(16)), "project.b2": Tensor(np.zeros(16))}
+    batch = np.random.default_rng(23).standard_normal((3, 32))
+    batch[1] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        project(Tensor(batch), no_bias)
 
 
 def test_cross_entropy_label_validation():
     with pytest.raises(ValueError):
         cross_entropy(Tensor([0.1, 0.2]), 2)
+    with pytest.raises(ValueError):
+        cross_entropy(Tensor(np.zeros((3, 2))), [0, 1, 2])
+    with pytest.raises(ValueError):
+        cross_entropy(Tensor(np.zeros((3, 2))), [0, 1])
+
+
+def test_batched_cross_entropy_is_mean_of_per_sample():
+    rng = np.random.default_rng(27)
+    logits = rng.standard_normal((6, 2))
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    per_sample = [cross_entropy(Tensor(row), int(y)).item() for row, y in zip(logits, labels)]
+    assert cross_entropy(Tensor(logits), labels).item() == pytest.approx(
+        np.mean(per_sample), rel=0, abs=1e-15)
+    assert cross_entropy(Tensor(logits), list(labels)).item() == pytest.approx(
+        np.mean(per_sample), rel=0, abs=1e-15)
+    assert gradcheck(lambda t: cross_entropy(t, labels), logits) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,12 @@ def test_getitem_gradient_scatters():
 
 
 def test_tensor_rejects_non_finite_and_3d():
+    # the rank limit is 3: a stacked batch of matrices is accepted, 4-D is not
     with pytest.raises(NonFiniteError):
         Tensor([1.0, np.nan])
+    assert Tensor(np.zeros((2, 2, 2))).shape == (2, 2, 2)
     with pytest.raises(GraphError):
-        Tensor(np.zeros((2, 2, 2)))
+        Tensor(np.zeros((2, 2, 2, 2)))
     with pytest.raises(NonFiniteError):
         Tensor([-1.0]).log()
 
@@ -172,3 +174,78 @@ def test_backward_is_deterministic():
 
     first, second = run(), run()
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# batched (3-D) operands
+
+
+def test_batched_matmul_gradcheck():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 4, 5))
+    shared = rng.standard_normal((5, 2))
+    stacked = rng.standard_normal((3, 5, 2))
+    w = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=False)
+    for b in (shared, stacked):
+        const_a, const_b = Tensor(a, requires_grad=False), Tensor(b, requires_grad=False)
+        assert gradcheck(lambda t: ((t @ const_b) * w).sum(), a) < 1e-8
+        assert gradcheck(lambda t: ((const_a @ t) * w).sum(), b) < 1e-8
+    # a vector against a stack of matrices, and a stack against a vector
+    v = rng.standard_normal(4)
+    assert gradcheck(lambda t: (t @ Tensor(a, requires_grad=False)).sum(), v) < 1e-8
+    u = rng.standard_normal(5)
+    wu = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
+    assert gradcheck(lambda t: ((Tensor(a, requires_grad=False) @ t) * wu).sum(), u) < 1e-8
+
+
+def test_batched_shape_ops_and_broadcasting_gradcheck():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 4, 5))
+    w = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=False)
+    assert Tensor(x).T.shape == (3, 5, 4)
+    assert gradcheck(lambda t: (t.T * w).sum(), x) < 1e-6
+    wk = Tensor(rng.standard_normal((3, 1, 5)), requires_grad=False)
+    assert gradcheck(lambda t: (t.sum(axis=1, keepdims=True) * wk).sum(), x) < 1e-6
+    assert Tensor(x).sum(axis=-1, keepdims=True).shape == (3, 4, 1)
+    bias = rng.standard_normal(5)
+    assert gradcheck(lambda t: ((t + Tensor(bias, requires_grad=False)) * w.T).sum(), x) < 1e-6
+    assert gradcheck(lambda t: ((Tensor(x, requires_grad=False) + t) * w.T).sum(), bias) < 1e-6
+    rows = rng.standard_normal((6, 3))
+    norms = rng.uniform(0.5, 2.0, (6, 1))
+    assert gradcheck(lambda t: (t / Tensor(norms, requires_grad=False)).sum(), rows) < 1e-6
+    assert gradcheck(lambda t: (Tensor(rows, requires_grad=False) / t).sum(), norms) < 1e-6
+    with pytest.raises(GraphError):
+        Tensor(np.zeros((3, 4, 5))) + Tensor(np.zeros(4))
+
+
+def test_batched_concat_and_getitem_gradcheck():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 3, 4))
+    w = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=False)
+    other = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=False)
+    assert gradcheck(lambda t: (concat([t, other], axis=-1) * w).sum(), x) < 1e-6
+    assert gradcheck(lambda t: (concat([other, t], axis=-1) * w).sum(), x) < 1e-6
+    ws = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=False)
+    assert gradcheck(lambda t: (t[..., 1:3] * ws).sum(), x) < 1e-6
+    rows, cols = np.array([0, 2, 2]), np.array([1, 3, 3])  # (2, 3) twice: gradients add
+    wf = Tensor(rng.standard_normal((2, 3)), requires_grad=False)
+    assert gradcheck(lambda t: (t[:, rows, cols] * wf).sum(), x) < 1e-6
+    m = rng.standard_normal((4, 2))
+    assert gradcheck(lambda t: (t[np.arange(4), np.array([1, 0, 0, 1])] * 2.0).sum(), m) < 1e-6
+
+
+def test_ops_on_constants_keep_no_graph():
+    a = Tensor(np.ones((2, 3, 3)), requires_grad=False)
+    b = Tensor(np.eye(3), requires_grad=False)
+    out = ((a @ b).T + 1.0).softmax(axis=-1).sum(axis=-1)
+    assert not out.requires_grad
+    assert out.parents == ()
+    mixed = a @ Tensor(np.eye(3))
+    assert mixed.requires_grad and len(mixed.parents) == 2
+
+
+def test_leaf_copies_the_callers_array():
+    a = np.zeros((2, 2))
+    t = Tensor(a)
+    a[0, 0] = 2.0  # the caller's array stays writable
+    assert t.data[0, 0] == 0.0
