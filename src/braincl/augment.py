@@ -13,6 +13,26 @@ A view is built in three steps, all driven by one explicit random generator
 Edges whose endpoints are both picked are modified once, by the
 lower-indexed endpoint's direction, so the result does not depend on
 iteration order.
+
+``make_view_pair`` works over trailing axes, as ``model.features`` does: a
+``Connectome`` or a (V, V) matrix is one sample and gives a ``ViewPair``; a
+stacked (B, V, V) batch gives the stacked first and second views. Each view
+makes these draws, samples in order and view 1 before view 2 of a sample,
+so a batch consumes the generator exactly as one call per sample would:
+
+- ``integers(k_min, k_max + 1)`` for k, then ``choice(V, k, replace=False)``
+  (skipped for k = 0);
+- ``random(k)`` for the directions, in sorted node order (< 0.5 dilates);
+- ``uniform(0, delta_max, k(V-k) + k(k-1)/2)``, one increment per touched
+  upper-triangle edge in row-major order;
+- the noise draw, one value per edge between unpicked nodes in row-major
+  order (none for ``none`` noise).
+
+The arithmetic then runs once over the (2B, V, V) stack of views, and one
+check over the whole stack (finite, exactly symmetric, unit diagonal,
+entries in [-1, 1]) replaces the per-view ``Connectome`` checks.
+``select_nodes``, ``dilate_shrink`` and ``background_noise`` are the
+batch-of-one case of the same helpers.
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Connectome
+from .data import Connectome, check_connectomes
 
 __all__ = ["NoiseSpec", "AugmentConfig", "ViewPair",
            "select_nodes", "dilate_shrink", "background_noise", "make_view_pair"]
@@ -98,14 +118,71 @@ class ViewPair:
     source_id: str = ""
 
 
-def select_nodes(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> frozenset[int]:
-    """k distinct node indices, k uniform in [k_min, k_max]."""
+def _pick(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of k distinct nodes, k uniform in [k_min, k_max]."""
     if cfg.k_max > n_nodes:
         raise ValueError(f"k_max={cfg.k_max} exceeds node count {n_nodes}")
     k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
     if k == 0:
-        return frozenset()
-    return frozenset(int(i) for i in rng.choice(n_nodes, size=k, replace=False))
+        return np.empty(0, dtype=np.intp)
+    return np.sort(rng.choice(n_nodes, size=k, replace=False))
+
+
+def _draw_dilation(k: int, n_nodes: int, cfg: AugmentConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One direction coin per picked node (< 0.5 dilates) and one increment
+    per edge with a picked endpoint, for k picked nodes."""
+    return rng.random(k), rng.uniform(0.0, cfg.delta_max, k * (n_nodes - k) + k * (k - 1) // 2)
+
+
+def _directions(picks: list[np.ndarray], coins: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(N, V) per-view node directions: +1 dilate, -1 shrink, 0 unpicked."""
+    direction = np.zeros((len(picks), n_nodes))
+    views = np.repeat(np.arange(len(picks)), [nodes.size for nodes in picks])
+    direction[views, np.concatenate(picks)] = np.where(coins < 0.5, 1.0, -1.0)
+    return direction
+
+
+def _noise_count(n_nodes: int, k: int) -> int:
+    return (n_nodes - k) * (n_nodes - k - 1) // 2
+
+
+def _upper(n_nodes: int) -> np.ndarray:
+    return np.triu(np.ones((n_nodes, n_nodes), dtype=bool), k=1)
+
+
+def _scatter(m: np.ndarray, edges: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
+    """A copy of ``m`` with ``values`` on the upper-triangle ``edges``
+    (view, row, col) and mirrored below the diagonal."""
+    view, row, col = edges
+    out = m.copy()
+    out[view, row, col] = values
+    out[view, col, row] = values
+    return out
+
+
+def _dilate_shrink(m: np.ndarray, direction: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Stacked dilation: ``m`` (N, V, V), ``direction`` (N, V), ``deltas``
+    the increments of every view's touched edges, view by view."""
+    picked = direction != 0.0
+    # C order: view by view, row-major within a view, as the increments were drawn
+    view, row, col = edges = np.nonzero(_upper(m.shape[-1])
+                                        & (picked[:, :, None] | picked[:, None, :]))
+    owner = np.where(picked[view, row], direction[view, row], direction[view, col])
+    vals = m[edges]
+    return _scatter(m, edges, np.sign(vals) * np.clip(np.abs(vals) + owner * deltas, 0.0, 1.0))
+
+
+def _background_noise(m: np.ndarray, picked: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Stacked noise on the edges between unpicked nodes: ``picked`` (N, V)."""
+    free = ~picked
+    edges = np.nonzero(_upper(m.shape[-1]) & free[:, :, None] & free[:, None, :])
+    return _scatter(m, edges, np.clip(m[edges] + eps, -1.0, 1.0))
+
+
+def select_nodes(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> frozenset[int]:
+    """k distinct node indices, k uniform in [k_min, k_max]."""
+    return frozenset(int(i) for i in _pick(n_nodes, cfg, rng))
 
 
 def dilate_shrink(conn: Connectome, nodes: frozenset[int], cfg: AugmentConfig,
@@ -120,29 +197,10 @@ def dilate_shrink(conn: Connectome, nodes: frozenset[int], cfg: AugmentConfig,
     n = conn.n_nodes
     if nodes and (min(nodes) < 0 or max(nodes) >= n):
         raise ValueError(f"selected nodes out of range for V={n}")
-    if not nodes:
-        return Connectome(conn.matrix)
-
-    # +1 dilate, -1 shrink, drawn in sorted node order for determinism
-    direction = {node: (1.0 if rng.random() < 0.5 else -1.0) for node in sorted(nodes)}
-
-    selected = np.zeros(n, dtype=bool)
-    selected[list(nodes)] = True
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    touched = upper & (selected[:, None] | selected[None, :])
-    rows, cols = np.nonzero(touched)  # row-major order fixes the draw sequence
-
-    deltas = rng.uniform(0.0, cfg.delta_max, rows.size)
-    owner_dir = np.array([direction[int(u)] if selected[u] else direction[int(v)]
-                          for u, v in zip(rows, cols)])
-
-    m = conn.matrix.copy()
-    vals = m[rows, cols]
-    new_abs = np.clip(np.abs(vals) + owner_dir * deltas, 0.0, 1.0)
-    new_vals = np.sign(vals) * new_abs
-    m[rows, cols] = new_vals
-    m[cols, rows] = new_vals
-    return Connectome(m)
+    sorted_nodes = np.array(sorted(nodes), dtype=np.intp)
+    coins, deltas = _draw_dilation(sorted_nodes.size, n, cfg, rng)
+    direction = _directions([sorted_nodes], coins, n)
+    return Connectome(_dilate_shrink(conn.matrix[None], direction, deltas)[0])
 
 
 def background_noise(conn: Connectome, selected: frozenset[int], cfg: AugmentConfig,
@@ -150,31 +208,41 @@ def background_noise(conn: Connectome, selected: frozenset[int], cfg: AugmentCon
     """Perturb edges whose endpoints are both unselected; leave the rest alone."""
     if cfg.noise.kind == "none":
         return Connectome(conn.matrix)
-    n = conn.n_nodes
-    mask = np.ones(n, dtype=bool)
-    if selected:
-        mask[list(selected)] = False
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    eligible = upper & mask[:, None] & mask[None, :]
-    rows, cols = np.nonzero(eligible)
-
-    eps = cfg.noise.draw(rng, rows.size)
-    m = conn.matrix.copy()
-    new_vals = np.clip(m[rows, cols] + eps, -1.0, 1.0)
-    m[rows, cols] = new_vals
-    m[cols, rows] = new_vals
-    return Connectome(m)
+    picked = np.zeros((1, conn.n_nodes), dtype=bool)
+    picked[0, list(selected)] = True
+    eps = cfg.noise.draw(rng, _noise_count(conn.n_nodes, len(selected)))
+    return Connectome(_background_noise(conn.matrix[None], picked, eps)[0])
 
 
-def augment_once(conn: Connectome, cfg: AugmentConfig,
-                 rng: np.random.Generator) -> Connectome:
-    nodes = select_nodes(conn.n_nodes, cfg, rng)
-    return background_noise(dilate_shrink(conn, nodes, cfg, rng), nodes, cfg, rng)
+def make_view_pair(conn, cfg: AugmentConfig, rng: np.random.Generator,
+                   source_id: str = "") -> ViewPair | tuple[np.ndarray, np.ndarray]:
+    """Two independently augmented views of each connectome.
 
+    A ``Connectome`` or a (V, V) matrix gives a ``ViewPair``; a stacked
+    (B, V, V) array gives ``(firsts, seconds)``, two (B, V, V) arrays.
+    """
+    sources = conn.matrix if isinstance(conn, Connectome) else np.asarray(conn, dtype=np.float64)
+    n = sources.shape[-1]
+    samples = sources.reshape(-1, n, n)
+    picks, coins, deltas, eps = [], [], [], []
+    for _ in range(2 * len(samples)):
+        picks.append(_pick(n, cfg, rng))
+        view_coins, view_deltas = _draw_dilation(picks[-1].size, n, cfg, rng)
+        coins.append(view_coins)
+        deltas.append(view_deltas)
+        if cfg.noise.kind != "none":
+            eps.append(cfg.noise.draw(rng, _noise_count(n, picks[-1].size)))
+    direction = _directions(picks, np.concatenate(coins), n)
 
-def make_view_pair(conn: Connectome, cfg: AugmentConfig, rng: np.random.Generator,
-                   source_id: str = "") -> ViewPair:
-    """Two independently augmented views of one connectome."""
-    return ViewPair(first=augment_once(conn, cfg, rng),
-                    second=augment_once(conn, cfg, rng),
-                    source_id=source_id)
+    # view 1 then view 2 of each sample, matching the draw order above
+    views = np.repeat(samples, 2, axis=0)
+    views = _dilate_shrink(views, direction, np.concatenate(deltas))
+    if cfg.noise.kind != "none":
+        views = _background_noise(views, direction != 0.0, np.concatenate(eps))
+    check_connectomes(views)
+    views = views.reshape(sources.shape[:-2] + (2, n, n))
+    firsts, seconds = views[..., 0, :, :], views[..., 1, :, :]
+    if sources.ndim == 2:
+        return ViewPair(first=Connectome(firsts), second=Connectome(seconds),
+                        source_id=source_id)
+    return firsts, seconds

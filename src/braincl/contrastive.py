@@ -98,7 +98,8 @@ def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: flo
 def momentum_update(key_params: dict[str, np.ndarray],
                     query_params: dict[str, np.ndarray],
                     momentum: float) -> dict[str, np.ndarray]:
-    """key <- m * key + (1 - m) * query, elementwise; no gradients involved."""
+    """key <- m * key + (1 - m) * query, elementwise; no gradients involved.
+    The new arrays are read-only, so leaf Tensors adopt them without a copy."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
     if set(key_params) != set(query_params):
@@ -109,6 +110,7 @@ def momentum_update(key_params: dict[str, np.ndarray],
         if k.shape != q.shape:
             raise ValueError(f"shape mismatch for {name!r}: {k.shape} vs {q.shape}")
         out[name] = momentum * k + (1.0 - momentum) * q
+        out[name].flags.writeable = False
     return out
 
 

@@ -1,7 +1,7 @@
 """Dataset model, ingestion, connectome construction, synthetic data,
 and stratified splitting."""
 
-from .connectome import Connectome, pearson_connectome, validate_time_series
+from .connectome import Connectome, check_connectomes, pearson_connectome, validate_time_series
 from .io import (
     Dataset,
     DatasetError,
@@ -15,7 +15,7 @@ from .split import SplitSpec, stratified_split
 from .synth import ClassSpec, synth_dataset
 
 __all__ = [
-    "Connectome", "pearson_connectome", "validate_time_series",
+    "Connectome", "check_connectomes", "pearson_connectome", "validate_time_series",
     "Sample", "Dataset", "DatasetError", "load_dataset", "write_dataset",
     "read_connectome_file", "write_connectome_file",
     "SplitSpec", "stratified_split",

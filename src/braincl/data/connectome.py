@@ -4,7 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Connectome", "validate_time_series", "pearson_connectome"]
+__all__ = ["Connectome", "check_connectomes", "validate_time_series", "pearson_connectome"]
+
+
+def check_connectomes(m: np.ndarray) -> None:
+    """Raise ValueError unless every trailing (V, V) matrix of ``m`` is finite,
+    exactly symmetric, has a unit diagonal and entries in [-1, 1]."""
+    if not np.isfinite(m).all():
+        raise ValueError("connectome contains non-finite values")
+    if not np.array_equal(m, np.swapaxes(m, -1, -2)):
+        raise ValueError("connectome must be exactly symmetric")
+    if not (np.diagonal(m, axis1=-2, axis2=-1) == 1.0).all():
+        raise ValueError("connectome diagonal must be exactly 1")
+    if np.abs(m).max() > 1.0:
+        raise ValueError("connectome entries must lie in [-1, 1]")
 
 
 class Connectome:
@@ -20,14 +33,7 @@ class Connectome:
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"connectome must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("connectome contains non-finite values")
-        if not np.array_equal(m, m.T):
-            raise ValueError("connectome must be exactly symmetric")
-        if not np.array_equal(np.diagonal(m), np.ones(m.shape[0])):
-            raise ValueError("connectome diagonal must be exactly 1")
-        if np.abs(m).max() > 1.0:
-            raise ValueError("connectome entries must lie in [-1, 1]")
+        check_connectomes(m)
         m = m.copy()
         m.flags.writeable = False
         self.matrix = m

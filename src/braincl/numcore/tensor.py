@@ -39,6 +39,12 @@ class NonFiniteError(FloatingPointError):
 MAX_RANK = 3
 
 
+def _frozen(values) -> bool:
+    """A read-only float64 array that owns its data: nobody can write to it."""
+    return (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable and values.base is None)
+
+
 def _as_array(values, copy: bool) -> np.ndarray:
     arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
     if arr.ndim > MAX_RANK:
@@ -50,9 +56,10 @@ class Tensor:
     """A node in the computation graph.
 
     Leaves are created directly (``Tensor([1., 2.])``) from a copy of the
-    values; interior nodes are created by operations and carry one vjp
-    callable per parent, unless ``requires_grad`` is false, in which case
-    they keep no parents. ``data`` is read-only; build a new Tensor instead
+    values, or from the array itself when it is a read-only float64 array
+    that owns its data; interior nodes are created by operations and carry
+    one vjp callable per parent, unless ``requires_grad`` is false, in which
+    case they keep no parents. ``data`` is read-only; build a new Tensor instead
     of mutating.
     """
 
@@ -61,7 +68,8 @@ class Tensor:
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
                  vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()):
-        data = _as_array(values, copy=op == "leaf")  # op results are fresh arrays
+        # op results are fresh arrays; a leaf copies what its caller could still write
+        data = _as_array(values, copy=op == "leaf" and not _frozen(values))
         if not np.isfinite(data).all():
             raise NonFiniteError(f"non-finite values in '{op}' result")
         data.flags.writeable = False

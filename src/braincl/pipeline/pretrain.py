@@ -1,7 +1,8 @@
 """Contrastive pretraining loop.
 
-Each step augments every sample in the batch into two views, embeds the
-stacked first views with the query encoder and the stacked second views with
+Each step augments the stacked batch into two views per sample in one call
+(samples in batch order, which fixes the RNG stream), embeds the stacked
+first views with the query encoder and the stacked second views with
 the trailing key encoder (one batched forward each), scores every query
 against its key and the queue of past keys, and updates:
 gradient step on the query side, exponential trailing on the key side,
@@ -98,13 +99,9 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                 centers = gram_schmidt(leaves["readout.centers"])
                 key_centers = gram_schmidt(key_leaves["readout.centers"])
 
-                pairs = []
-                for idx in batch:  # sample by sample, in batch order: this fixes the RNG stream
-                    sample = ds.samples[int(idx)]
-                    pairs.append(make_view_pair(sample.connectome, augment_cfg,
-                                                augment_rng, source_id=sample.subject_id))
-                firsts = np.stack([pair.first.matrix for pair in pairs])
-                seconds = np.stack([pair.second.matrix for pair in pairs])
+                firsts, seconds = make_view_pair(
+                    np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
+                    augment_cfg, augment_rng)
 
                 q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers),
                                  leaves)

@@ -299,3 +299,73 @@ def test_view_pair_invariants_random_trials():
             assert np.array_equal(m, m.T)
             assert np.array_equal(np.diagonal(m), np.ones(n))
             assert np.abs(m).max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# batched make_view_pair
+
+
+def replay_view(m, cfg, rng):
+    """One view, edge by edge, with the draws the module docstring lists."""
+    n = m.shape[0]
+    k = int(rng.integers(cfg.k_min, cfg.k_max + 1))
+    nodes = set(int(i) for i in rng.choice(n, size=k, replace=False)) if k else set()
+    direction = {node: (1.0 if rng.random() < 0.5 else -1.0) for node in sorted(nodes)}
+    out = m.copy()
+    touched = [(u, v) for u in range(n) for v in range(u + 1, n) if u in nodes or v in nodes]
+    for (u, v), d in zip(touched, rng.uniform(0.0, cfg.delta_max, len(touched))):
+        owner = u if u in nodes else v  # u < v: the lower picked endpoint owns the edge
+        new = np.sign(m[u, v]) * np.clip(abs(m[u, v]) + direction[owner] * d, 0.0, 1.0)
+        out[u, v] = out[v, u] = new
+    if cfg.noise.kind != "none":
+        free = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if u not in nodes and v not in nodes]
+        for (u, v), e in zip(free, cfg.noise.draw(rng, len(free))):
+            out[u, v] = out[v, u] = np.clip(m[u, v] + e, -1.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n, batch, k_min, k_max, noise", [
+    (20, 6, 2, 5, "N(0,0.01)"),
+    (12, 5, 0, 3, "uniform(-0.1,0.1)"),
+    (10, 4, 0, 10, "none"),
+    (8, 3, 8, 8, "N(0,0.05)"),  # every node picked: no noise entries
+    (200, 2, 5, 20, "N(0,0.01)"),
+])
+def test_batched_view_pairs_match_per_sample_replay(n, batch, k_min, k_max, noise):
+    meta = np.random.default_rng(n + batch)
+    stack = np.stack([random_connectome(meta, n).matrix for _ in range(batch)])
+    cfg = AugmentConfig(k_min=k_min, k_max=k_max, delta_max=0.4, noise=NoiseSpec.parse(noise))
+    rngs = [np.random.default_rng(42) for _ in range(3)]
+
+    firsts, seconds = make_view_pair(stack, cfg, rngs[0])
+    singles = [make_view_pair(Connectome(m), cfg, rngs[1]) for m in stack]
+    replayed = [(replay_view(m, cfg, rngs[2]), replay_view(m, cfg, rngs[2])) for m in stack]
+
+    assert firsts.shape == seconds.shape == stack.shape
+    for got, pair, want in zip(zip(firsts, seconds), singles, replayed):
+        for view, single, ref in zip(got, (pair.first, pair.second), want):
+            bits = view.view(np.uint64)  # bit for bit, signed zeros included
+            assert np.array_equal(bits, single.matrix.view(np.uint64))
+            assert np.array_equal(bits, ref.view(np.uint64))
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+def test_batched_view_pair_errors():
+    stack = np.stack([random_connectome(np.random.default_rng(i), 6).matrix for i in range(3)])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="k_max=7 exceeds node count 6"):
+        make_view_pair(stack, AugmentConfig(k_min=1, k_max=7), rng)
+    assert rng.bit_generator.state == before  # nothing drawn
+
+    # one check over the whole stack raises the Connectome errors
+    cfg = AugmentConfig(k_min=0, k_max=0, noise=NoiseSpec(kind="none"))
+    bad = stack.copy()
+    bad[2, 3, 3] = 0.5
+    with pytest.raises(ValueError, match="diagonal must be exactly 1"):
+        make_view_pair(bad, cfg, rng)
+    bad[2, 3, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        make_view_pair(bad, cfg, rng)

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from braincl.augment import AugmentConfig
 from braincl.data import Dataset, synth_dataset
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
+from braincl.pipeline.config import PretrainConfig
 from braincl.pipeline.finetune import SCORE_BATCH, score_dataset
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
@@ -77,3 +79,27 @@ def test_score_dataset_does_not_start_an_epoch(monkeypatch):
     # slicing is invisible: the same scores as one sample at a time
     singles = [score_dataset(Dataset((s,)), arrays, cfg).scores[0] for s in ds]
     np.testing.assert_allclose(scored.scores, singles, rtol=0, atol=1e-12)
+
+
+def test_pretrain_augments_each_step_in_one_call(monkeypatch):
+    # the traced augment.make_view_pair span must time a whole step's views
+    module = importlib.import_module("braincl.pipeline.pretrain")
+    calls = {"augment": [], "steps": 0}
+    make_view_pair, opt_step = module.make_view_pair, module.opt_step
+
+    def counted_views(conn, *args, **kwargs):
+        calls["augment"].append(np.shape(conn))
+        return make_view_pair(conn, *args, **kwargs)
+
+    def counted_step(*args, **kwargs):
+        calls["steps"] += 1
+        return opt_step(*args, **kwargs)
+
+    monkeypatch.setattr(module, "make_view_pair", counted_views)
+    monkeypatch.setattr(module, "opt_step", counted_step)
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    ds = synth_dataset(11, n_nodes=8, length=10, seed=2)
+    module.pretrain(ds, cfg, PretrainConfig(epochs=2, batch_size=4, queue_capacity=8, lr=0.01),
+                    AugmentConfig(k_min=1, k_max=3))
+    assert calls["steps"] == 6  # 2 epochs of batches 4, 4, 3
+    assert calls["augment"] == [(4, 8, 8), (4, 8, 8), (3, 8, 8)] * 2

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -76,6 +77,33 @@ def test_augment_writes_views_and_diff(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["view"] for r in rows] == ["view1", "view2"]
     assert all(int(r["entries_changed"]) > 0 for r in rows)
+
+
+# sha256 of the files `braincl augment` wrote for these inputs when views were
+# still built one Connectome at a time; the batched augmentation keeps them
+AUGMENT_BYTES = {
+    ("--k-min", "1", "--k-max", "3", "--seed", "5"): (
+        "d6f4dd09b31a421d06485c9e701b18b1281c648c9a3eadcbde57bd91009ca901",
+        "bbb10a3e7c898e2c01dd782b9ee87206415e8ea970f643b20c03ead5009d6faf",
+        "9f34d51bb86fdcd5132cf31751a2e1c5bda0448dc58f513e62296907010cc339"),
+    ("--k-min", "0", "--k-max", "8", "--seed", "11", "--noise", "uniform(-0.2,0.2)"): (
+        "a8a1f6e43eadfee2e5bcd751bb2cd356593e87295ec4c0eb43bb60b302963662",
+        "225d3e209cefc0ccff7e898e14abf4272ee3441dd8f8b66cff25a57df5d96203",
+        "1435d64a9cb08d6d9a204bded609b4612a4077d11bcc9c0c92a9c1cf943e79c2"),
+}
+
+
+def test_augment_view_files_are_byte_stable(tmp_path):
+    data = tmp_path / "md"
+    main(["synth", "--out", str(data), "--n", "2", "--nodes", "8",
+          "--length", "10", "--blocks", "2", "--matrices"])
+    conn = sorted(data.glob("*.conn.csv"))[0]
+    for case, (args, digests) in enumerate(AUGMENT_BYTES.items()):
+        out = tmp_path / f"aug{case}"
+        assert main(["augment", "--input", str(conn), "--out", str(out), *args]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("view1.conn.csv", "view2.conn.csv", "diff.csv"))
+        assert got == digests, args
 
 
 def test_pretrain_finetune_evaluate_roc_round_trip(workdir, capsys):

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from braincl.numcore import GraphError, NonFiniteError, Tensor, backward, concat, stack
+from braincl.contrastive import momentum_update
+from braincl.numcore import (
+    GraphError,
+    NonFiniteError,
+    Tensor,
+    adam,
+    backward,
+    concat,
+    opt_step,
+    sgd,
+    stack,
+)
 from braincl.numcore.gradcheck import gradcheck
 
 
@@ -249,3 +260,24 @@ def test_leaf_copies_the_callers_array():
     t = Tensor(a)
     a[0, 0] = 2.0  # the caller's array stays writable
     assert t.data[0, 0] == 0.0
+    assert not np.shares_memory(t.data, a)
+
+
+def test_leaf_adopts_arrays_nobody_can_write():
+    frozen = np.ones((2, 3))
+    frozen.flags.writeable = False
+    assert np.shares_memory(Tensor(frozen).data, frozen)
+    # a read-only view may still be written through its base: copied
+    base = np.ones((2, 3))
+    view = base[:, :2]
+    view.flags.writeable = False
+    assert not np.shares_memory(Tensor(view).data, base)
+    assert base.flags.writeable
+    # optimizer and momentum outputs are adopted, so a step copies no parameter
+    params = {"w": np.ones((3, 3))}
+    stepped = opt_step(sgd(lr=0.1), params, {"w": np.ones((3, 3))})
+    adam_stepped = opt_step(adam(lr=0.1), params, {"w": np.ones((3, 3))})
+    trailed = momentum_update(params, stepped, 0.9)
+    for arr in (stepped["w"], adam_stepped["w"], trailed["w"]):
+        assert np.shares_memory(Tensor(arr, requires_grad=False).data, arr)
+    assert params["w"].flags.writeable
