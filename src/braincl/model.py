@@ -3,12 +3,15 @@ readout onto orthonormalized centers, plus the classification and
 contrastive projection heads.
 
 Node j enters the encoder as row j of the connectivity matrix, is embedded
-once, then flows through post-norm attention/feed-forward blocks. The
-readout orthonormalizes a learnable center matrix every forward pass with
-one sign-fixed QR node whose backward is closed-form (so the centers stay
-trainable yet orthonormal), softly assigns node embeddings to centers, and
-projects each pooled cluster embedding to a fixed per-cluster width. The
-flattened readout is what both heads consume.
+once, then flows through post-norm attention/feed-forward blocks. Each block
+is built from numcore's fused graph nodes, each with a closed-form backward:
+one ``linear`` per affine map (the heads use it too), one ``attention`` for
+all heads, and one ``add_layer_norm`` per residual add, norm and affine
+step. The readout orthonormalizes a learnable center matrix every forward
+pass with one sign-fixed QR node whose backward is closed-form (so the
+centers stay trainable yet orthonormal), softly assigns node embeddings to
+centers, and projects each pooled cluster embedding to a fixed per-cluster
+width. The flattened readout is what both heads consume.
 
 Every forward path works over trailing axes: a (V, V) connectome is one
 sample and a stacked (B, V, V) array is a batch that runs as one graph.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import Tensor, concat
+from .numcore import Tensor, add_layer_norm, attention, linear
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
@@ -175,26 +178,20 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
     x = _as_input(conn)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_nodes, cfg.n_nodes):
         raise ValueError(f"input shape {x.shape} does not match V={cfg.n_nodes}")
-    d = cfg.width
-    head_dim = d // cfg.heads
-    scale = 1.0 / math.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(cfg.width // cfg.heads)
 
-    z = x @ params["embed.w"] + params["embed.b"]
+    z = linear(x, params["embed.w"], params["embed.b"])
     for i in range(cfg.layers):
         pre = f"layer{i}"
-        q = z @ params[f"{pre}.attn.wq"] + params[f"{pre}.attn.qb"]
-        k = z @ params[f"{pre}.attn.wk"] + params[f"{pre}.attn.kb"]
-        v = z @ params[f"{pre}.attn.wv"] + params[f"{pre}.attn.vb"]
-        heads = []
-        for h in range(cfg.heads):
-            sl = slice(h * head_dim, (h + 1) * head_dim)
-            scores = (q[..., sl] @ k[..., sl].T) * scale
-            heads.append(scores.softmax(axis=-1) @ v[..., sl])
-        attn = concat(heads, axis=-1) @ params[f"{pre}.attn.wo"] + params[f"{pre}.attn.ob"]
-        z = (z + attn).layer_norm() * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
-        hidden = (z @ params[f"{pre}.ffn.w1"] + params[f"{pre}.ffn.b1"]).leaky_relu(LEAKY_SLOPE)
-        ffn = hidden @ params[f"{pre}.ffn.w2"] + params[f"{pre}.ffn.b2"]
-        z = (z + ffn).layer_norm() * params[f"{pre}.norm2.gain"] + params[f"{pre}.norm2.bias"]
+        q = linear(z, params[f"{pre}.attn.wq"], params[f"{pre}.attn.qb"])
+        k = linear(z, params[f"{pre}.attn.wk"], params[f"{pre}.attn.kb"])
+        v = linear(z, params[f"{pre}.attn.wv"], params[f"{pre}.attn.vb"])
+        attn = linear(attention(q, k, v, cfg.heads, scale),
+                      params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"])
+        z = add_layer_norm(z, attn, params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
+        hidden = linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]).leaky_relu(LEAKY_SLOPE)
+        ffn = linear(hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
+        z = add_layer_norm(z, ffn, params[f"{pre}.norm2.gain"], params[f"{pre}.norm2.bias"])
     return z
 
 
@@ -226,16 +223,16 @@ def features(conn, params: dict[str, Tensor], cfg: EncoderConfig,
 
 def classify(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Two-way logits from the flattened readout (along the last axis)."""
-    h = (feats @ params["classifier.w1"] + params["classifier.b1"]).leaky_relu(LEAKY_SLOPE)
-    h = (h @ params["classifier.w2"] + params["classifier.b2"]).leaky_relu(LEAKY_SLOPE)
-    return h @ params["classifier.w3"] + params["classifier.b3"]
+    h = linear(feats, params["classifier.w1"], params["classifier.b1"]).leaky_relu(LEAKY_SLOPE)
+    h = linear(h, params["classifier.w2"], params["classifier.b2"]).leaky_relu(LEAKY_SLOPE)
+    return linear(h, params["classifier.w3"], params["classifier.b3"])
 
 
 def project(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Unit-norm contrastive embedding per row; cosine of two outputs is
     their dot."""
-    h = (feats @ params["project.w1"] + params["project.b1"]).leaky_relu(LEAKY_SLOPE)
-    raw = h @ params["project.w2"] + params["project.b2"]
+    h = linear(feats, params["project.w1"], params["project.b1"]).leaky_relu(LEAKY_SLOPE)
+    raw = linear(h, params["project.w2"], params["project.b2"])
     norm_sq = (raw * raw).sum(axis=-1, keepdims=True)
     if norm_sq.data.min() < 1e-30:
         raise ValueError("projection collapsed to the zero vector; cannot normalize")

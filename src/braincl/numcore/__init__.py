@@ -1,13 +1,16 @@
-"""Minimal float64 tensor arithmetic with reverse-mode autodiff,
-gradient checking, SGD/Adam, and flat binary checkpoints."""
+"""Minimal float64 tensor arithmetic with reverse-mode autodiff, fused
+linear/attention/add-norm nodes, gradient checking, SGD/Adam, and flat
+binary checkpoints."""
 
 from .checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_checkpoint
 from .gradcheck import directional_gradcheck, gradcheck
 from .optim import OptimState, adam, opt_step, sgd
-from .tensor import GraphError, NonFiniteError, Tensor, backward, concat, stack
+from .tensor import (GraphError, NonFiniteError, Tensor, add_layer_norm, attention, backward,
+                     concat, linear, stack)
 
 __all__ = [
     "Tensor", "backward", "concat", "stack", "GraphError", "NonFiniteError",
+    "linear", "attention", "add_layer_norm",
     "gradcheck", "directional_gradcheck",
     "OptimState", "sgd", "adam", "opt_step",
     "save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION",

@@ -10,6 +10,10 @@ gradient records nothing, so inference and the key encoder hold no graph.
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
 leading axis of a 3-D array is a batch of matrices. Elementwise operations
 and ``@`` broadcast as numpy does.
+
+Three fused layer primitives (``linear``, ``attention`` and
+``add_layer_norm``) are one node each with their backward written out, so a
+transformer layer keeps a handful of outputs instead of one per elementary op.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ __all__ = [
     "backward",
     "concat",
     "stack",
+    "linear",
+    "attention",
+    "add_layer_norm",
 ]
 
 
@@ -63,7 +70,7 @@ class Tensor:
     of mutating.
     """
 
-    __slots__ = ("data", "op", "parents", "_vjps", "requires_grad")
+    __slots__ = ("data", "op", "parents", "_vjps", "requires_grad", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
@@ -254,17 +261,19 @@ class Tensor:
                       vjps=(lambda g: g * 0.5 / out,), requires_grad=self.requires_grad)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        x = self.data
-        slope = np.where(x > 0, 1.0, negative_slope)
-        return Tensor(np.where(x > 0, x, x * negative_slope), op="leaky_relu",
-                      parents=(self,), vjps=(lambda g: g * slope,),
+        # the backward keeps only a boolean mask; both passes multiply by the
+        # slope it picks (a gather of 1 or negative_slope, cheaper than np.where)
+        positive = self.data > 0
+        slopes = np.array([negative_slope, 1.0])
+        return Tensor(self.data * slopes.take(positive), op="leaky_relu", parents=(self,),
+                      vjps=(lambda g: g * slopes.take(positive),),
                       requires_grad=self.requires_grad)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        # max subtraction keeps exp() in range
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        out = e / e.sum(axis=axis, keepdims=True)
+        # max subtraction keeps exp() in range; the rest works in place
+        out = self.data - self.data.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=axis, keepdims=True)
 
         def vjp(g):
             dot = (g * out).sum(axis=axis, keepdims=True)
@@ -368,6 +377,137 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out, op="stack", parents=tuple(tensors),
                   vjps=tuple(make_vjp(i) for i in range(len(tensors))),
                   requires_grad=any(t.requires_grad for t in tensors))
+
+
+def _joint_vjps(parents: Sequence[Tensor], grads_of) -> tuple[Callable, ...]:
+    """Per-parent vjps that share one call of ``grads_of(g, needed)``.
+
+    ``grads_of`` returns one gradient per parent at once (``None`` where
+    ``needed`` is false), so work common to several parents runs once per
+    backward pass. Each vjp takes its own result out of the shared store,
+    and ``backward`` calls exactly the needed ones, so nothing is kept once
+    the pass is over.
+    """
+    needed = tuple(p.requires_grad for p in parents)
+    pending: dict[int, np.ndarray] = {}
+
+    def make_vjp(i):
+        def vjp(g):
+            if not pending:
+                pending.update((j, grad) for j, grad in enumerate(grads_of(g, needed))
+                               if needed[j])
+            return pending.pop(i)
+        return vjp
+
+    return tuple(make_vjp(i) for i in range(len(parents)))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` as one node.
+
+    The leading axes of ``x`` are flattened first, so a (B, V, n) batch is
+    one (B*V, n) @ (n, m) product rather than B stacked ones.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if (x.ndim == 0 or w.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise GraphError(f"linear shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    n, m = w.shape
+    shape, x2, wd = x.shape, x.data.reshape(-1, n), w.data
+    out = x2 @ wd
+    out += b.data
+    return Tensor(out.reshape(shape[:-1] + (m,)), op="linear", parents=(x, w, b),
+                  vjps=(lambda g: (g.reshape(-1, m) @ wd.T).reshape(shape),
+                        lambda g: x2.T @ g.reshape(-1, m),
+                        lambda g: g.reshape(-1, m).sum(axis=0)),
+                  requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention, all heads in one node.
+
+    ``q``, ``k`` and ``v`` are (V, d) or (B, V, d); head h reads columns
+    h*d/heads to (h+1)*d/heads of each and writes the same columns of the
+    output, softmax(scale * q_h k_h^T) v_h. Besides its output O the node
+    keeps only the softmax probabilities P; its backward forms
+    dS = P * (dP - rowsum(dO * O)) once for the q and k gradients
+    (FlashAttention, Dao et al. 2022, arXiv:2205.14135, Alg. 2 without the
+    tiling; rowsum(dO * O) equals rowsum(dP * P) at a fraction of the size).
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if q.ndim not in (2, 3) or k.shape != q.shape or v.shape != q.shape:
+        raise GraphError(f"attention needs equal (V, d) or (B, V, d) inputs, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    if heads < 1 or q.shape[-1] % heads:
+        raise GraphError(f"width {q.shape[-1]} does not split into {heads} heads")
+    shape = q.shape
+
+    def split(a):  # (..., V, d) -> (..., heads, V, d / heads)
+        return np.swapaxes(a.reshape(shape[:-1] + (heads, -1)), -2, -3)
+
+    def merge(a):  # the inverse of split
+        return np.swapaxes(a, -2, -3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # the softmax over keys, in place on the scores
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)  # keeps exp() in range
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+
+    def grads_of(g, needed):
+        gh = split(g)
+        dv = merge(np.swapaxes(p, -1, -2) @ gh) if needed[2] else None
+        if not (needed[0] or needed[1]):
+            return None, None, dv
+        ds = gh @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
+        ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq = merge(ds @ kh) if needed[0] else None
+        dk = merge(np.swapaxes(ds, -1, -2) @ qh) if needed[1] else None
+        return dq, dk, dv
+
+    parents = (q, k, v)
+    return Tensor(out, op="attention", parents=parents,
+                  vjps=_joint_vjps(parents, grads_of),
+                  requires_grad=q.requires_grad or k.requires_grad or v.requires_grad)
+
+
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + residual) * gain + bias`` over the last axis as one
+    node; it keeps the normalized sum and 1 / std for the backward."""
+    x, residual, gain, bias = (_coerce(t) for t in (x, residual, gain, bias))
+    if (x.ndim == 0 or residual.shape != x.shape or gain.shape != x.shape[-1:]
+            or bias.shape != gain.shape):
+        raise GraphError(f"add_layer_norm shape mismatch: x {x.shape}, residual "
+                         f"{residual.shape}, gain {gain.shape}, bias {bias.shape}")
+    normed = x.data + residual.data  # centered, then scaled, in place
+    normed -= normed.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    normed *= inv
+    gd = gain.data
+    out = normed * gd
+    out += bias.data
+
+    def grads_of(g, needed):
+        d_sum = None
+        if needed[0] or needed[1]:
+            gn = g * gd
+            d_sum = gn - gn.mean(axis=-1, keepdims=True)
+            d_sum -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            d_sum *= inv
+        return (d_sum, d_sum,
+                _unbroadcast(g * normed, gd.shape) if needed[2] else None,
+                _unbroadcast(g, gd.shape) if needed[3] else None)
+
+    parents = (x, residual, gain, bias)
+    return Tensor(out, op="add_layer_norm", parents=parents,
+                  vjps=_joint_vjps(parents, grads_of),
+                  requires_grad=any(t.requires_grad for t in parents))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -2,9 +2,11 @@
 
 The encoder starts from pretrained weights (or a fresh init for the
 from-scratch baseline), a new classification head is attached, and the
-whole model trains under cross-entropy. After every epoch the validation
-AUROC is computed; the snapshot with the highest value (earliest epoch on
-ties) is evaluated exactly once on the held-out test fold.
+whole model trains under cross-entropy (with ``freeze_encoder`` only the
+head does, and the encoder enters the graph as constants). After every
+epoch the validation AUROC is computed; the snapshot with the highest value
+(earliest epoch on ties) is evaluated exactly once on the held-out test
+fold.
 """
 
 from __future__ import annotations
@@ -106,6 +108,23 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         params = {k: v.copy() for k, v in encoder_ckpt.items()}
     params.update(init_classifier_params(encoder_cfg, init_rng))
 
+    # a frozen encoder enters the graph as constants, so no encoder gradient is formed
+    trainable = [k for k in params if not cfg.freeze_encoder or k.startswith("classifier.")]
+
+    def step(params: dict[str, np.ndarray], batch: np.ndarray):
+        """One forward and backward pass. Only the loss value and the gradient
+        arrays leave it, so its graph is freed when it returns."""
+        leaves = as_tensors({k: params[k] for k in trainable})
+        leaves.update({k: Tensor(v, requires_grad=False)
+                       for k, v in params.items() if k not in leaves})
+        centers = gram_schmidt(leaves["readout.centers"])
+        samples = [train.samples[int(idx)] for idx in batch]
+        conns = np.stack([sample.connectome.matrix for sample in samples])
+        logits = classify(features(conns, leaves, encoder_cfg, centers=centers), leaves)
+        loss = cross_entropy(logits, [sample.label for sample in samples])
+        grads = backward(loss, wrt=[leaves[k] for k in trainable])
+        return loss.item(), {k: grads[leaves[k]].data for k in trainable}
+
     optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
     best_auroc = -1.0
     best_epoch = -1
@@ -117,23 +136,9 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
             with non_finite_guard(f"finetuning epoch {epoch} batch {batch_no}"):
-                leaves = as_tensors(params)
-                centers = gram_schmidt(leaves["readout.centers"])
-                samples = [train.samples[int(idx)] for idx in batch]
-                conns = np.stack([sample.connectome.matrix for sample in samples])
-                logits = classify(features(conns, leaves, encoder_cfg, centers=centers),
-                                  leaves)
-                batch_loss = cross_entropy(logits, [sample.label for sample in samples])
-                grads = backward(batch_loss, wrt=list(leaves.values()))
-
-            named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}
-            if cfg.freeze_encoder:
-                head = {k: v for k, v in params.items() if k.startswith("classifier.")}
-                head_grads = {k: named_grads[k] for k in head}
-                params = {**params, **opt_step(optimizer, head, head_grads)}
-            else:
-                params = opt_step(optimizer, params, named_grads)
-            loss_total += batch_loss.item() * len(batch)
+                loss, grads = step(params, batch)
+            params = {**params, **opt_step(optimizer, {k: params[k] for k in trainable}, grads)}
+            loss_total += loss * len(batch)
 
         with non_finite_guard(f"finetuning epoch {epoch} validation"):
             val_auroc = auroc(score_dataset(val, params, encoder_cfg))

@@ -87,37 +87,40 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                            temperature=cfg.temperature)
     optimizer = sgd(lr=cfg.lr)
 
+    def step(query: dict[str, np.ndarray], moco: MoCoState, batch: np.ndarray):
+        """One forward and backward pass. Only the loss value, the gradient
+        arrays and the batch keys leave it, so its graph is freed when it
+        returns, before the next step augments."""
+        leaves = as_tensors(query)
+        key_leaves = {k: Tensor(v, requires_grad=False) for k, v in moco.key_params.items()}
+        centers = gram_schmidt(leaves["readout.centers"])
+        key_centers = gram_schmidt(key_leaves["readout.centers"])
+
+        firsts, seconds = make_view_pair(
+            np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
+            augment_cfg, augment_rng)
+
+        q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers), leaves)
+        k_vecs = project(features(seconds, key_leaves, encoder_cfg, centers=key_centers),
+                         key_leaves)
+        loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
+        grads = backward(loss, wrt=list(leaves.values()))
+        return loss.item(), {name: grads[leaf].data for name, leaf in leaves.items()}, k_vecs.data
+
     log: list[tuple[int, float, int, float]] = []
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(len(ds))
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
             with non_finite_guard(f"pretraining epoch {epoch} batch {batch_no}"):
-                leaves = as_tensors(query)
-                key_leaves = {k: Tensor(v, requires_grad=False)
-                              for k, v in moco.key_params.items()}
-                centers = gram_schmidt(leaves["readout.centers"])
-                key_centers = gram_schmidt(key_leaves["readout.centers"])
-
-                firsts, seconds = make_view_pair(
-                    np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
-                    augment_cfg, augment_rng)
-
-                q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers),
-                                 leaves)
-                k_vecs = project(features(seconds, key_leaves, encoder_cfg,
-                                          centers=key_centers), key_leaves)
-                batch_loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
-                grads = backward(batch_loss, wrt=list(leaves.values()))
-
-            named_grads = {name: grads[leaf].data for name, leaf in leaves.items()}
-            query = opt_step(optimizer, query, named_grads)
+                loss, grads, keys = step(query, moco, batch)
+            query = opt_step(optimizer, query, grads)
             moco = queue_push(
                 MoCoState(key_params=momentum_update(moco.key_params, query, moco.momentum),
                           queue=moco.queue, capacity=moco.capacity,
                           momentum=moco.momentum, temperature=moco.temperature),
-                k_vecs.data)
-            loss_total += batch_loss.item() * len(batch)
+                keys)
+            loss_total += loss * len(batch)
         log.append((epoch, loss_total / len(ds), moco.queue.shape[0], cfg.lr))
 
     return PretrainResult(encoder_params=encoder_only(query),

@@ -10,7 +10,9 @@ nothing. This reads perfbench/ and changes nothing in it.
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from braincl.augment import AugmentConfig
 from braincl.data import Dataset, synth_dataset
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
-from braincl.pipeline.config import PretrainConfig
+from braincl.pipeline.config import FinetuneConfig, PretrainConfig
 from braincl.pipeline.finetune import SCORE_BATCH, score_dataset
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
@@ -103,3 +105,74 @@ def test_pretrain_augments_each_step_in_one_call(monkeypatch):
                     AugmentConfig(k_min=1, k_max=3))
     assert calls["steps"] == 6  # 2 epochs of batches 4, 4, 3
     assert calls["augment"] == [(4, 8, 8), (4, 8, 8), (3, 8, 8)] * 2
+
+
+def live_losses_at(monkeypatch, module, hook: str) -> list[list[bool]]:
+    """Patch ``module.backward`` to keep a weakref to every loss, and
+    ``module.<hook>`` to record at each call which earlier losses are alive."""
+    losses, live = [], []
+    backward, hooked = module.backward, getattr(module, hook)
+
+    def tracked_backward(loss, *args, **kwargs):
+        losses.append(weakref.ref(loss))
+        return backward(loss, *args, **kwargs)
+
+    def checked(*args, **kwargs):
+        live.append([ref() is not None for ref in losses])
+        return hooked(*args, **kwargs)
+
+    monkeypatch.setattr(module, "backward", tracked_backward)
+    monkeypatch.setattr(module, hook, checked)
+    return live
+
+
+def test_pretrain_frees_each_step_graph_before_the_next(monkeypatch):
+    # a step's graph must be gone before the next step builds its own
+    module = importlib.import_module("braincl.pipeline.pretrain")
+    live = live_losses_at(monkeypatch, module, "make_view_pair")
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    ds = synth_dataset(11, n_nodes=8, length=10, seed=2)
+    module.pretrain(ds, cfg, PretrainConfig(epochs=2, batch_size=4, queue_capacity=8, lr=0.01),
+                    AugmentConfig(k_min=1, k_max=3))
+    assert live == [[False] * step for step in range(6)]
+
+
+def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
+    module = importlib.import_module("braincl.pipeline.finetune")
+    live = live_losses_at(monkeypatch, module, "as_tensors")
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    ds = synth_dataset(40, n_nodes=8, length=10, seed=3)
+    module.finetune(ds, None, cfg, FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1))
+    assert len(live) >= 4
+    assert live == [[False] * step for step in range(len(live))]
+
+
+def test_desk_pretrain_step_graph_stays_fused(monkeypatch):
+    # one linear per affine map, one attention node per layer and one
+    # add_layer_norm per residual add: a per-head loop or a matmul-plus-add
+    # composition would roughly double this count
+    module = importlib.import_module("braincl.pipeline.pretrain")
+    probe = load_probe()
+    counts = []
+    backward = module.backward
+
+    def counted_backward(loss, *args, **kwargs):
+        counts.append(probe.count_graph_nodes(loss))
+        return backward(loss, *args, **kwargs)
+
+    monkeypatch.setattr(module, "backward", counted_backward)
+    cfg = EncoderConfig(n_nodes=20, n_clusters=10, proj_dim=32)  # the criterion-7 desk model
+    ds = synth_dataset(64, n_nodes=20, length=30, seed=4)
+    module.pretrain(ds, cfg, PretrainConfig(epochs=1, batch_size=32, queue_capacity=128,
+                                            lr=0.05, momentum=0.99),
+                    AugmentConfig(k_min=2, k_max=5))
+    assert len(counts) == 2  # the second step scores against a non-empty queue
+    assert max(counts) <= 95, counts
+
+
+def test_perfbench_selftest_passes():
+    # a rename under src/ or a broken node counter fails here, not in the benchmark
+    root = PROBE_PATH.parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -19,7 +19,7 @@ from braincl.model import (
     readout,
     relabel_nodes,
 )
-from braincl.numcore import Tensor, backward, gradcheck, stack
+from braincl.numcore import Tensor, backward, concat, gradcheck, stack
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -248,6 +248,91 @@ def test_init_centers_orthonormal_at_paper_scale():
     centers = init_encoder_params(cfg, np.random.default_rng(0))["readout.centers"]
     assert centers.shape == (100, 200)
     assert np.abs(centers @ centers.T - np.eye(100)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fused encoder and heads against the elementary-op composition
+
+
+def affine_reference(x: Tensor, params, w: str, b: str) -> Tensor:
+    return x @ params[w] + params[b]
+
+
+def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
+    """The encoder as a graph of elementary ops (matmul plus bias add, a
+    per-head loop of slices, a concat, add then layer_norm then affine): the
+    reference the fused linear, attention and add_layer_norm nodes must
+    reproduce, values and gradients."""
+    z = affine_reference(Tensor(conn, requires_grad=False), params, "embed.w", "embed.b")
+    head_dim = cfg.width // cfg.heads
+    scale = 1.0 / np.sqrt(head_dim)
+    for i in range(cfg.layers):
+        pre = f"layer{i}"
+        q = affine_reference(z, params, f"{pre}.attn.wq", f"{pre}.attn.qb")
+        k = affine_reference(z, params, f"{pre}.attn.wk", f"{pre}.attn.kb")
+        v = affine_reference(z, params, f"{pre}.attn.wv", f"{pre}.attn.vb")
+        heads = []
+        for h in range(cfg.heads):
+            sl = slice(h * head_dim, (h + 1) * head_dim)
+            scores = (q[..., sl] @ k[..., sl].T) * scale
+            heads.append(scores.softmax(axis=-1) @ v[..., sl])
+        attn = affine_reference(concat(heads, axis=-1), params,
+                                f"{pre}.attn.wo", f"{pre}.attn.ob")
+        z = (z + attn).layer_norm() * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
+        hidden = affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1").leaky_relu(0.01)
+        ffn = affine_reference(hidden, params, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
+        z = (z + ffn).layer_norm() * params[f"{pre}.norm2.gain"] + params[f"{pre}.norm2.bias"]
+    return z
+
+
+def features_reference(conn, params, cfg: EncoderConfig) -> Tensor:
+    pooled = readout(encoder_reference(conn, params, cfg), params, cfg)
+    return pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,))
+
+
+def project_reference(feats: Tensor, params) -> Tensor:
+    h = affine_reference(feats, params, "project.w1", "project.b1").leaky_relu(0.01)
+    raw = affine_reference(h, params, "project.w2", "project.b2")
+    return raw / (raw * raw).sum(axis=-1, keepdims=True).sqrt()
+
+
+def classify_reference(feats: Tensor, params) -> Tensor:
+    h = affine_reference(feats, params, "classifier.w1", "classifier.b1").leaky_relu(0.01)
+    h = affine_reference(h, params, "classifier.w2", "classifier.b2").leaky_relu(0.01)
+    return affine_reference(h, params, "classifier.w3", "classifier.b3")
+
+
+@pytest.mark.parametrize("n_nodes, n_clusters, batch", [(20, 10, 32), (200, 100, 2)])
+def test_fused_model_matches_reference_composition(n_nodes, n_clusters, batch):
+    # the desk config (criterion 7) and the paper-scale default encoder
+    cfg = EncoderConfig(n_nodes=n_nodes, n_clusters=n_clusters, proj_dim=32)
+    arrays = full_params(cfg, seed=n_nodes)
+    rng = np.random.default_rng(n_nodes + 1)
+    conns = np.stack([random_connectome(rng, n_nodes).matrix for _ in range(batch)])
+    paths = {
+        "encoder_forward": (lambda p: encoder_forward(conns, p, cfg),
+                            lambda p: encoder_reference(conns, p, cfg)),
+        "features": (lambda p: features(conns, p, cfg),
+                     lambda p: features_reference(conns, p, cfg)),
+        "project": (lambda p: project(features(conns, p, cfg), p),
+                    lambda p: project_reference(features_reference(conns, p, cfg), p)),
+        "classify": (lambda p: classify(features(conns, p, cfg), p),
+                     lambda p: classify_reference(features_reference(conns, p, cfg), p)),
+    }
+    for path, (fused, reference) in paths.items():
+        results = []
+        for fn in (fused, reference):
+            leaves = as_tensors(arrays)
+            out = fn(leaves)
+            weights = Tensor(np.random.default_rng(3).standard_normal(out.shape),
+                             requires_grad=False)
+            grads = backward((out * weights).sum(), wrt=list(leaves.values()))
+            results.append((out.data, {n: grads[leaves[n]].data for n in arrays}))
+        (out, grads), (ref_out, ref_grads) = results
+        assert np.abs(out - ref_out).max() <= 1e-12, path
+        for name in arrays:
+            bound = 1e-10 * (1.0 + np.abs(ref_grads[name]).max())
+            assert np.abs(grads[name] - ref_grads[name]).max() <= bound, (path, name)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from braincl.augment import AugmentConfig, NoiseSpec
 from braincl.data import ClassSpec, synth_dataset
-from braincl.model import EncoderConfig, init_encoder_params, init_projection_params
+from braincl.model import (EncoderConfig, init_classifier_params, init_encoder_params,
+                           init_projection_params)
 from braincl.pipeline import (
     ExperimentConfig,
     FinetuneConfig,
@@ -175,12 +176,35 @@ def test_finetune_non_finite_validation_raises_pipeline_error(monkeypatch):
         finetune(tiny_ds(), None, ECFG, cfg)
 
 
-def test_freeze_encoder_leaves_encoder_untouched():
+def test_freeze_encoder_leaves_encoder_untouched(monkeypatch):
+    # a frozen encoder is constants in the loss graph: the only leaves that
+    # require a gradient are the classifier's
+    module = importlib.import_module("braincl.pipeline.finetune")
+    graph_leaves = []
+    backward = module.backward
+
+    def leaves_then_backward(loss, *args, **kwargs):
+        seen, todo = {id(loss)}, [loss]
+        while todo:
+            node = todo.pop()
+            if not node.parents and node.requires_grad:
+                graph_leaves.append(node.shape)
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    todo.append(parent)
+        return backward(loss, *args, **kwargs)
+
+    monkeypatch.setattr(module, "backward", leaves_then_backward)
     ds = tiny_ds()
     ckpt = init_encoder_params(ECFG, np.random.default_rng(2))
     cfg = FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1,
                          freeze_encoder=True, seed=6)
     result = finetune(ds, ckpt, ECFG, cfg)
+    head_shapes = sorted(a.shape for a in init_classifier_params(ECFG, np.random.default_rng(0))
+                         .values())
+    steps = len(graph_leaves) // len(head_shapes)
+    assert steps > 0 and sorted(graph_leaves) == sorted(head_shapes * steps)
     for name, arr in ckpt.items():
         np.testing.assert_array_equal(result.params[name], arr)
     trained = finetune(ds, ckpt, ECFG, replace(cfg, freeze_encoder=False))

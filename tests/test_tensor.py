@@ -7,8 +7,11 @@ from braincl.numcore import (
     NonFiniteError,
     Tensor,
     adam,
+    add_layer_norm,
+    attention,
     backward,
     concat,
+    linear,
     opt_step,
     sgd,
     stack,
@@ -281,3 +284,105 @@ def test_leaf_adopts_arrays_nobody_can_write():
     for arr in (stepped["w"], adam_stepped["w"], trailed["w"]):
         assert np.shares_memory(Tensor(arr, requires_grad=False).data, arr)
     assert params["w"].flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# fused layer nodes
+
+
+def pending_stores(node: Tensor) -> list[dict]:
+    """The per-node stores that shared vjps hand their results through."""
+    cells = [c.cell_contents for vjp in node._vjps for c in (vjp.__closure__ or ())]
+    return [c for c in cells if isinstance(c, dict)]
+
+
+def gradcheck_each_input(fn, arrays, tol):
+    """gradcheck ``fn`` in every input: once with the other inputs constant,
+    once with them leaves that also require gradients (mixed requires_grad)."""
+    for i in range(len(arrays)):
+        for others_grad in (False, True):
+            def one(t, i=i, others_grad=others_grad):
+                args = [Tensor(a, requires_grad=others_grad) for a in arrays]
+                args[i] = t
+                return fn(*args)
+            assert gradcheck(one, arrays[i]) < tol, (i, others_grad)
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 3), (2, 5, 3)])
+def test_linear_gradcheck(shape):
+    rng = np.random.default_rng(30)
+    x, w, b = (rng.standard_normal(shape), rng.standard_normal((shape[-1], 4)),
+               rng.standard_normal(4))
+    weights = Tensor(rng.standard_normal(shape[:-1] + (4,)), requires_grad=False)
+    gradcheck_each_input(lambda *t: (linear(*t) * weights).sum(), [x, w, b], 1e-6)
+    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    np.testing.assert_allclose(out.data, x @ w + b, rtol=0, atol=1e-14)
+    assert out.shape == shape[:-1] + (4,) and len(out.parents) == 3
+    with pytest.raises(GraphError):
+        linear(Tensor(x), Tensor(np.zeros((shape[-1] + 1, 4))), Tensor(b))
+    with pytest.raises(GraphError):
+        linear(Tensor(x), Tensor(w), Tensor(b[:-1]))
+
+
+@pytest.mark.parametrize("shape, heads", [((5, 8), 1), ((5, 8), 4), ((2, 5, 8), 1),
+                                          ((2, 5, 8), 4)])
+def test_attention_gradcheck(shape, heads):
+    rng = np.random.default_rng(31)
+    qkv = [rng.standard_normal(shape) for _ in range(3)]
+    weights = Tensor(rng.standard_normal(shape), requires_grad=False)
+    scale = 0.7
+    gradcheck_each_input(lambda q, k, v: (attention(q, k, v, heads, scale) * weights).sum(),
+                         qkv, 1e-6)
+    # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that head's columns
+    q, k, v = (Tensor(a) for a in qkv)
+    out = attention(q, k, v, heads, scale)
+    assert out.parents == (q, k, v) and out.shape == shape
+    dh = shape[-1] // heads
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        s = scale * qkv[0][..., sl] @ np.swapaxes(qkv[1][..., sl], -1, -2)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out.data[..., sl], p @ qkv[2][..., sl], rtol=0, atol=1e-13)
+    # dS is shared by the q and k gradients; nothing stays behind after backward
+    backward((out * weights).sum(), wrt=[q, k, v])
+    assert pending_stores(out) and not any(pending_stores(out))
+    with pytest.raises(GraphError):
+        attention(q, k, v, 3, scale)
+    with pytest.raises(GraphError):
+        attention(q, k, Tensor(np.zeros(shape[:-1] + (4,))), heads, scale)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
+def test_add_layer_norm_gradcheck(shape):
+    rng = np.random.default_rng(32)
+    d = shape[-1]
+    arrays = [rng.standard_normal(shape), rng.standard_normal(shape),
+              rng.uniform(0.5, 1.5, d), rng.standard_normal(d)]
+    weights = Tensor(rng.standard_normal(shape), requires_grad=False)
+    gradcheck_each_input(lambda *t: (add_layer_norm(*t) * weights).sum(), arrays, 1e-6)
+    x, r, gain, bias = (Tensor(a) for a in arrays)
+    out = add_layer_norm(x, r, gain, bias)
+    reference = (x + r).layer_norm() * gain + bias
+    np.testing.assert_array_equal(out.data, reference.data)
+    assert out.parents == (x, r, gain, bias)
+    # a tensor added to itself gets both gradient contributions
+    loss = (add_layer_norm(x, x, gain, bias) * weights).sum()
+    ref = (((x + x).layer_norm() * gain + bias) * weights).sum()
+    np.testing.assert_allclose(backward(loss, wrt=[x])[x].data,
+                               backward(ref, wrt=[x])[x].data, rtol=0, atol=1e-12)
+    backward((out * weights).sum())
+    assert not any(pending_stores(out))
+    with pytest.raises(GraphError):
+        add_layer_norm(x, r, Tensor(np.ones(d + 1)), bias)
+
+
+def test_leaky_relu_keeps_a_boolean_mask():
+    x = Tensor([-2.0, 0.0, 3.0])
+    out = x.leaky_relu(0.1)
+    np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
+    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x].data, [0.1, 0.1, 1.0])
+    # the only input-sized array the backward keeps is the mask
+    saved = [c.cell_contents for c in out._vjps[0].__closure__
+             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
+    assert [a.dtype for a in saved] == [np.bool_]
