@@ -115,7 +115,6 @@ class AugmentConfig:
 class ViewPair:
     first: Connectome
     second: Connectome
-    source_id: str = ""
 
 
 def _pick(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -214,8 +213,8 @@ def background_noise(conn: Connectome, selected: frozenset[int], cfg: AugmentCon
     return Connectome(_background_noise(conn.matrix[None], picked, eps)[0])
 
 
-def make_view_pair(conn, cfg: AugmentConfig, rng: np.random.Generator,
-                   source_id: str = "") -> ViewPair | tuple[np.ndarray, np.ndarray]:
+def make_view_pair(conn, cfg: AugmentConfig,
+                   rng: np.random.Generator) -> ViewPair | tuple[np.ndarray, np.ndarray]:
     """Two independently augmented views of each connectome.
 
     A ``Connectome`` or a (V, V) matrix gives a ``ViewPair``; a stacked
@@ -243,6 +242,5 @@ def make_view_pair(conn, cfg: AugmentConfig, rng: np.random.Generator,
     views = views.reshape(sources.shape[:-2] + (2, n, n))
     firsts, seconds = views[..., 0, :, :], views[..., 1, :, :]
     if sources.ndim == 2:
-        return ViewPair(first=Connectome(firsts), second=Connectome(seconds),
-                        source_id=source_id)
+        return ViewPair(first=Connectome(firsts), second=Connectome(seconds))
     return firsts, seconds

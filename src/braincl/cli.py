@@ -41,7 +41,6 @@ from .pipeline import (
     load_config,
     load_encoder_checkpoint,
     pretrain,
-    resolved_text,
     run_experiment,
     score_dataset,
     summarize_scores,
@@ -97,7 +96,7 @@ def cmd_augment(args) -> None:
     cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, conn.n_nodes),
                         delta_max=args.delta_max, noise=NoiseSpec.parse(args.noise))
     rng = np.random.default_rng(args.seed or 0)
-    pair = make_view_pair(conn, cfg, rng, source_id=Path(args.input).stem)
+    pair = make_view_pair(conn, cfg, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_connectome_file(out / "view1.conn.csv", pair.first)
@@ -228,8 +227,7 @@ def cmd_ablate(args) -> None:
     ds = load_dataset(args.data)
     cfg = _load_experiment_config(args, ds.n_nodes)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(resolved_text(cfg))
+    write_pretrain_artifacts(out, cfg, None)
     cells = []
     for info, report in ablation_grid(ds, cfg):
         cells.append((info, report))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numcore import Tensor, concat
+from .numcore import Tensor, concat, freeze
 
 __all__ = ["MoCoState", "info_nce", "momentum_update", "queue_push"]
 
@@ -47,8 +47,7 @@ class MoCoState:
     def fresh(cls, key_params: dict[str, np.ndarray], dim: int, *,
               capacity: int = 512, momentum: float = 0.999,
               temperature: float = 0.07) -> "MoCoState":
-        return cls(key_params={k: v.copy() for k, v in key_params.items()},
-                   queue=np.zeros((0, dim)), capacity=capacity,
+        return cls(key_params=key_params, queue=np.zeros((0, dim)), capacity=capacity,
                    momentum=momentum, temperature=temperature)
 
 
@@ -99,7 +98,8 @@ def momentum_update(key_params: dict[str, np.ndarray],
                     query_params: dict[str, np.ndarray],
                     momentum: float) -> dict[str, np.ndarray]:
     """key <- m * key + (1 - m) * query, elementwise; no gradients involved.
-    The new arrays are read-only, so leaf Tensors adopt them without a copy."""
+    Returns a new frozen parameter dict (see ``numcore.freeze``), so leaf
+    Tensors adopt its arrays without a copy."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
     if set(key_params) != set(query_params):
@@ -110,8 +110,7 @@ def momentum_update(key_params: dict[str, np.ndarray],
         if k.shape != q.shape:
             raise ValueError(f"shape mismatch for {name!r}: {k.shape} vs {q.shape}")
         out[name] = momentum * k + (1.0 - momentum) * q
-        out[name].flags.writeable = False
-    return out
+    return freeze(out)
 
 
 def queue_push(state: MoCoState, keys: np.ndarray) -> MoCoState:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import Tensor, add_layer_norm, attention, linear
+from .numcore import Tensor, add_layer_norm, attention, freeze, linear
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
@@ -107,9 +107,11 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
         params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"] = _affine(rng, cfg.ffn_width, d)
         params[f"{pre}.norm2.gain"] = np.ones(d)
         params[f"{pre}.norm2.bias"] = np.zeros(d)
-    params["readout.centers"] = gram_schmidt(Tensor(rng.standard_normal((cfg.n_clusters, d)))).data
+    # np.array owns its copy of the transposed view gram_schmidt returns
+    params["readout.centers"] = np.array(
+        gram_schmidt(Tensor(rng.standard_normal((cfg.n_clusters, d)))).data)
     params["readout.w_out"], _ = _affine(rng, d, cfg.cluster_dim)
-    return params
+    return freeze(params)
 
 
 def init_classifier_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -117,14 +119,14 @@ def init_classifier_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict
     params["classifier.w1"], params["classifier.b1"] = _affine(rng, cfg.feature_dim, 256)
     params["classifier.w2"], params["classifier.b2"] = _affine(rng, 256, 32)
     params["classifier.w3"], params["classifier.b3"] = _affine(rng, 32, 2)
-    return params
+    return freeze(params)
 
 
 def init_projection_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     params["project.w1"], params["project.b1"] = _affine(rng, cfg.feature_dim, cfg.proj_dim)
     params["project.w2"], params["project.b2"] = _affine(rng, cfg.proj_dim, cfg.proj_dim)
-    return params
+    return freeze(params)
 
 
 def as_tensors(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -264,9 +266,7 @@ def relabel_nodes(arrays: dict[str, np.ndarray], perm: np.ndarray) -> dict[str, 
     C[perm][:, perm] together with this map permutes encoder output rows by
     ``perm``.
     """
-    out = dict(arrays)
-    out["embed.w"] = arrays["embed.w"][perm]
-    return out
+    return {**arrays, **freeze({"embed.w": arrays["embed.w"][perm]})}
 
 
 def parameter_counts(arrays: dict[str, np.ndarray]) -> dict[str, int]:

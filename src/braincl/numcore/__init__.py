@@ -6,10 +6,10 @@ from .checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_c
 from .gradcheck import directional_gradcheck, gradcheck
 from .optim import OptimState, adam, opt_step, sgd
 from .tensor import (GraphError, NonFiniteError, Tensor, add_layer_norm, attention, backward,
-                     concat, linear, stack)
+                     concat, freeze, linear, stack)
 
 __all__ = [
-    "Tensor", "backward", "concat", "stack", "GraphError", "NonFiniteError",
+    "Tensor", "backward", "concat", "stack", "freeze", "GraphError", "NonFiniteError",
     "linear", "attention", "add_layer_norm",
     "gradcheck", "directional_gradcheck",
     "OptimState", "sgd", "adam", "opt_step",

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import freeze
+
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION"]
 
 MAGIC = b"BNCP"
@@ -49,6 +51,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The saved entries as a frozen parameter dict (see ``freeze``)."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -76,4 +79,4 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last entry")
-    return params
+    return freeze(params)

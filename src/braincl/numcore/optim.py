@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import freeze
+
 __all__ = ["OptimState", "sgd", "adam", "opt_step"]
 
 Params = dict[str, np.ndarray]
@@ -44,8 +46,8 @@ def adam(lr: float, weight_decay: float = 0.0) -> OptimState:
 
 
 def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
-    """One update; returns new read-only parameter arrays, mutating only
-    the state.
+    """One update; returns a new frozen parameter dict (see ``freeze``), so
+    leaf Tensors adopt its arrays without a copy, and mutates only the state.
 
     SGD: p ← p − lr·(g + wd·p). Adam: bias-corrected moments with the decay
     term lr·wd·p subtracted separately (decoupled).
@@ -60,7 +62,7 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
             if p.shape != g.shape:
                 raise ValueError(f"shape mismatch for {name!r}: {p.shape} vs {g.shape}")
             updated[name] = p - state.lr * (g + state.weight_decay * p)
-        return _freeze(updated)
+        return freeze(updated)
 
     state.step_count += 1
     t = state.step_count
@@ -83,11 +85,4 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
         v_hat = v / (1.0 - state.beta2 ** t)
         updated[name] = (p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
                          - state.lr * state.weight_decay * p)
-    return _freeze(updated)
-
-
-def _freeze(params: Params) -> Params:
-    """Mark fresh arrays read-only, so leaf Tensors adopt them without a copy."""
-    for arr in params.values():
-        arr.flags.writeable = False
-    return params
+    return freeze(updated)

@@ -32,6 +32,7 @@ __all__ = [
     "linear",
     "attention",
     "add_layer_norm",
+    "freeze",
 ]
 
 
@@ -50,6 +51,15 @@ def _frozen(values) -> bool:
     """A read-only float64 array that owns its data: nobody can write to it."""
     return (isinstance(values, np.ndarray) and values.dtype == np.float64
             and not values.flags.writeable and values.base is None)
+
+
+def freeze(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Mark each array, which must own its data, read-only and return the
+    dict. Every parameter dict is made through this, so leaf Tensors adopt
+    its arrays without a copy and a new dict may share them with an old one."""
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return arrays
 
 
 def _as_array(values, copy: bool) -> np.ndarray:

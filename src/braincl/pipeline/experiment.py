@@ -51,11 +51,6 @@ class ExperimentReport:
     std: dict[str, float]
     seeds: tuple[int, ...]
     config_fingerprint: str
-    reference: dict = None
-
-    def __post_init__(self):
-        if self.reference is None:
-            object.__setattr__(self, "reference", FULL_SCALE_REFERENCE)
 
 
 def _aggregate(rows: list[dict]) -> tuple[dict, dict]:
@@ -175,7 +170,7 @@ def write_report(out_dir, report: ExperimentReport, results: list[FinetuneResult
         "rows": list(report.rows),
         "mean": report.mean,
         "std": report.std,
-        "reference": report.reference,
+        "reference": FULL_SCALE_REFERENCE,
     }, indent=2, sort_keys=True) + "\n")
 
     curves = {}

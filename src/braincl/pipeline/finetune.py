@@ -105,7 +105,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
     params = init_encoder_params(encoder_cfg, init_rng)
     if encoder_ckpt is not None:
         _check_compatible(encoder_ckpt, params)
-        params = {k: v.copy() for k, v in encoder_ckpt.items()}
+        params = dict(encoder_ckpt)
     params.update(init_classifier_params(encoder_cfg, init_rng))
 
     # a frozen encoder enters the graph as constants, so no encoder gradient is formed
@@ -128,7 +128,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
     optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
     best_auroc = -1.0
     best_epoch = -1
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = params
     log: list[tuple[int, float, float]] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -146,7 +146,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         if val_auroc > best_auroc:
             best_auroc = val_auroc
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params
 
     with non_finite_guard("test scoring"):
         test_scores = score_dataset(test, best_params, encoder_cfg)

@@ -12,7 +12,7 @@ batch keys pushed into the queue. Labels are never consulted.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
 
     query = init_encoder_params(encoder_cfg, init_rng)
     query.update(init_projection_params(encoder_cfg, init_rng))
-    moco = MoCoState.fresh({k: v.copy() for k, v in query.items()},
-                           dim=encoder_cfg.proj_dim,
+    moco = MoCoState.fresh(query, dim=encoder_cfg.proj_dim,
                            capacity=cfg.queue_capacity,
                            momentum=cfg.momentum,
                            temperature=cfg.temperature)
@@ -116,9 +115,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                 loss, grads, keys = step(query, moco, batch)
             query = opt_step(optimizer, query, grads)
             moco = queue_push(
-                MoCoState(key_params=momentum_update(moco.key_params, query, moco.momentum),
-                          queue=moco.queue, capacity=moco.capacity,
-                          momentum=moco.momentum, temperature=moco.temperature),
+                replace(moco, key_params=momentum_update(moco.key_params, query, moco.momentum)),
                 keys)
             loss_total += loss * len(batch)
         log.append((epoch, loss_total / len(ds), moco.queue.shape[0], cfg.lr))

@@ -262,10 +262,9 @@ def test_noise_respects_selected_nodes():
 def test_view_pair_noop_config_returns_input():
     conn = random_connectome(np.random.default_rng(8), 9)
     cfg = AugmentConfig(k_min=0, k_max=0, noise=NoiseSpec(kind="none"))
-    pair = make_view_pair(conn, cfg, np.random.default_rng(0), source_id="s")
+    pair = make_view_pair(conn, cfg, np.random.default_rng(0))
     assert np.array_equal(pair.first.matrix, conn.matrix)
     assert np.array_equal(pair.second.matrix, conn.matrix)
-    assert pair.source_id == "s"
 
 
 def test_view_pair_views_differ_from_source_and_each_other():

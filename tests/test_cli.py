@@ -166,6 +166,7 @@ def test_evaluate_rejects_non_finite_checkpoint(workdir, capsys):
     cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
     rng = np.random.default_rng(0)
     arrays = {**init_encoder_params(cfg, rng), **init_classifier_params(cfg, rng)}
+    arrays["classifier.w1"] = arrays["classifier.w1"].copy()
     arrays["classifier.w1"][0, 0] = np.inf
     bad = workdir / "bad.bnck"
     save_encoder_checkpoint(bad, arrays, cfg)

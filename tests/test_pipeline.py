@@ -211,6 +211,37 @@ def test_freeze_encoder_leaves_encoder_untouched(monkeypatch):
     assert any(not np.array_equal(trained.params[n], ckpt[n]) for n in ckpt)
 
 
+def test_parameter_leaves_adopt_their_arrays(monkeypatch, tmp_path):
+    # parameter dicts hold frozen arrays, so no step or validation pass copies
+    # one into a leaf: not the key encoder's, nor a frozen encoder's
+    copied, adopted = [], []
+
+    def check(arr, leaf):
+        (adopted if np.shares_memory(leaf.data, arr) else copied).append(arr.shape)
+        return leaf
+
+    def checked_tensor(make):
+        return lambda values, *args, **kwargs: check(values, make(values, *args, **kwargs))
+
+    def checked_as_tensors(make):
+        return lambda arrays: {k: check(arrays[k], leaf) for k, leaf in make(arrays).items()}
+
+    for name in ("pretrain", "finetune"):
+        module = importlib.import_module(f"braincl.pipeline.{name}")
+        monkeypatch.setattr(module, "Tensor", checked_tensor(module.Tensor))
+        monkeypatch.setattr(module, "as_tensors", checked_as_tensors(module.as_tensors))
+
+    ds = tiny_ds()
+    pre = pretrain(ds, ECFG, PretrainConfig(epochs=1, lr=0.01, batch_size=8,
+                                            queue_capacity=16, momentum=0.9, seed=3), AUG)
+    save_encoder_checkpoint(tmp_path / "enc.bnck", pre.encoder_params, ECFG)
+    ckpt, _ = load_encoder_checkpoint(tmp_path / "enc.bnck")
+    for freeze in (True, False):
+        finetune(ds, ckpt, ECFG, FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1,
+                                                freeze_encoder=freeze, seed=6))
+    assert adopted and copied == []
+
+
 # ---------------------------------------------------------------------------
 # experiment protocol
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from braincl.contrastive import momentum_update
+from braincl.model import (EncoderConfig, init_classifier_params, init_encoder_params,
+                           init_projection_params, relabel_nodes)
 from braincl.numcore import (
     GraphError,
     NonFiniteError,
@@ -12,11 +14,14 @@ from braincl.numcore import (
     backward,
     concat,
     linear,
+    load_checkpoint,
     opt_step,
+    save_checkpoint,
     sgd,
     stack,
 )
 from braincl.numcore.gradcheck import gradcheck
+from braincl.pipeline import load_encoder_checkpoint, save_encoder_checkpoint
 
 
 def test_square_sum_gradient():
@@ -266,7 +271,7 @@ def test_leaf_copies_the_callers_array():
     assert not np.shares_memory(t.data, a)
 
 
-def test_leaf_adopts_arrays_nobody_can_write():
+def test_leaf_adopts_arrays_nobody_can_write(tmp_path):
     frozen = np.ones((2, 3))
     frozen.flags.writeable = False
     assert np.shares_memory(Tensor(frozen).data, frozen)
@@ -281,9 +286,21 @@ def test_leaf_adopts_arrays_nobody_can_write():
     stepped = opt_step(sgd(lr=0.1), params, {"w": np.ones((3, 3))})
     adam_stepped = opt_step(adam(lr=0.1), params, {"w": np.ones((3, 3))})
     trailed = momentum_update(params, stepped, 0.9)
-    for arr in (stepped["w"], adam_stepped["w"], trailed["w"]):
-        assert np.shares_memory(Tensor(arr, requires_grad=False).data, arr)
     assert params["w"].flags.writeable
+    # so is every other parameter dict, from the moment it is made
+    cfg = EncoderConfig(n_nodes=6, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    rng = np.random.default_rng(0)
+    encoder = init_encoder_params(cfg, rng)
+    save_checkpoint(tmp_path / "raw.bnck", params)
+    save_encoder_checkpoint(tmp_path / "enc.bnck", encoder, cfg)
+    produced = [stepped, adam_stepped, trailed, encoder,
+                init_classifier_params(cfg, rng), init_projection_params(cfg, rng),
+                relabel_nodes(encoder, rng.permutation(6)),
+                load_checkpoint(tmp_path / "raw.bnck"),
+                load_encoder_checkpoint(tmp_path / "enc.bnck")[0]]
+    for arrays in produced:
+        for arr in arrays.values():
+            assert np.shares_memory(Tensor(arr, requires_grad=False).data, arr)
 
 
 # ---------------------------------------------------------------------------
