@@ -40,7 +40,8 @@ class MoCoState:
             raise ValueError("queue must be a (n_keys, dim) array")
         if q.shape[0] > self.capacity:
             raise ValueError("queue longer than its capacity")
-        _check_unit_rows(q, "queue")
+        # unit rows are checked where keys enter (queue_push) and where the
+        # queue is read (info_nce), not on every replace of the state
         object.__setattr__(self, "queue", q)
 
     @classmethod
@@ -80,8 +81,7 @@ def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: flo
                          f"matching (dim,) vectors or (B, dim) batches")
     _check_unit_rows(query.data, "query")
     _check_unit_rows(key_pos.data, "positive key")
-    if q.size:
-        _check_unit_rows(q, "queue")
+    _check_unit_rows(q, "queue")
 
     key_const = key_pos.detach()
     positive = (query * key_const).sum(axis=-1, keepdims=True)

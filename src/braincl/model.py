@@ -157,13 +157,12 @@ def gram_schmidt(centers: Tensor) -> Tensor:
     signs = np.sign(np.diagonal(r))
     q, r = q * signs, r * signs[:, None]
 
-    def vjp(g):
+    def vjp(g, _):
         m = -g @ q
         m = np.tril(m) + np.tril(m, -1).T  # symmetric from the lower triangle
-        return np.linalg.solve(r, g + m @ q.T)
+        return (np.linalg.solve(r, g + m @ q.T),)
 
-    return Tensor(q.T, op="gram_schmidt", parents=(centers,), vjps=(vjp,),
-                  requires_grad=centers.requires_grad)
+    return Tensor(q.T, op="gram_schmidt", parents=(centers,), vjp=vjp)
 
 
 def _as_input(conn) -> Tensor:

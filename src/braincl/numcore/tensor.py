@@ -1,11 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its parents and the vector-Jacobian products needed
-to run the chain rule backwards. Graphs are built immutably: a Tensor never
-changes after construction, so sharing subgraphs (e.g. one orthonormalized
-center matrix feeding every sample in a batch) is safe and gradients simply
-accumulate where paths merge. An operation none of whose inputs requires a
-gradient records nothing, so inference and the key encoder hold no graph.
+Every operation records its parents and one backward rule, a vector-Jacobian
+product ``vjp(g, needed)`` that maps the output's gradient ``g`` to one
+gradient per parent, in order, ``None`` where ``needed`` says that parent
+requires none. A node with several parents yields them one at a time, after
+any work they share, so ``backward`` adds each into place and frees it before
+the next is formed.
+
+Graphs are built immutably: a Tensor never changes after construction, so
+sharing subgraphs (e.g. one orthonormalized center matrix feeding every sample
+in a batch) is safe and gradients simply accumulate where paths merge. A node
+requires a gradient iff one of its parents does; an operation none of whose
+inputs requires a gradient records nothing, so inference and the key encoder
+hold no graph.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
 leading axis of a 3-D array is a batch of matrices. Elementwise operations
@@ -74,17 +81,19 @@ class Tensor:
 
     Leaves are created directly (``Tensor([1., 2.])``) from a copy of the
     values, or from the array itself when it is a read-only float64 array
-    that owns its data; interior nodes are created by operations and carry
-    one vjp callable per parent, unless ``requires_grad`` is false, in which
-    case they keep no parents. ``data`` is read-only; build a new Tensor instead
-    of mutating.
+    that owns its data, and ``requires_grad`` is theirs to set. Interior nodes
+    are created by operations: they require a gradient iff a parent does,
+    whatever flag is passed, and carry one ``vjp(g, needed)`` that returns or
+    yields a gradient per parent (``None`` where ``needed`` is false); a node
+    that requires none keeps no parents and no vjp. ``data`` is read-only;
+    build a new Tensor instead of mutating.
     """
 
-    __slots__ = ("data", "op", "parents", "_vjps", "requires_grad", "__weakref__")
+    __slots__ = ("data", "op", "parents", "_vjp", "requires_grad", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
-                 vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()):
+                 vjp: Callable[[np.ndarray, tuple[bool, ...]], Iterable] | None = None):
         # op results are fresh arrays; a leaf copies what its caller could still write
         data = _as_array(values, copy=op == "leaf" and not _frozen(values))
         if not np.isfinite(data).all():
@@ -92,8 +101,10 @@ class Tensor:
         data.flags.writeable = False
         self.data = data
         self.op = op
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
         self.parents = parents if requires_grad else ()
-        self._vjps = vjps if requires_grad else ()
+        self._vjp = vjp if requires_grad else None
         self.requires_grad = requires_grad
 
     # ------------------------------------------------------------------
@@ -163,8 +174,7 @@ class Tensor:
         return _coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        return Tensor(-self.data, op="neg", parents=(self,),
-                      vjps=(lambda g: -g,), requires_grad=self.requires_grad)
+        return Tensor(-self.data, op="neg", parents=(self,), vjp=lambda g, _: (-g,))
 
     def __matmul__(self, other) -> "Tensor":
         other = _coerce(other)
@@ -176,20 +186,19 @@ class Tensor:
         except ValueError as exc:
             raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}") from exc
 
-        # promote vectors to matrices, so one pair of vjps covers every rank
+        # promote vectors to matrices, so one vjp covers every rank
         a2 = a[None, :] if a.ndim == 1 else a
         b2 = b[:, None] if b.ndim == 1 else b
 
-        def grad_out(g):  # g in the shape of a2 @ b2
-            g = np.expand_dims(g, -2) if a.ndim == 1 else g
-            return g[..., None] if b.ndim == 1 else g
+        def vjp(g, needed):
+            g = np.expand_dims(g, -2) if a.ndim == 1 else g  # g in the shape of a2 @ b2
+            g = g[..., None] if b.ndim == 1 else g
+            yield (_unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
+                   if needed[0] else None)
+            yield (_unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
+                   if needed[1] else None)
 
-        vjp_a = lambda g: _unbroadcast(grad_out(g) @ np.swapaxes(b2, -1, -2),
-                                       a2.shape).reshape(a.shape)
-        vjp_b = lambda g: _unbroadcast(np.swapaxes(a2, -1, -2) @ grad_out(g),
-                                       b2.shape).reshape(b.shape)
-        return Tensor(out, op="matmul", parents=(self, other), vjps=(vjp_a, vjp_b),
-                      requires_grad=self.requires_grad or other.requires_grad)
+        return Tensor(out, op="matmul", parents=(self, other), vjp=vjp)
 
     # ------------------------------------------------------------------
     # shape ops
@@ -200,27 +209,25 @@ class Tensor:
         if self.ndim < 2:
             raise GraphError(f"transpose needs at least 2 dimensions, got shape {self.shape}")
         return Tensor(np.swapaxes(self.data, -1, -2), op="transpose", parents=(self,),
-                      vjps=(lambda g: np.swapaxes(g, -1, -2),),
-                      requires_grad=self.requires_grad)
+                      vjp=lambda g, _: (np.swapaxes(g, -1, -2),))
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.data.shape
         return Tensor(self.data.reshape(shape), op="reshape", parents=(self,),
-                      vjps=(lambda g: g.reshape(old),), requires_grad=self.requires_grad)
+                      vjp=lambda g, _: (g.reshape(old),))
 
     def __getitem__(self, idx) -> "Tensor":
         out = self.data[idx]
         shape = self.data.shape
 
-        def vjp(g):
+        def vjp(g, _):
             full = np.zeros(shape)
             np.add.at(full, idx, g)
-            return full
+            return (full,)
 
-        return Tensor(out, op="getitem", parents=(self,), vjps=(vjp,),
-                      requires_grad=self.requires_grad)
+        return Tensor(out, op="getitem", parents=(self,), vjp=vjp)
 
     # ------------------------------------------------------------------
     # reductions
@@ -228,25 +235,24 @@ class Tensor:
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         shape = self.data.shape
 
-        def vjp(g):
+        def vjp(g, _):
             if axis is None or keepdims:
-                return np.broadcast_to(g, shape).copy()
-            return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+                return (np.broadcast_to(g, shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
 
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), op="sum", parents=(self,),
-                      vjps=(vjp,), requires_grad=self.requires_grad)
+                      vjp=vjp)
 
     def mean(self, axis: int | None = None) -> "Tensor":
         shape = self.data.shape
         n = self.data.size if axis is None else shape[axis]
 
-        def vjp(g):
+        def vjp(g, _):
             if axis is None:
-                return np.broadcast_to(g / n, shape).copy()
-            return np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy()
+                return (np.broadcast_to(g / n, shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
 
-        return Tensor(self.data.mean(axis=axis), op="mean", parents=(self,),
-                      vjps=(vjp,), requires_grad=self.requires_grad)
+        return Tensor(self.data.mean(axis=axis), op="mean", parents=(self,), vjp=vjp)
 
     # ------------------------------------------------------------------
     # pointwise nonlinearities
@@ -254,21 +260,18 @@ class Tensor:
     def exp(self) -> "Tensor":
         with np.errstate(over="ignore"):
             out = np.exp(self.data)
-        return Tensor(out, op="exp", parents=(self,),
-                      vjps=(lambda g: g * out,), requires_grad=self.requires_grad)
+        return Tensor(out, op="exp", parents=(self,), vjp=lambda g, _: (g * out,))
 
     def log(self) -> "Tensor":
         x = self.data
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.log(x)
-        return Tensor(out, op="log", parents=(self,),
-                      vjps=(lambda g: g / x,), requires_grad=self.requires_grad)
+        return Tensor(out, op="log", parents=(self,), vjp=lambda g, _: (g / x,))
 
     def sqrt(self) -> "Tensor":
         with np.errstate(invalid="ignore"):
             out = np.sqrt(self.data)
-        return Tensor(out, op="sqrt", parents=(self,),
-                      vjps=(lambda g: g * 0.5 / out,), requires_grad=self.requires_grad)
+        return Tensor(out, op="sqrt", parents=(self,), vjp=lambda g, _: (g * 0.5 / out,))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         # the backward keeps only a boolean mask; both passes multiply by the
@@ -276,8 +279,7 @@ class Tensor:
         positive = self.data > 0
         slopes = np.array([negative_slope, 1.0])
         return Tensor(self.data * slopes.take(positive), op="leaky_relu", parents=(self,),
-                      vjps=(lambda g: g * slopes.take(positive),),
-                      requires_grad=self.requires_grad)
+                      vjp=lambda g, _: (g * slopes.take(positive),))
 
     def softmax(self, axis: int = -1) -> "Tensor":
         # max subtraction keeps exp() in range; the rest works in place
@@ -285,23 +287,21 @@ class Tensor:
         np.exp(out, out=out)
         out /= out.sum(axis=axis, keepdims=True)
 
-        def vjp(g):
+        def vjp(g, _):
             dot = (g * out).sum(axis=axis, keepdims=True)
-            return out * (g - dot)
+            return (out * (g - dot),)
 
-        return Tensor(out, op="softmax", parents=(self,), vjps=(vjp,),
-                      requires_grad=self.requires_grad)
+        return Tensor(out, op="softmax", parents=(self,), vjp=vjp)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         z = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
         out = z - lse
 
-        def vjp(g):
-            return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+        def vjp(g, _):
+            return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
-        return Tensor(out, op="log_softmax", parents=(self,), vjps=(vjp,),
-                      requires_grad=self.requires_grad)
+        return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
 
     def layer_norm(self, axis: int = -1, eps: float = 1e-5) -> "Tensor":
         x = self.data
@@ -311,13 +311,12 @@ class Tensor:
         inv = 1.0 / np.sqrt(var + eps)
         out = xc * inv
 
-        def vjp(g):
+        def vjp(g, _):
             gm = g.mean(axis=axis, keepdims=True)
             gym = (g * out).mean(axis=axis, keepdims=True)
-            return inv * (g - gm - out * gym)
+            return (inv * (g - gm - out * gym),)
 
-        return Tensor(out, op="layer_norm", parents=(self,), vjps=(vjp,),
-                      requires_grad=self.requires_grad)
+        return Tensor(out, op="layer_norm", parents=(self,), vjp=vjp)
 
 
 def _coerce(value) -> Tensor:
@@ -347,12 +346,12 @@ def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = fwd(a.data, b.data)
     ad, bd = a.data, b.data
-    return Tensor(
-        out, op=op, parents=(a, b),
-        vjps=(lambda g: _unbroadcast(vjp_a(ad, bd, out, g), sa),
-              lambda g: _unbroadcast(vjp_b(ad, bd, out, g), sb)),
-        requires_grad=a.requires_grad or b.requires_grad,
-    )
+
+    def vjp(g, needed):
+        yield _unbroadcast(vjp_a(ad, bd, out, g), sa) if needed[0] else None
+        yield _unbroadcast(vjp_b(ad, bd, out, g), sb) if needed[1] else None
+
+    return Tensor(out, op=op, parents=(a, b), vjp=vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -361,17 +360,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise GraphError("concat of zero tensors")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
-    def make_vjp(i):
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
+    def vjp(g, needed):
+        return (part if need else None
+                for part, need in zip(np.split(g, offsets, axis=axis), needed))
 
-    return Tensor(out, op="concat", parents=tuple(tensors),
-                  vjps=tuple(make_vjp(i) for i in range(len(tensors))),
-                  requires_grad=any(t.requires_grad for t in tensors))
+    return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -381,35 +376,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise GraphError("stack of zero tensors")
     out = np.stack([t.data for t in tensors], axis=axis)
 
-    def make_vjp(i):
-        return lambda g: np.take(g, i, axis=axis)
+    def vjp(g, needed):
+        return (np.take(g, i, axis=axis) if need else None for i, need in enumerate(needed))
 
-    return Tensor(out, op="stack", parents=tuple(tensors),
-                  vjps=tuple(make_vjp(i) for i in range(len(tensors))),
-                  requires_grad=any(t.requires_grad for t in tensors))
-
-
-def _joint_vjps(parents: Sequence[Tensor], grads_of) -> tuple[Callable, ...]:
-    """Per-parent vjps that share one call of ``grads_of(g, needed)``.
-
-    ``grads_of`` returns one gradient per parent at once (``None`` where
-    ``needed`` is false), so work common to several parents runs once per
-    backward pass. Each vjp takes its own result out of the shared store,
-    and ``backward`` calls exactly the needed ones, so nothing is kept once
-    the pass is over.
-    """
-    needed = tuple(p.requires_grad for p in parents)
-    pending: dict[int, np.ndarray] = {}
-
-    def make_vjp(i):
-        def vjp(g):
-            if not pending:
-                pending.update((j, grad) for j, grad in enumerate(grads_of(g, needed))
-                               if needed[j])
-            return pending.pop(i)
-        return vjp
-
-    return tuple(make_vjp(i) for i in range(len(parents)))
+    return Tensor(out, op="stack", parents=tuple(tensors), vjp=vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -426,11 +396,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     shape, x2, wd = x.shape, x.data.reshape(-1, n), w.data
     out = x2 @ wd
     out += b.data
-    return Tensor(out.reshape(shape[:-1] + (m,)), op="linear", parents=(x, w, b),
-                  vjps=(lambda g: (g.reshape(-1, m) @ wd.T).reshape(shape),
-                        lambda g: x2.T @ g.reshape(-1, m),
-                        lambda g: g.reshape(-1, m).sum(axis=0)),
-                  requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def vjp(g, needed):
+        g2 = g.reshape(-1, m)
+        yield (g2 @ wd.T).reshape(shape) if needed[0] else None
+        yield x2.T @ g2 if needed[1] else None
+        yield g2.sum(axis=0) if needed[2] else None
+
+    return Tensor(out.reshape(shape[:-1] + (m,)), op="linear", parents=(x, w, b), vjp=vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
@@ -467,23 +440,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     p /= p.sum(axis=-1, keepdims=True)
     out = merge(p @ vh)
 
-    def grads_of(g, needed):
+    def vjp(g, needed):
         gh = split(g)
-        dv = merge(np.swapaxes(p, -1, -2) @ gh) if needed[2] else None
-        if not (needed[0] or needed[1]):
-            return None, None, dv
-        ds = gh @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
-        ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        dq = merge(ds @ kh) if needed[0] else None
-        dk = merge(np.swapaxes(ds, -1, -2) @ qh) if needed[1] else None
-        return dq, dk, dv
+        if needed[0] or needed[1]:
+            ds = gh @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
+            ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+        yield merge(ds @ kh) if needed[0] else None
+        yield merge(np.swapaxes(ds, -1, -2) @ qh) if needed[1] else None
+        yield merge(np.swapaxes(p, -1, -2) @ gh) if needed[2] else None
 
-    parents = (q, k, v)
-    return Tensor(out, op="attention", parents=parents,
-                  vjps=_joint_vjps(parents, grads_of),
-                  requires_grad=q.requires_grad or k.requires_grad or v.requires_grad)
+    return Tensor(out, op="attention", parents=(q, k, v), vjp=vjp)
 
 
 def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
@@ -503,21 +471,18 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     out = normed * gd
     out += bias.data
 
-    def grads_of(g, needed):
-        d_sum = None
+    def vjp(g, needed):
         if needed[0] or needed[1]:
             gn = g * gd
             d_sum = gn - gn.mean(axis=-1, keepdims=True)
             d_sum -= normed * (gn * normed).mean(axis=-1, keepdims=True)
             d_sum *= inv
-        return (d_sum, d_sum,
-                _unbroadcast(g * normed, gd.shape) if needed[2] else None,
-                _unbroadcast(g, gd.shape) if needed[3] else None)
+        yield d_sum if needed[0] else None
+        yield d_sum if needed[1] else None
+        yield _unbroadcast(g * normed, gd.shape) if needed[2] else None
+        yield _unbroadcast(g, gd.shape) if needed[3] else None
 
-    parents = (x, residual, gain, bias)
-    return Tensor(out, op="add_layer_norm", parents=parents,
-                  vjps=_joint_vjps(parents, grads_of),
-                  requires_grad=any(t.requires_grad for t in parents))
+    return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -565,10 +530,10 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
         if g is None:
             continue
         if node.parents:
-            for parent, vjp in zip(node.parents, node._vjps):
-                if not parent.requires_grad:
+            needed = tuple(p.requires_grad for p in node.parents)
+            for parent, contribution in zip(node.parents, node._vjp(g, needed)):
+                if contribution is None:
                     continue
-                contribution = vjp(g)
                 acc = grads.get(id(parent))
                 if acc is None:
                     grads[id(parent)] = np.asarray(contribution, dtype=np.float64).copy()

@@ -229,3 +229,8 @@ def test_state_validation():
     with pytest.raises(ValueError):
         MoCoState(key_params={}, queue=random_units(np.random.default_rng(8), 9, 4),
                   capacity=8)
+    # a state built directly with non-unit rows is rejected where its queue is read
+    state = MoCoState(key_params={}, queue=np.full((2, 2), 3.0))
+    q = Tensor(unit([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-unit"):
+        info_nce(q, q, state.queue, state.temperature)

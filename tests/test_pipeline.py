@@ -92,6 +92,24 @@ def test_pretrain_log_schema_and_queue_growth():
     assert not any(k.startswith("project.") for k in result.encoder_params)
 
 
+def test_pretrain_checks_the_queue_once_per_step(monkeypatch):
+    # queue_push checks the keys it admits and info_nce the queue it reads,
+    # so replacing the state re-checks nothing
+    from braincl import contrastive
+    checked = []
+    check = contrastive._check_unit_rows
+
+    def counting(rows, what):
+        checked.append(what)
+        check(rows, what)
+
+    monkeypatch.setattr(contrastive, "_check_unit_rows", counting)
+    cfg = PretrainConfig(epochs=1, lr=0.02, batch_size=8, queue_capacity=16,
+                         momentum=0.9, seed=1)
+    pretrain(tiny_ds(n=16), ECFG, cfg, AUG)
+    assert checked.count("queue") == 2
+
+
 def test_pretrain_rejects_empty_dataset():
     from braincl.data import Dataset
     with pytest.raises(PipelineError):
