@@ -8,6 +8,14 @@ A dataset directory holds:
   lines of V comma-separated decimals — or ``<subject_id>.ts.csv`` — first
   line ``L,V``, then L lines of V decimals. When both exist the matrix file
   wins; connectomes are computed from the series otherwise.
+
+Blank lines are skipped, line ends may be LF or CRLF, and fields may carry
+surrounding whitespace. The data rows of a file are parsed in one call to
+numpy's C tokenizer, which takes decimals only: ``#`` comments, empty fields
+and digit separators such as ``1_0`` are rejected. Only a file that fails
+that parse is read again row by row, so the error names the file and the
+first bad data row. ``load_dataset`` computes the connectomes of series of
+one shape in batched ``pearson_connectome`` calls.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .connectome import Connectome, pearson_connectome, validate_time_series
+from .connectome import Connectome, pearson_connectomes, validate_time_series
 
 __all__ = ["Sample", "Dataset", "DatasetError", "load_dataset", "write_dataset",
            "read_connectome_file", "write_connectome_file"]
@@ -86,6 +94,26 @@ def _parse_floats(line: str, expected: int, where: str) -> np.ndarray:
         raise DatasetError(f"{where}: malformed number ({exc})") from exc
 
 
+def _parse_rows(name: str, rows: list[str], cols: int) -> np.ndarray:
+    """The data rows of file ``name`` as a (len(rows), cols) array, parsed in
+    one call to numpy's C tokenizer. Rows it refuses are scanned again one at
+    a time, so the error names the file and the first bad data row."""
+    if not rows:
+        raise DatasetError(f"{name}: no data rows")
+    try:
+        body = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        if body.shape == (len(rows), cols):
+            return body
+        reason = f"parsed shape {body.shape}"
+    except ValueError as exc:
+        reason = str(exc)
+    # the row-by-row scan names the first bad row; it passes only rows the C
+    # parser refused though float() takes them, such as 1_0
+    for i, line in enumerate(rows):
+        _parse_floats(line, cols, f"{name} row {i}")
+    raise DatasetError(f"{name}: malformed number ({reason})")
+
+
 def read_connectome_file(path: Path) -> Connectome:
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
@@ -97,8 +125,7 @@ def read_connectome_file(path: Path) -> Connectome:
     if len(lines) - 1 != n:
         raise DatasetError(f"{path.name}: malformed matrix: header says {n} rows, "
                            f"found {len(lines) - 1}")
-    rows = [_parse_floats(lines[i + 1], n, f"{path.name} row {i}") for i in range(n)]
-    m = np.vstack(rows)
+    m = _parse_rows(path.name, lines[1:], n)
     if not np.isfinite(m).all():
         raise DatasetError(f"{path.name}: non-finite matrix entries")
     # tolerate roundoff from text serialization, nothing more
@@ -128,9 +155,9 @@ def read_time_series_file(path: Path) -> np.ndarray:
     if len(lines) - 1 != length:
         raise DatasetError(f"{path.name}: malformed series: header says {length} rows, "
                            f"found {len(lines) - 1}")
-    rows = [_parse_floats(lines[i + 1], n, f"{path.name} row {i}") for i in range(length)]
+    body = _parse_rows(path.name, lines[1:], n)
     try:
-        return validate_time_series(np.vstack(rows))
+        return validate_time_series(body)
     except ValueError as exc:
         raise DatasetError(f"{path.name}: {exc}") from exc
 
@@ -178,16 +205,17 @@ def load_dataset(path) -> Dataset:
     if orphans:
         raise DatasetError(f"labels.csv names subjects with no data file: {orphans}")
 
-    samples = []
+    series: dict[str, np.ndarray] = {}
+    conns: dict[str, Connectome] = {}
     for sid in subject_ids:
-        ts = read_time_series_file(ts_files[sid]) if sid in ts_files else None
+        if sid in ts_files:
+            series[sid] = read_time_series_file(ts_files[sid])
         if sid in conn_files:
-            conn = read_connectome_file(conn_files[sid])
-        else:
-            conn = pearson_connectome(ts)
-        samples.append(Sample(subject_id=sid, connectome=conn,
-                              label=labels.get(sid), time_series=ts))
-    return Dataset(tuple(samples))
+            conns[sid] = read_connectome_file(conn_files[sid])
+    missing = [sid for sid in subject_ids if sid not in conns]
+    conns.update(zip(missing, pearson_connectomes([series[sid] for sid in missing])))
+    return Dataset(tuple(Sample(subject_id=sid, connectome=conns[sid], label=labels.get(sid),
+                                time_series=series.get(sid)) for sid in subject_ids))
 
 
 # ---------------------------------------------------------------------------

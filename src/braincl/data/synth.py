@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectome import pearson_connectome
+from .connectome import pearson_connectomes
 from .io import Dataset, DatasetError, Sample
 
 __all__ = ["ClassSpec", "synth_dataset"]
@@ -74,16 +74,14 @@ def synth_dataset(n: int, n_nodes: int, length: int,
 
     rng = np.random.default_rng(seed)
     width = len(str(max(n - 1, 1)))
-    samples = []
+    series = []
     for i in range(n):
-        label = i % 2
-        loadings = templates[label]
+        loadings = templates[i % 2]
         if spec.sample_jitter > 0:
             loadings = loadings + spec.sample_jitter * rng.standard_normal(loadings.shape)
         factors = rng.standard_normal((length, spec.blocks))
         noise = rng.standard_normal((length, n_nodes))
-        ts = factors @ loadings.T + spec.noise_sd * noise
-        samples.append(Sample(subject_id=f"synth{i:0{width}d}",
-                              connectome=pearson_connectome(ts),
-                              label=label, time_series=ts))
-    return Dataset(tuple(samples))
+        series.append(factors @ loadings.T + spec.noise_sd * noise)
+    return Dataset(tuple(
+        Sample(subject_id=f"synth{i:0{width}d}", connectome=conn, label=i % 2, time_series=ts)
+        for i, (ts, conn) in enumerate(zip(series, pearson_connectomes(series)))))

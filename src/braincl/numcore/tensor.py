@@ -5,7 +5,10 @@ product ``vjp(g, needed)`` that maps the output's gradient ``g`` to one
 gradient per parent, in order, ``None`` where ``needed`` says that parent
 requires none. A node with several parents yields them one at a time, after
 any work they share, so ``backward`` adds each into place and frees it before
-the next is formed.
+the next is formed. A parent's first gradient becomes its accumulator without
+a copy when it is an array the vjp made for that parent alone (not ``g``, a
+view, or an array it already handed out), so a vjp must not read an array
+again once it has yielded it.
 
 Graphs are built immutably: a Tensor never changes after construction, so
 sharing subgraphs (e.g. one orthonormalized center matrix feeding every sample
@@ -531,14 +534,22 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
             continue
         if node.parents:
             needed = tuple(p.requires_grad for p in node.parents)
+            adopted: list[np.ndarray] = []
             for parent, contribution in zip(node.parents, node._vjp(g, needed)):
                 if contribution is None:
                     continue
                 acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.asarray(contribution, dtype=np.float64).copy()
-                else:
+                if acc is not None:
                     acc += contribution
+                    continue
+                # adopt an array made for this parent alone; copy anything shared
+                contribution = np.asarray(contribution, dtype=np.float64)
+                if (contribution is g or contribution.base is not None
+                        or not contribution.flags.writeable
+                        or any(contribution is a for a in adopted)):
+                    contribution = contribution.copy()
+                adopted.append(contribution)
+                grads[id(parent)] = contribution
         else:
             grads[id(node)] = g  # keep leaf gradients
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braincl.cli import main
 from braincl.data import (
     ClassSpec,
     Connectome,
@@ -16,6 +17,8 @@ from braincl.data import (
     synth_dataset,
     write_dataset,
 )
+from braincl.data import connectome as connectome_module
+from braincl.data import io as data_io
 from braincl.data.io import write_connectome_file
 
 
@@ -88,6 +91,64 @@ def test_pearson_rejects_bad_input():
         pearson_connectome(np.ones((1, 3)))
     with pytest.raises(ValueError):
         pearson_connectome(np.array([[1.0, np.nan], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="at least 2 time points"):
+        pearson_connectome(np.ones((4, 1, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson_connectome(np.array([[[1.0, 2.0], [2.0, 3.0]], [[1.0, np.inf], [2.0, 3.0]]]))
+    with pytest.raises(ValueError, match="2-D"):
+        pearson_connectome(np.ones((2, 2, 4, 3)))
+
+
+def _pearson_reference(ts: np.ndarray) -> np.ndarray:
+    """One series at a time, with 2-D numpy calls only."""
+    centered = ts - ts.mean(axis=0)
+    cov = centered.T @ centered / ts.shape[0]
+    std = np.sqrt(np.diagonal(cov))
+    denom = np.outer(std, std)
+    denom[denom == 0.0] = 1.0
+    corr = cov / denom
+    corr[std == 0.0, :] = 0.0
+    corr[:, std == 0.0] = 0.0
+    corr = (corr + corr.T) / 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_pearson_is_bit_identical_per_series(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((n, 13, 7)) * rng.uniform(0.1, 10.0, (n, 1, 7))
+    stack[n // 2, :, 3] = -0.4  # a zero-variance region
+    matrices = pearson_connectome(stack)
+    assert matrices.shape == (n, 7, 7)
+    for m, ts in zip(matrices, stack):
+        single = pearson_connectome(ts)
+        assert isinstance(single, Connectome)
+        assert m.tobytes() == single.matrix.tobytes() == _pearson_reference(ts).tobytes()
+    assert (matrices[n // 2, 3, np.arange(7) != 3] == 0.0).all()
+
+
+def test_pearson_connectomes_batches_by_shape_in_bounded_stacks(monkeypatch):
+    rng = np.random.default_rng(9)
+    shapes = [(30, 20)] * 40 + [(12, 5), (30, 20), (12, 5)] + [(120, 200)] * 2
+    series = [rng.standard_normal(shape) for shape in shapes]
+    stacks = []
+
+    def recording(ts):
+        stacks.append(np.shape(ts))
+        return pearson_connectome(ts)
+
+    monkeypatch.setattr(connectome_module, "pearson_connectome", recording)
+    conns = connectome_module.pearson_connectomes(series)
+    assert [c.matrix.tobytes() for c in conns] == [
+        pearson_connectome(ts).matrix.tobytes() for ts in series]
+    # one shape per call, and no stack past the batch budget unless it holds one series
+    per_shape = {}
+    for n, length, width in stacks:
+        per_shape.setdefault((length, width), []).append(n)
+        assert n == 1 or 8 * n * max(length, width) * width <= connectome_module._BATCH_BYTES
+    assert per_shape == {(30, 20): [13, 13, 13, 2], (12, 5): [2], (120, 200): [1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +226,117 @@ def test_label_without_data_rejected(tmp_path):
     (tmp_path / "labels.csv").write_text("subject_id,label\na,1\nghost,0\n")
     with pytest.raises(DatasetError, match="ghost"):
         load_dataset(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# ingest: what a data file may look like, and how a bad one is reported
+
+SERIES = np.array([[0.5, 1.0], [-1.5, 2.0], [2.0, -0.25]])
+MATRIX = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5\n2.0,-0.25\n", "s.ts.csv row 1: expected 2 values, got 1"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,2.0,3.0\n2.0,-0.25\n",
+     "s.ts.csv row 1: expected 2 values, got 3"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,2.0\n2.0,x\n",
+     "s.ts.csv row 2: malformed number (could not convert string to float: 'x')"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25 # note\n",
+     "s.ts.csv row 2: malformed number (could not convert string to float: '-0.25 # note')"),
+    ("s.ts.csv", "3,2\n0.5,1.0,\n-1.5,2.0\n2.0,-0.25\n", "s.ts.csv row 0: expected 2 values, got 3"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,nan\n2.0,-0.25\n",
+     "s.ts.csv: time series contains non-finite values"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,2.0\n-inf,-0.25\n",
+     "s.ts.csv: time series contains non-finite values"),
+    ("s.ts.csv", "3,2\n0.5,1.0\n-1.5,2.0\n", "s.ts.csv: malformed series: header says 3 rows, found 2"),
+    ("s.ts.csv", "3;2\n0.5,1.0\n", "s.ts.csv: malformed series header (want 'L,V')"),
+    ("s.conn.csv", "2\n1.0,0.5\n0.5,1.0,\n", "s.conn.csv row 1: expected 2 values, got 3"),
+    ("s.conn.csv", "2\n1.0,0.5\n0.5,1.O\n",
+     "s.conn.csv row 1: malformed number (could not convert string to float: '1.O')"),
+    ("s.conn.csv", "2\n1.0,Inf\nInf,1.0\n", "s.conn.csv: non-finite matrix entries"),
+    ("s.conn.csv", "2\n1.0,0.5\n0.5,1.0\n0.5,1.0\n",
+     "s.conn.csv: malformed matrix: header says 2 rows, found 3"),
+    ("s.conn.csv", "2\n1.0,0.5\n0.4,1.0\n", "s.conn.csv: matrix is not symmetric"),
+])
+def test_malformed_file_error_names_file_and_row(tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == message
+    assert main(["ingest", "--data", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("series, matrix", [
+    # blank and whitespace-only lines, before the header too
+    ("\n3,2\n0.5,1.0\n\n-1.5,2.0\n   \n2.0,-0.25\n\n", "\n2\n\n1.0,0.5\n \t\n0.5,1.0\n"),
+    # CRLF line ends, and no newline after the last row
+    ("3,2\r\n0.5,1.0\r\n-1.5,2.0\r\n2.0,-0.25", "2\r\n1.0,0.5\r\n0.5,1.0\r\n"),
+    # spaces and tabs around fields; signs, exponents and bare points
+    ("3, 2\n 0.5 , +1.0\n\t-1.5,\t2e0 \n2.,  -0.025E1\n", "2\n 1.0 ,  .5\n5e-1,1\n"),
+])
+def test_file_layout_tolerance(tmp_path, series, matrix):
+    (tmp_path / "a.ts.csv").write_bytes(series.encode())
+    (tmp_path / "b.conn.csv").write_bytes(matrix.encode())
+    a, b = load_dataset(tmp_path)
+    assert np.array_equal(a.time_series, SERIES)
+    assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES).matrix)
+    assert np.array_equal(b.connectome.matrix, MATRIX)
+
+
+def test_digit_separators_are_rejected(tmp_path):
+    # float() takes 1_0, numpy's C parser and the decimal format do not
+    (tmp_path / "s.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,1_0\n2.0,-0.25\n")
+    with pytest.raises(DatasetError, match=r"^s\.ts\.csv: malformed number \(.*'1_0'"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("name, text", [("s.conn.csv", "0\n"), ("s.ts.csv", "0,3\n")])
+def test_header_with_no_rows_is_rejected(tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{name}: no data rows"
+
+
+def test_well_formed_files_take_the_bulk_parse(tmp_path, monkeypatch):
+    # the row-by-row parser only explains a failure; a clean load never calls it
+    ds = synth_dataset(6, n_nodes=5, length=8, spec=ClassSpec(separation=0.0), seed=3)
+    write_dataset(tmp_path / "ts", ds, as_time_series=True)
+    write_dataset(tmp_path / "conn", ds, as_time_series=False)
+
+    def refuse(*args):
+        raise AssertionError("row-by-row parse on a well-formed file")
+
+    monkeypatch.setattr(data_io, "_parse_floats", refuse)
+    for layout in ("ts", "conn"):
+        loaded = load_dataset(tmp_path / layout)
+        assert [s.subject_id for s in loaded] == [s.subject_id for s in ds]
+
+
+def test_mixed_series_lengths_load_per_subject(tmp_path):
+    # sites differ in scan length; every subject keeps its own series
+    short = synth_dataset(3, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=1)
+    long = synth_dataset(4, n_nodes=5, length=14, spec=ClassSpec(separation=0.0), seed=2)
+    renamed = [Sample(f"{tag}{s.subject_id}", s.connectome, s.label, s.time_series)
+               for tag, ds in (("a", short), ("b", long)) for s in ds]
+    write_dataset(tmp_path, Dataset(tuple(renamed)))
+    loaded = load_dataset(tmp_path)
+    assert [s.subject_id for s in loaded] == [s.subject_id for s in renamed]
+    for want, got in zip(renamed, loaded):
+        assert np.array_equal(got.time_series, want.time_series)  # repr round-trips exactly
+        assert got.connectome.matrix.tobytes() == want.connectome.matrix.tobytes()
+        assert got.label == want.label
+
+
+def test_matrix_file_wins_over_series_file(tmp_path):
+    (tmp_path / "s.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25\n")
+    (tmp_path / "s.conn.csv").write_text("2\n1.0,0.5\n0.5,1.0\n")
+    (tmp_path / "t.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25\n")
+    s, t = load_dataset(tmp_path)
+    assert np.array_equal(s.connectome.matrix, MATRIX)
+    assert np.array_equal(s.time_series, SERIES)
+    assert np.array_equal(t.connectome.matrix, pearson_connectome(SERIES).matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,58 @@ def test_shape_mismatch_raises():
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("name", ["add", "sub", "add_layer_norm", "concat", "stack"])
+@pytest.mark.parametrize("op_first", [True, False])
+def test_one_tensor_in_two_parent_slots(name, op_first):
+    # backward adopts a fresh first contribution as the accumulator; a vjp
+    # that passes g through or yields one array twice must still leave every
+    # parent its own accumulator, whichever gradient reaches it first
+    rng = np.random.default_rng(50)
+    vals = rng.standard_normal((3, 4))
+    gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
+    op = {"add": lambda a, b: a + b,
+          "sub": lambda a, b: a - b,
+          "add_layer_norm": lambda a, b: add_layer_norm(a, b, gain, bias),
+          "concat": lambda a, b: concat([a, b], axis=1),
+          "stack": lambda a, b: stack([a, b])}[name]
+    w = rng.standard_normal(op(Tensor(vals), Tensor(vals)).shape)
+    v = rng.standard_normal(vals.shape)
+
+    def loss(x, y):
+        head, tail = (op(x, y) * w).sum(), (x * v).sum()
+        return head + tail if op_first else tail + head
+
+    def slot_grad(slot):  # the op's gradient through one slot alone
+        t, const = Tensor(vals), Tensor(vals, requires_grad=False)
+        pair = (t, const) if slot == 0 else (const, t)
+        return backward((op(*pair) * w).sum(), wrt=[t])[t].data
+
+    x, y = Tensor(vals), Tensor(vals)
+    grads = backward(loss(x, y), wrt=[x, y])
+    assert np.array_equal(grads[x].data, slot_grad(0) + v)
+    assert np.array_equal(grads[y].data, slot_grad(1))
+    assert not np.shares_memory(grads[x].data, grads[y].data)
+
+    x = Tensor(vals)
+    np.testing.assert_allclose(backward(loss(x, x), wrt=[x])[x].data,
+                               slot_grad(0) + slot_grad(1) + v, rtol=1e-12, atol=1e-12)
+
+
+def test_backward_never_adopts_the_incoming_gradient():
+    # a vjp may hand g itself to a parent and read g again afterwards
+    x, y = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+
+    def vjp(g, needed):
+        yield g
+        yield g
+        yield 2.0 * g
+
+    out = Tensor(2.0 * x.data + 2.0 * y.data, op="custom", parents=(x, x, y), vjp=vjp)
+    grads = backward(out.sum(), wrt=[x, y])
+    np.testing.assert_array_equal(grads[x].data, [2.0, 2.0])
+    np.testing.assert_array_equal(grads[y].data, [2.0, 2.0])
+
+
 def test_backward_is_deterministic():
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((6, 6))
