@@ -37,7 +37,6 @@ from .pipeline import (
     PipelineError,
     ablation_grid,
     fingerprint,
-    format_value,
     load_config,
     load_encoder_checkpoint,
     pretrain,
@@ -48,6 +47,7 @@ from .pipeline import (
     write_pretrain_artifacts,
     write_report,
 )
+from .tables import write_csv
 
 
 class CliError(Exception):
@@ -101,14 +101,11 @@ def cmd_augment(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_connectome_file(out / "view1.conn.csv", pair.first)
     write_connectome_file(out / "view2.conn.csv", pair.second)
-    with (out / "diff.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "entries_changed", "mean_abs_delta"])
-        for name, view in (("view1", pair.first), ("view2", pair.second)):
-            delta = np.abs(view.matrix - conn.matrix)
-            iu = np.triu_indices(conn.n_nodes, k=1)
-            changed = int((delta[iu] > 0).sum())
-            writer.writerow([name, changed, format_value(float(delta[iu].mean()))])
+    iu = np.triu_indices(conn.n_nodes, k=1)
+    deltas = ((name, np.abs(view.matrix - conn.matrix)[iu])
+              for name, view in (("view1", pair.first), ("view2", pair.second)))
+    write_csv(out / "diff.csv", ["view", "entries_changed", "mean_abs_delta"],
+              ([name, (delta > 0).sum(), delta.mean()] for name, delta in deltas))
     print(f"wrote views and diff summary to {out}")
 
 
@@ -164,11 +161,9 @@ def cmd_evaluate(args) -> None:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with (out / "scores.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["subject_id", "score", "label"])
-            for sample, score in zip(ds, scores.scores):
-                writer.writerow([sample.subject_id, format_value(float(score)), sample.label])
+        write_csv(out / "scores.csv", ["subject_id", "score", "label"],
+                  ([sample.subject_id, score, sample.label]
+                   for sample, score in zip(ds, scores.scores)))
         curve = roc_points(scores)
         write_roc_csv(out / "roc.csv", curve)
         write_roc_svg(out / "roc.svg", {"evaluation": curve})

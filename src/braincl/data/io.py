@@ -15,7 +15,8 @@ numpy's C tokenizer, which takes decimals only: ``#`` comments, empty fields
 and digit separators such as ``1_0`` are rejected. Only a file that fails
 that parse is read again row by row, so the error names the file and the
 first bad data row. ``load_dataset`` computes the connectomes of series of
-one shape in batched ``pearson_connectome`` calls.
+one shape in batched ``pearson_connectome`` calls. The writers emit LF line
+ends and every number by ``braincl.tables.format_value``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..tables import format_value
 from .connectome import Connectome, pearson_connectomes, validate_time_series
 
 __all__ = ["Sample", "Dataset", "DatasetError", "load_dataset", "write_dataset",
@@ -221,20 +223,18 @@ def load_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # writing (used by the synth and augment CLI verbs)
 
+def _write_rows(path: Path, rows) -> None:
+    """Comma-joined cells through `format_value`, one LF-ended line per row."""
+    Path(path).write_text("".join(",".join(map(format_value, row)) + "\n" for row in rows))
+
+
 def write_connectome_file(path: Path, conn: Connectome) -> None:
-    n = conn.n_nodes
-    lines = [str(n)]
-    for row in conn.matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, [[conn.n_nodes], *conn.matrix])
 
 
 def write_time_series_file(path: Path, ts: np.ndarray) -> None:
     arr = validate_time_series(ts)
-    lines = [f"{arr.shape[0]},{arr.shape[1]}"]
-    for row in arr:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, [arr.shape, *arr])
 
 
 def write_dataset(path, ds: Dataset, *, as_time_series: bool = True) -> None:
@@ -243,9 +243,8 @@ def write_dataset(path, ds: Dataset, *, as_time_series: bool = True) -> None:
     root.mkdir(parents=True, exist_ok=True)
     labeled = [s for s in ds if s.label is not None]
     if labeled:
-        lines = ["subject_id,label"]
-        lines += [f"{s.subject_id},{s.label}" for s in labeled]
-        (root / "labels.csv").write_text("\n".join(lines) + "\n")
+        _write_rows(root / "labels.csv",
+                    [("subject_id", "label"), *((s.subject_id, s.label) for s in labeled)])
     for s in ds:
         if as_time_series and s.time_series is not None:
             write_time_series_file(root / f"{s.subject_id}.ts.csv", s.time_series)

@@ -7,11 +7,12 @@ trapezoidal area under the ROC curve produced by `roc_points`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tables import write_csv
 
 __all__ = ["ScoredSet", "ConfusionMetrics", "RocCurve",
            "auroc", "confusion_metrics", "roc_points",
@@ -55,16 +56,10 @@ def _require_both_classes(s: ScoredSet, what: str) -> None:
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts) - 1  # 0-based sorted position of each group's last value
+    start = end - counts + 1
+    return ((start + end) / 2.0 + 1.0)[group]
 
 
 def auroc(s: ScoredSet) -> float:
@@ -129,20 +124,13 @@ def roc_points(s: ScoredSet) -> RocCurve:
     _require_both_classes(s, "roc_points")
     order = np.argsort(-s.scores, kind="mergesort")
     scores = s.scores[order]
-    labels = s.labels[order]
-    n_pos, n_neg = s.n_positive, s.n_negative
-
+    tp = np.cumsum(s.labels[order] == 1)  # positives at or above each sorted position
+    fp = np.arange(1, scores.size + 1) - tp
+    first = np.r_[True, scores[1:] != scores[:-1]]  # a distinct score starts here
+    last = np.r_[first[1:], True]  # and ends here
     points = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[j + 1] == scores[i]:
-            j += 1
-        tp += int((labels[i:j + 1] == 1).sum())
-        fp += int((labels[i:j + 1] == 0).sum())
-        points.append((float(scores[i]), fp / n_neg, tp / n_pos))
-        i = j + 1
+    points += zip(scores[first].tolist(), (fp[last] / s.n_negative).tolist(),
+                  (tp[last] / s.n_positive).tolist())
     return RocCurve(points=tuple(points))
 
 
@@ -151,11 +139,7 @@ def roc_points(s: ScoredSet) -> RocCurve:
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for thr, fpr, tpr in curve.points:
-            writer.writerow([repr(float(thr)), repr(float(fpr)), repr(float(tpr))])
+    write_csv(path, ["threshold", "fpr", "tpr"], curve.points)
 
 
 _SVG_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400",

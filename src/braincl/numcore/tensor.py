@@ -148,30 +148,30 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         return _binary(self, other, "add", np.add,
-                       lambda a, b, out, g: g,
-                       lambda a, b, out, g: g)
+                       lambda a, b, g: g,
+                       lambda a, b, g: g)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         return _binary(self, other, "sub", np.subtract,
-                       lambda a, b, out, g: g,
-                       lambda a, b, out, g: -g)
+                       lambda a, b, g: g,
+                       lambda a, b, g: -g)
 
     def __rsub__(self, other) -> "Tensor":
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         return _binary(self, other, "mul", np.multiply,
-                       lambda a, b, out, g: g * b,
-                       lambda a, b, out, g: g * a)
+                       lambda a, b, g: g * b,
+                       lambda a, b, g: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         return _binary(self, other, "div", np.divide,
-                       lambda a, b, out, g: g / b,
-                       lambda a, b, out, g: -g * a / (b * b))
+                       lambda a, b, g: g / b,
+                       lambda a, b, g: -g * a / (b * b))
 
     def __rtruediv__(self, other) -> "Tensor":
         return _coerce(other).__truediv__(self)
@@ -351,8 +351,8 @@ def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g, needed):
-        yield _unbroadcast(vjp_a(ad, bd, out, g), sa) if needed[0] else None
-        yield _unbroadcast(vjp_b(ad, bd, out, g), sb) if needed[1] else None
+        yield _unbroadcast(vjp_a(ad, bd, g), sa) if needed[0] else None
+        yield _unbroadcast(vjp_b(ad, bd, g), sb) if needed[1] else None
 
     return Tensor(out, op=op, parents=(a, b), vjp=vjp)
 

@@ -5,7 +5,6 @@ from .config import (
     FinetuneConfig,
     PretrainConfig,
     fingerprint,
-    format_value,
     load_config,
     resolved_text,
 )
@@ -27,7 +26,7 @@ from .pretrain import PipelineError, PretrainResult, pretrain
 
 __all__ = [
     "PretrainConfig", "FinetuneConfig", "ExperimentConfig",
-    "load_config", "resolved_text", "fingerprint", "format_value",
+    "load_config", "resolved_text", "fingerprint",
     "pretrain", "PretrainResult", "PipelineError",
     "finetune", "FinetuneResult", "score_dataset", "summarize_scores",
     "run_experiment", "ExperimentReport", "write_report", "write_pretrain_artifacts",

@@ -2,9 +2,10 @@
 
 One INI-style file mirrors the config types section by section. Every run
 resolves its configuration (data-derived node count, CLI seed overrides)
-into a canonical text form that is written next to the run artifacts; its
-SHA-256 is the config fingerprint recorded in reports. Parsing and the
-resolved text walk the dataclass fields: a setting is written down once.
+into a canonical text form (values by ``braincl.tables.format_value``) that
+is written next to the run artifacts; its SHA-256 is the config fingerprint
+recorded in reports. Parsing and the resolved text walk the dataclass
+fields: a setting is written down once.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import get_args, get_type_hints
 from ..augment import AugmentConfig, NoiseSpec
 from ..data import SplitSpec
 from ..model import EncoderConfig
+from ..tables import format_value
 
 __all__ = ["PretrainConfig", "FinetuneConfig", "ExperimentConfig",
-           "load_config", "resolved_text", "fingerprint", "format_value", "RNG"]
+           "load_config", "resolved_text", "fingerprint", "RNG"]
 
 RNG = "numpy PCG64"
 
@@ -107,16 +109,6 @@ def _layout(cls=ExperimentConfig, path=(), section="experiment"):
 
 
 _SETTINGS = tuple(_layout())
-
-
-def format_value(value) -> str:
-    """Canonical text of a setting or a logged number: floats by repr (they
-    parse back exactly), booleans in lower case, everything else by str."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _parse(parser: configparser.ConfigParser, section: str, key: str, kind: type):

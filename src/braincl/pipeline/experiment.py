@@ -5,11 +5,11 @@ finetuning runs, each with its own derived seed (so the stratified split
 reshuffles per repeat), aggregated as mean and population standard
 deviation per metric. Every artifact is a pure function of (config, seed):
 regenerating a report from its recorded seeds reproduces it byte for byte.
+Every CSV artifact is written by ``braincl.tables.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -21,7 +21,8 @@ from ..data import Dataset, stratified_split
 from ..metrics import roc_points, write_roc_csv, write_roc_svg
 from ..model import EncoderConfig
 from ..numcore import load_checkpoint, save_checkpoint
-from .config import RNG, ExperimentConfig, fingerprint, format_value, resolved_text
+from ..tables import write_csv
+from .config import RNG, ExperimentConfig, fingerprint, resolved_text
 from .finetune import FinetuneResult, finetune
 from .pretrain import PipelineError, PretrainResult, pretrain
 
@@ -141,11 +142,8 @@ def write_pretrain_artifacts(out_dir, cfg: ExperimentConfig,
     (out / "config.resolved").write_text(resolved_text(cfg))
     if result is None:
         return
-    with (out / "pretrain_log.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss_mean", "queue_len", "lr"])
-        for epoch, loss_mean, queue_len, lr in result.epoch_log:
-            writer.writerow([epoch, format_value(loss_mean), queue_len, format_value(lr)])
+    write_csv(out / "pretrain_log.csv", ["epoch", "loss_mean", "queue_len", "lr"],
+              result.epoch_log)
     save_encoder_checkpoint(out / "pretrained.bnck", result.encoder_params, cfg.encoder)
 
 
@@ -155,13 +153,9 @@ def write_report(out_dir, report: ExperimentReport, results: list[FinetuneResult
     write_pretrain_artifacts(out_dir, cfg, pretrain_result)
     out = Path(out_dir)
 
-    with (out / "report.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repeat", "accuracy", "auroc", "sensitivity", "specificity"])
-        for row in report.rows:
-            writer.writerow([row["repeat"]] + [format_value(row[m]) for m in METRIC_NAMES])
-        writer.writerow(["mean"] + [format_value(report.mean[m]) for m in METRIC_NAMES])
-        writer.writerow(["std"] + [format_value(report.std[m]) for m in METRIC_NAMES])
+    columns = ("repeat", *METRIC_NAMES)
+    summary = [*report.rows, {"repeat": "mean", **report.mean}, {"repeat": "std", **report.std}]
+    write_csv(out / "report.csv", columns, ([row[c] for c in columns] for row in summary))
 
     (out / "report.json").write_text(json.dumps({
         "config_fingerprint": report.config_fingerprint,
@@ -175,16 +169,10 @@ def write_report(out_dir, report: ExperimentReport, results: list[FinetuneResult
 
     curves = {}
     for i, result in enumerate(results):
-        with (out / f"finetune_log_repeat{i}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_auroc"])
-            for epoch, loss, val in result.epoch_log:
-                writer.writerow([epoch, format_value(loss), format_value(val)])
-        with (out / f"scores_repeat{i}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["score", "label"])
-            for score, label in zip(result.test_scores.scores, result.test_scores.labels):
-                writer.writerow([format_value(float(score)), int(label)])
+        write_csv(out / f"finetune_log_repeat{i}.csv", ["epoch", "train_loss", "val_auroc"],
+                  result.epoch_log)
+        write_csv(out / f"scores_repeat{i}.csv", ["score", "label"],
+                  zip(result.test_scores.scores, result.test_scores.labels))
         save_encoder_checkpoint(out / f"model_repeat{i}.bnck", result.params, cfg.encoder)
         curves[f"repeat{i}"] = roc_points(result.test_scores)
 
@@ -222,14 +210,8 @@ def ablation_grid(ds: Dataset, cfg: ExperimentConfig):
 
 
 def write_ablation_csv(path, cells: list[tuple[dict, ExperimentReport]]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["nodes_nominal", "nodes_used", "noise"]
-        for m in METRIC_NAMES:
-            header += [f"{m}_mean", f"{m}_std"]
-        writer.writerow(header)
-        for info, report in cells:
-            row = [info["nodes_nominal"], info["nodes_used"], info["noise"]]
-            for m in METRIC_NAMES:
-                row += [format_value(report.mean[m]), format_value(report.std[m])]
-            writer.writerow(row)
+    info_keys = ("nodes_nominal", "nodes_used", "noise")
+    header = [*info_keys] + [f"{m}_{stat}" for m in METRIC_NAMES for stat in ("mean", "std")]
+    write_csv(path, header, ([info[k] for k in info_keys]
+                             + [stat[m] for m in METRIC_NAMES for stat in (report.mean, report.std)]
+                             for info, report in cells))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from braincl.metrics import (
     RocCurve,
     ScoredSet,
+    _tied_ranks,
     auroc,
     confusion_metrics,
     roc_points,
@@ -187,6 +188,52 @@ def test_roc_area_identity_property(seed):
     scores = np.round(rng.random(n), 2)
     s = ScoredSet(scores=scores, labels=labels)
     assert abs(roc_points(s).area() - auroc(s)) < 1e-12
+
+
+def loop_tied_ranks(values):
+    """Reference: walk the sorted values, one tie group at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_roc_points(s):
+    """Reference: one point per distinct score, counting each tie group's labels."""
+    order = np.argsort(-s.scores, kind="mergesort")
+    scores, labels = s.scores[order], s.labels[order]
+    points = [(float("inf"), 0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[j + 1] == scores[i]:
+            j += 1
+        tp += int((labels[i:j + 1] == 1).sum())
+        fp += int((labels[i:j + 1] == 0).sum())
+        points.append((float(scores[i]), fp / s.n_negative, tp / s.n_positive))
+        i = j + 1
+    return tuple(points)
+
+
+def test_grouped_ranks_and_roc_match_the_loops_exactly():
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        n = int(rng.integers(2, 60))
+        scores = np.round(rng.random(n), int(rng.integers(0, 4)))  # heavy ties
+        labels = rng.integers(0, 2, n)
+        labels[rng.choice(n, 2, replace=False)] = [0, 1]
+        s = ScoredSet(scores=scores, labels=labels)
+        assert np.array_equal(_tied_ranks(s.scores), loop_tied_ranks(s.scores))
+        assert roc_points(s).points == loop_roc_points(s)
+    one = ScoredSet(scores=[0.5], labels=[1])
+    assert np.array_equal(_tied_ranks(one.scores), loop_tied_ranks(one.scores))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@ import pytest
 
 from braincl.augment import AugmentConfig, NoiseSpec
 from braincl.data import ClassSpec, synth_dataset
+from braincl.metrics import ScoredSet
 from braincl.model import (EncoderConfig, init_classifier_params, init_encoder_params,
                            init_projection_params)
 from braincl.pipeline import (
     ExperimentConfig,
+    ExperimentReport,
     FinetuneConfig,
+    FinetuneResult,
     PipelineError,
     PretrainConfig,
+    PretrainResult,
     finetune,
     fingerprint,
     load_config,
@@ -22,6 +26,7 @@ from braincl.pipeline import (
     resolved_text,
     run_experiment,
     save_encoder_checkpoint,
+    write_ablation_csv,
     write_report,
 )
 
@@ -308,6 +313,74 @@ def test_report_json_carries_full_scale_reference(tmp_path):
     assert "ABIDE" in ref["dataset"]
     assert payload["config_fingerprint"] == report.config_fingerprint
     assert payload["rng"] == "numpy PCG64"
+
+
+def test_artifact_csv_bytes_are_pinned(tmp_path):
+    # hand-built results: numpy-scalar scores and labels, a NaN sensitivity,
+    # a float with a long repr; every artifact CSV is compared byte for byte
+    nan = float("nan")
+    params = init_encoder_params(ECFG, np.random.default_rng(0))
+    results = [
+        FinetuneResult(params=params, best_epoch=1,
+                       epoch_log=((0, 0.6931471805599453, 0.5), (1, 0.25, 0.75)),
+                       test_scores=ScoredSet(scores=[0.9, 0.30000000000000004, 0.9, 0.125, 0.6],
+                                             labels=[1, 0, 0, 1, 0]),
+                       test_metrics={}, split_ids=(frozenset(),) * 3),
+        FinetuneResult(params=params, best_epoch=0, epoch_log=((0, 1e-05, 1.0),),
+                       test_scores=ScoredSet(scores=[0.0, 1.0], labels=[0, 1]),
+                       test_metrics={}, split_ids=(frozenset(),) * 3),
+    ]
+    rows = ({"repeat": 0, "seed": 5, "best_epoch": 1, "accuracy": 0.6, "auroc": 0.75,
+             "sensitivity": 0.5, "specificity": 2 / 3},
+            {"repeat": 1, "seed": 6, "best_epoch": 0, "accuracy": 1.0, "auroc": 1.0,
+             "sensitivity": nan, "specificity": 1.0})
+    report = ExperimentReport(
+        rows=rows, seeds=(5, 6), config_fingerprint="0" * 64,
+        mean={"accuracy": 0.8, "auroc": 0.875, "sensitivity": nan, "specificity": 5 / 6},
+        std={"accuracy": 0.2, "auroc": 0.125, "sensitivity": nan, "specificity": 1 / 6})
+    pre = PretrainResult(encoder_params=params, projection_params={},
+                         epoch_log=((0, 2.5, 8, 0.02), (1, 2.0000000000000004, 16, 0.02)))
+    write_report(tmp_path, report, results, tiny_experiment(repeats=2), pre)
+    write_ablation_csv(tmp_path / "ablation.csv", [
+        ({"nodes_nominal": "5~200", "nodes_used": "5~10", "noise": "N(0,0.01)"}, report)])
+
+    expected = {
+        "pretrain_log.csv": "epoch,loss_mean,queue_len,lr\r\n"
+                            "0,2.5,8,0.02\r\n"
+                            "1,2.0000000000000004,16,0.02\r\n",
+        "report.csv": "repeat,accuracy,auroc,sensitivity,specificity\r\n"
+                      "0,0.6,0.75,0.5,0.6666666666666666\r\n"
+                      "1,1.0,1.0,nan,1.0\r\n"
+                      "mean,0.8,0.875,nan,0.8333333333333334\r\n"
+                      "std,0.2,0.125,nan,0.16666666666666666\r\n",
+        "finetune_log_repeat0.csv": "epoch,train_loss,val_auroc\r\n"
+                                    "0,0.6931471805599453,0.5\r\n"
+                                    "1,0.25,0.75\r\n",
+        "finetune_log_repeat1.csv": "epoch,train_loss,val_auroc\r\n"
+                                    "0,1e-05,1.0\r\n",
+        "scores_repeat0.csv": "score,label\r\n"
+                              "0.9,1\r\n"
+                              "0.30000000000000004,0\r\n"
+                              "0.9,0\r\n"
+                              "0.125,1\r\n"
+                              "0.6,0\r\n",
+        "scores_repeat1.csv": "score,label\r\n"
+                              "0.0,0\r\n"
+                              "1.0,1\r\n",
+        "roc.csv": "threshold,fpr,tpr\r\n"
+                   "inf,0.0,0.0\r\n"
+                   "0.9,0.3333333333333333,0.5\r\n"
+                   "0.6,0.6666666666666666,0.5\r\n"
+                   "0.30000000000000004,1.0,0.5\r\n"
+                   "0.125,1.0,1.0\r\n",
+        "ablation.csv": "nodes_nominal,nodes_used,noise,accuracy_mean,accuracy_std,"
+                        "auroc_mean,auroc_std,sensitivity_mean,sensitivity_std,"
+                        "specificity_mean,specificity_std\r\n"
+                        "5~200,5~10,\"N(0,0.01)\",0.8,0.2,0.875,0.125,nan,nan,"
+                        "0.8333333333333334,0.16666666666666666\r\n",
+    }
+    written = {name: (tmp_path / name).read_bytes() for name in expected}
+    assert written == {name: text.encode() for name, text in expected.items()}
 
 
 def test_experiment_with_supplied_checkpoint_skips_pretraining():
