@@ -176,10 +176,17 @@ def _read_scores_csv(path: Path) -> ScoredSet:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"score", "label"} <= set(reader.fieldnames):
             _fail(f"{path}: expected columns score,label")
-        for row in reader:
-            scores.append(float(row["score"]))
-            labels.append(int(row["label"]))
-    return ScoredSet(scores=np.array(scores), labels=np.array(labels))
+        for i, row in enumerate(reader):
+            try:  # a short row reads its missing fields as None
+                scores.append(float(row["score"]))
+                labels.append(int(row["label"]))
+            except (TypeError, ValueError):
+                _fail(f"{path} row {i}: want a number score and an integer label, got "
+                      f"score {row['score']!r}, label {row['label']!r}")
+    try:
+        return ScoredSet(scores=np.array(scores), labels=np.array(labels))
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def cmd_roc(args) -> None:

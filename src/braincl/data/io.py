@@ -3,7 +3,8 @@
 A dataset directory holds:
 
 * ``labels.csv`` (optional) with header ``subject_id,label``; label 0 is
-  control, 1 is the positive class. Absent file means unlabeled data.
+  control, 1 is the positive class. Absent file means unlabeled data. An id
+  holding a comma, a quote or a line break is quoted as the csv module does.
 * per subject, either ``<subject_id>.conn.csv`` — first line ``V``, then V
   lines of V comma-separated decimals — or ``<subject_id>.ts.csv`` — first
   line ``L,V``, then L lines of V decimals. When both exist the matrix file
@@ -228,6 +229,14 @@ def _write_rows(path: Path, rows) -> None:
     Path(path).write_text("".join(",".join(map(format_value, row)) + "\n" for row in rows))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes a field: in quotes, with each quote
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_connectome_file(path: Path, conn: Connectome) -> None:
     _write_rows(path, [[conn.n_nodes], *conn.matrix])
 
@@ -244,7 +253,8 @@ def write_dataset(path, ds: Dataset, *, as_time_series: bool = True) -> None:
     labeled = [s for s in ds if s.label is not None]
     if labeled:
         _write_rows(root / "labels.csv",
-                    [("subject_id", "label"), *((s.subject_id, s.label) for s in labeled)])
+                    [("subject_id", "label"),
+                     *((_csv_field(s.subject_id), s.label) for s in labeled)])
     for s in ds:
         if as_time_series and s.time_series is not None:
             write_time_series_file(root / f"{s.subject_id}.ts.csv", s.time_series)

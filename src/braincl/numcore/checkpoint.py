@@ -13,7 +13,8 @@ Byte layout (version 1, everything little-endian):
         payload   float64 × prod(dims), row-major
 
 Entries are written in sorted-name order so the same parameter dict always
-produces identical bytes.
+produces identical bytes. The loader rejects a name that does not strictly
+follow the one before it, so a repeated entry cannot replace an earlier one.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
+        if params and name <= next(reversed(params)):  # names must strictly increase
+            raise CheckpointError(f"{path}: entry {name!r} is repeated or out of name order")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1

@@ -24,6 +24,13 @@ and ``@`` broadcast as numpy does.
 Three fused layer primitives (``linear``, ``attention`` and
 ``add_layer_norm``) are one node each with their backward written out, so a
 transformer layer keeps a handful of outputs instead of one per elementary op.
+
+The ops are those braincl runs (``*``, ``/``, unary ``-``, ``@``, ``T``,
+``reshape``, indexing, ``sum``, ``mean``, ``sqrt``, ``leaky_relu``,
+``softmax``, ``log_softmax``, ``concat`` and the fused nodes) plus ``+`` and
+``-``, which only the reference compositions in ``tests/`` use (the encoder's
+residual add, the centring step of layer norm). A Tensor is always the left
+operand, and ``backward`` returns gradients only for the tensors it is asked for.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ __all__ = [
     "NonFiniteError",
     "backward",
     "concat",
-    "stack",
     "linear",
     "attention",
     "add_layer_norm",
@@ -121,10 +127,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError(f"item() on tensor of shape {self.shape}")
@@ -137,12 +139,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -151,30 +147,20 @@ class Tensor:
                        lambda a, b, g: g,
                        lambda a, b, g: g)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Tensor":
         return _binary(self, other, "sub", np.subtract,
                        lambda a, b, g: g,
                        lambda a, b, g: -g)
-
-    def __rsub__(self, other) -> "Tensor":
-        return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         return _binary(self, other, "mul", np.multiply,
                        lambda a, b, g: g * b,
                        lambda a, b, g: g * a)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "Tensor":
         return _binary(self, other, "div", np.divide,
                        lambda a, b, g: g / b,
                        lambda a, b, g: -g * a / (b * b))
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         return Tensor(-self.data, op="neg", parents=(self,), vjp=lambda g, _: (-g,))
@@ -260,17 +246,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # pointwise nonlinearities
 
-    def exp(self) -> "Tensor":
-        with np.errstate(over="ignore"):
-            out = np.exp(self.data)
-        return Tensor(out, op="exp", parents=(self,), vjp=lambda g, _: (g * out,))
-
-    def log(self) -> "Tensor":
-        x = self.data
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.log(x)
-        return Tensor(out, op="log", parents=(self,), vjp=lambda g, _: (g / x,))
-
     def sqrt(self) -> "Tensor":
         with np.errstate(invalid="ignore"):
             out = np.sqrt(self.data)
@@ -305,21 +280,6 @@ class Tensor:
             return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
         return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
-
-    def layer_norm(self, axis: int = -1, eps: float = 1e-5) -> "Tensor":
-        x = self.data
-        mu = x.mean(axis=axis, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=axis, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        out = xc * inv
-
-        def vjp(g, _):
-            gm = g.mean(axis=axis, keepdims=True)
-            gym = (g * out).mean(axis=axis, keepdims=True)
-            return (inv * (g - gm - out * gym),)
-
-        return Tensor(out, op="layer_norm", parents=(self,), vjp=vjp)
 
 
 def _coerce(value) -> Tensor:
@@ -370,19 +330,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 for part, need in zip(np.split(g, offsets, axis=axis), needed))
 
     return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    tensors = [_coerce(t) for t in tensors]
-    if not tensors:
-        raise GraphError("stack of zero tensors")
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g, needed):
-        return (np.take(g, i, axis=axis) if need else None for i, need in enumerate(needed))
-
-    return Tensor(out, op="stack", parents=tuple(tensors), vjp=vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -515,12 +462,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar loss.
+def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, Tensor]:
+    """Gradients of a scalar loss with respect to each tensor in ``wrt``.
 
-    Returns a map from tensor to gradient tensor. With ``wrt`` given, every
-    requested tensor appears in the result, unreachable ones with zero
-    gradients; otherwise all reachable leaves that require grad are returned.
+    Returns a map from each requested tensor to its gradient tensor; one
+    that is unreachable, not a leaf, or requires no gradient gets zeros.
     Accumulation order is fixed by graph construction order, so repeated runs
     produce bit-identical gradients.
     """
@@ -550,17 +496,8 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                     contribution = contribution.copy()
                 adopted.append(contribution)
                 grads[id(parent)] = contribution
-        else:
-            grads[id(node)] = g  # keep leaf gradients
+        elif node.requires_grad:
+            grads[id(node)] = g  # keep the gradients of leaves that want one
 
-    leaves = {node: grads[id(node)] for node in order
-              if not node.parents and node.requires_grad and id(node) in grads}
-    if wrt is None:
-        return {t: Tensor(g, requires_grad=False, op="grad") for t, g in leaves.items()}
-    result: dict[Tensor, Tensor] = {}
-    for t in wrt:
-        g = leaves.get(t)
-        if g is None:
-            g = np.zeros_like(t.data)
-        result[t] = Tensor(g, requires_grad=False, op="grad")
-    return result
+    return {t: Tensor(grads[id(t)] if id(t) in grads else np.zeros_like(t.data),
+                      requires_grad=False, op="grad") for t in wrt}

@@ -226,3 +226,15 @@ def test_cli_error_paths(tmp_path, capsys):
         bad_config.write_text(text)
         assert main(["describe", "--config", str(bad_config), "--nodes", "10"]) == 2
         assert capsys.readouterr().err.startswith(f"error: config file {bad_config}:")
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.5", " row 1: want a number score and an integer label, got score '0.5', label None"),
+    ("0.5,x", " row 1: want a number score and an integer label, got score '0.5', label 'x'"),
+    ("0.5,2", ": labels must be 0 or 1"),
+], ids=["no_label", "bad_label", "label_out_of_range"])
+def test_roc_names_the_file_and_row_of_a_malformed_score(tmp_path, capsys, bad_row, message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"score,label\n0.9,1\n\n{bad_row}\n0.1,0\n")
+    assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "roc")]) == 2
+    assert capsys.readouterr().err == f"error: {scores}{message}\n"

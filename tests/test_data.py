@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,22 @@ def test_matrix_directory_roundtrip(tmp_path):
         assert a.subject_id == b.subject_id
         assert a.label == b.label
         np.testing.assert_allclose(a.connectome.matrix, b.connectome.matrix, atol=1e-15)
+
+
+def test_ids_with_commas_and_quotes_round_trip(tmp_path):
+    # labels.csv quotes such an id as csv does; plain ids keep their bytes
+    ds = synth_dataset(3, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=8)
+    ds = Dataset(tuple(replace(s, subject_id=sid) for s, sid in zip(ds, ["a,b", "plain", 'x"y'])))
+    write_dataset(tmp_path, ds, as_time_series=True)
+    assert (tmp_path / "labels.csv").read_text().splitlines()[1:] == [
+        f'"a,b",{ds.samples[0].label}', f"plain,{ds.samples[1].label}",
+        f'"x""y",{ds.samples[2].label}']
+    loaded = load_dataset(tmp_path)
+    assert [s.subject_id for s in loaded] == sorted(s.subject_id for s in ds)
+    by_id = {s.subject_id: s for s in loaded}
+    for s in ds:
+        assert by_id[s.subject_id].label == s.label
+        np.testing.assert_array_equal(by_id[s.subject_id].time_series, s.time_series)
 
 
 def test_time_series_only_directory_computes_connectomes(tmp_path):

@@ -19,7 +19,8 @@ from braincl.model import (
     readout,
     relabel_nodes,
 )
-from braincl.numcore import Tensor, backward, concat, gradcheck, stack
+from braincl.numcore import Tensor, backward, concat, gradcheck
+from references import layer_norm, stack
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -278,10 +279,10 @@ def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
             heads.append(scores.softmax(axis=-1) @ v[..., sl])
         attn = affine_reference(concat(heads, axis=-1), params,
                                 f"{pre}.attn.wo", f"{pre}.attn.ob")
-        z = (z + attn).layer_norm() * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
+        z = layer_norm(z + attn) * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
         hidden = affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1").leaky_relu(0.01)
         ffn = affine_reference(hidden, params, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        z = (z + ffn).layer_norm() * params[f"{pre}.norm2.gain"] + params[f"{pre}.norm2.bias"]
+        z = layer_norm(z + ffn) * params[f"{pre}.norm2.gain"] + params[f"{pre}.norm2.bias"]
     return z
 
 

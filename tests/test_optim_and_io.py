@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ def test_gradcheck_rejects_non_scalar_and_bad_eps():
 
 def test_gradcheck_flags_non_finite_fn():
     def fn(t: Tensor) -> Tensor:
-        return t.log().sum()  # blows up once a perturbation crosses zero
+        return t.sqrt().sum()  # blows up once a perturbation crosses zero
 
     with pytest.raises((GraphError, FloatingPointError)):
         gradcheck(fn, np.array([1e-6, 1.0]), eps=1e-5)
@@ -155,3 +157,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "trail").write_bytes(blob + b"\x01")
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "trail")
+
+
+def checkpoint_blob(entries) -> bytes:
+    """A version-1 file holding 1-D ``(name, values)`` entries in the given order."""
+    chunks = [b"BNCP", struct.pack("<II", 1, len(entries))]
+    for name, values in entries:
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(encoded)), encoded, struct.pack("<BI", 1, len(values)),
+                   np.asarray(values, dtype="<f8").tobytes()]
+    return b"".join(chunks)
+
+
+def test_checkpoint_rejects_repeated_and_unsorted_entries(tmp_path):
+    path = tmp_path / "hand.bnck"
+    path.write_bytes(checkpoint_blob([("a", [0.5]), ("w", [1.0])]))
+    assert load_checkpoint(path)["w"].tolist() == [1.0]
+    save_checkpoint(tmp_path / "saved.bnck", {"w": np.array([1.0]), "a": np.array([0.5])})
+    assert (tmp_path / "saved.bnck").read_bytes() == path.read_bytes()
+    for entries, name in [([("w", [1.0]), ("w", [2.0])], "'w'"),
+                          ([("w", [1.0]), ("a", [2.0])], "'a'")]:
+        path.write_bytes(checkpoint_blob(entries))
+        with pytest.raises(CheckpointError, match=f"entry {name} is repeated or out of"):
+            load_checkpoint(path)
