@@ -124,6 +124,8 @@ def test_matmul_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("op", [
+    lambda x: (Tensor(1.0, requires_grad=False) / (x * x + 1.5)).sum(),
+    lambda x: (-x * x).sum(),
     lambda x: (x * x + 0.5).sqrt().sum(),
     lambda x: x.leaky_relu().sum() * 3.0,
     lambda x: (x.softmax() * x).sum(),
