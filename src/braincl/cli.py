@@ -190,15 +190,20 @@ def _read_scores_csv(path: Path) -> ScoredSet:
 
 
 def cmd_roc(args) -> None:
+    # every curve is named by its file's stem, so two files must not share one
+    paths: dict[str, Path] = {}
+    for path in map(Path, args.scores):
+        if path.stem in paths:
+            _fail(f"{paths[path.stem]} and {path} would both write {path.stem}.roc.csv; "
+                  f"give the score files different names")
+        paths[path.stem] = path
+    # read every file before making the output directory, so a bad one leaves none
+    curves = {stem: roc_points(_read_scores_csv(path)) for stem, path in paths.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    curves = {}
-    for path_text in args.scores:
-        path = Path(path_text)
-        curve = roc_points(_read_scores_csv(path))
-        curves[path.stem] = curve
-        write_roc_csv(out / f"{path.stem}.roc.csv", curve)
-        print(f"{path.stem}: auroc {curve.area():.4f}")
+    for stem, curve in curves.items():
+        write_roc_csv(out / f"{stem}.roc.csv", curve)
+        print(f"{stem}: auroc {curve.area():.4f}")
     write_roc_svg(out / "roc.svg", curves)
     print(f"wrote {out / 'roc.svg'}")
 

@@ -109,7 +109,9 @@ def momentum_update(key_params: dict[str, np.ndarray],
         k, q = key_params[name], query_params[name]
         if k.shape != q.shape:
             raise ValueError(f"shape mismatch for {name!r}: {k.shape} vs {q.shape}")
-        out[name] = momentum * k + (1.0 - momentum) * q
+        trailed = k * momentum
+        trailed += q * (1.0 - momentum)
+        out[name] = trailed
     return freeze(out)
 
 

@@ -3,11 +3,21 @@
 Adam uses the standard bias-corrected moment estimates (β1=0.9, β2=0.999,
 ε=1e-8) with weight decay applied decoupled from the moments: the decay term
 lr·wd·p is subtracted directly rather than folded into the gradient.
+
+Adam is elementwise, so one step runs over all parameters at once: the
+gradients and parameters are concatenated in sorted-name order, the two
+moments are one flat vector each (``OptimState.m`` and ``.v``, updated in
+place and fixed to the names and shapes of the first step), and the new
+parameters are reshaped views of one read-only vector. A step is a fixed
+handful of whole-vector numpy calls, whatever the parameter count, in the
+same arithmetic order as the per-parameter formula, so it gives the same bits.
+SGD stays per parameter: it keeps no state, and concatenating a large model's
+parameters would only add two full-size copies per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +37,11 @@ class OptimState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: Params = field(default_factory=dict)
-    v: Params = field(default_factory=dict)
+    # Adam's moments, one flat vector each over ``layout``'s (name, shape)
+    # pairs in sorted-name order; None until the first step
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -46,43 +59,69 @@ def adam(lr: float, weight_decay: float = 0.0) -> OptimState:
 
 
 def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
-    """One update; returns a new frozen parameter dict (see ``freeze``), so
-    leaf Tensors adopt its arrays without a copy, and mutates only the state.
+    """One update; returns a new read-only parameter dict (see ``freeze``),
+    so leaf Tensors adopt its arrays without a copy, and mutates only the state.
 
     SGD: p ← p − lr·(g + wd·p). Adam: bias-corrected moments with the decay
-    term lr·wd·p subtracted separately (decoupled).
+    term lr·wd·p subtracted separately (decoupled). Adam raises ``ValueError``
+    when a step's names or shapes differ from those its moments cover.
     """
     if set(params) != set(grads):
         missing = set(params) ^ set(grads)
         raise ValueError(f"parameter/gradient name mismatch: {sorted(missing)}")
-    updated: Params = {}
+    names = sorted(params)
+    for name in names:
+        if params[name].shape != grads[name].shape:
+            raise ValueError(f"shape mismatch for {name!r}: "
+                             f"{params[name].shape} vs {grads[name].shape}")
     if state.kind == "sgd":
-        for name in sorted(params):
-            p, g = params[name], grads[name]
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {p.shape} vs {g.shape}")
-            updated[name] = p - state.lr * (g + state.weight_decay * p)
+        updated: Params = {}
+        for name in names:
+            p = params[name]
+            step = p * state.weight_decay
+            step += grads[name]
+            step *= state.lr
+            updated[name] = np.subtract(p, step, out=step)
         return freeze(updated)
 
+    layout = tuple((name, params[name].shape) for name in names)
+    sizes = [params[name].size for name in names]
+    if state.m is None:
+        state.m, state.v, state.layout = np.zeros(sum(sizes)), np.zeros(sum(sizes)), layout
+    elif layout != state.layout:
+        was, now = dict(state.layout), dict(layout)
+        differ = sorted(n for n in was.keys() | now.keys() if was.get(n) != now.get(n))
+        raise ValueError(f"Adam moments cover other parameters: {differ} differ in "
+                         f"name or shape from the first step")
     state.step_count += 1
     t = state.step_count
-    for name in sorted(params):
-        p, g = params[name], grads[name]
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {p.shape} vs {g.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        v = state.v[name]
-        if m.shape != p.shape:
-            raise ValueError(f"moment shape mismatch for {name!r}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        updated[name] = (p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-                         - state.lr * state.weight_decay * p)
-    return freeze(updated)
+    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+
+    # one full-size temporary, a, besides the output vector, new, which is
+    # scratch until it takes the parameters: a holds g, then lr·m̂ / (√v̂ + ε),
+    # then p minus that; new holds (1 − β2)·g², then √v̂ + ε, then p, then the
+    # decay term lr·wd·p, and last the new parameters
+    a = np.concatenate([grads[name].ravel() for name in names])
+    new = np.multiply(a, a)
+    new *= 1.0 - b2
+    v *= b2
+    v += new
+    a *= 1.0 - b1
+    m *= b1
+    m += a
+    np.divide(m, 1.0 - b1 ** t, out=a)
+    a *= state.lr
+    np.divide(v, 1.0 - b2 ** t, out=new)
+    np.sqrt(new, out=new)
+    new += state.eps
+    a /= new
+    np.concatenate([params[name].ravel() for name in names], out=new)
+    np.subtract(new, a, out=a)
+    new *= state.lr * state.weight_decay
+    np.subtract(a, new, out=new)
+    new.flags.writeable = False
+    updated, offset = {}, 0
+    for (name, shape), size in zip(layout, sizes):  # slicing is cheaper than np.split
+        updated[name] = new[offset:offset + size].reshape(shape)
+        offset += size
+    return updated

@@ -64,15 +64,22 @@ MAX_RANK = 3
 
 
 def _frozen(values) -> bool:
-    """A read-only float64 array that owns its data: nobody can write to it."""
-    return (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and not values.flags.writeable and values.base is None)
+    """A read-only float64 array that owns its data, or a read-only view of
+    one (as Adam's parameters are of its one output vector): nobody can write
+    to it."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return False
+    base = values.base
+    return base is None or (isinstance(base, np.ndarray) and base.base is None
+                            and not base.flags.writeable)
 
 
 def freeze(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Mark each array, which must own its data, read-only and return the
-    dict. Every parameter dict is made through this, so leaf Tensors adopt
-    its arrays without a copy and a new dict may share them with an old one."""
+    dict. Every parameter dict is made through this, or (Adam's) as views of
+    one read-only vector that owns its data, so leaf Tensors adopt its arrays
+    without a copy and a new dict may share them with an old one."""
     for arr in arrays.values():
         arr.flags.writeable = False
     return arrays
@@ -90,12 +97,13 @@ class Tensor:
 
     Leaves are created directly (``Tensor([1., 2.])``) from a copy of the
     values, or from the array itself when it is a read-only float64 array
-    that owns its data, and ``requires_grad`` is theirs to set. Interior nodes
-    are created by operations: they require a gradient iff a parent does,
-    whatever flag is passed, and carry one ``vjp(g, needed)`` that returns or
-    yields a gradient per parent (``None`` where ``needed`` is false); a node
-    that requires none keeps no parents and no vjp. ``data`` is read-only;
-    build a new Tensor instead of mutating.
+    that owns its data or views a read-only one that does, and
+    ``requires_grad`` is theirs to set. Interior nodes are created by
+    operations: they require a gradient iff a parent does, whatever flag is
+    passed, and carry one ``vjp(g, needed)`` that returns or yields a gradient
+    per parent (``None`` where ``needed`` is false); a node that requires none
+    keeps no parents and no vjp. ``data`` is read-only; build a new Tensor
+    instead of mutating.
     """
 
     __slots__ = ("data", "op", "parents", "_vjp", "requires_grad", "__weakref__")
@@ -349,7 +357,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g, needed):
         g2 = g.reshape(-1, m)
-        yield (g2 @ wd.T).reshape(shape) if needed[0] else None
+        gx = None
+        if needed[0]:  # written into an array of x's shape, which backward adopts
+            gx = np.empty(shape)
+            np.matmul(g2, wd.T, out=gx.reshape(-1, n))
+        yield gx
         yield x2.T @ g2 if needed[1] else None
         yield g2.sum(axis=0) if needed[2] else None
 
@@ -378,8 +390,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     def split(a):  # (..., V, d) -> (..., heads, V, d / heads)
         return np.swapaxes(a.reshape(shape[:-1] + (heads, -1)), -2, -3)
 
-    def merge(a):  # the inverse of split
-        return np.swapaxes(a, -2, -3).reshape(shape)
+    def merged(a, b):  # a @ b per head, written into the heads' columns of one array
+        result = np.empty(shape)
+        np.matmul(a, b, out=split(result))
+        return result
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # the softmax over keys, in place on the scores
@@ -388,7 +402,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     p -= p.max(axis=-1, keepdims=True)  # keeps exp() in range
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = merge(p @ vh)
+    out = merged(p, vh)
 
     def vjp(g, needed):
         gh = split(g)
@@ -397,9 +411,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
             ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-        yield merge(ds @ kh) if needed[0] else None
-        yield merge(np.swapaxes(ds, -1, -2) @ qh) if needed[1] else None
-        yield merge(np.swapaxes(p, -1, -2) @ gh) if needed[2] else None
+        yield merged(ds, kh) if needed[0] else None
+        yield merged(np.swapaxes(ds, -1, -2), qh) if needed[1] else None
+        yield merged(np.swapaxes(p, -1, -2), gh) if needed[2] else None
 
     return Tensor(out, op="attention", parents=(q, k, v), vjp=vjp)
 

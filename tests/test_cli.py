@@ -236,5 +236,22 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_roc_names_the_file_and_row_of_a_malformed_score(tmp_path, capsys, bad_row, message):
     scores = tmp_path / "scores.csv"
     scores.write_text(f"score,label\n0.9,1\n\n{bad_row}\n0.1,0\n")
-    assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "roc")]) == 2
+    good = tmp_path / "good.csv"
+    good.write_text("score,label\n0.9,1\n0.1,0\n")
+    out = tmp_path / "roc"
+    assert main(["roc", "--scores", str(good), str(scores), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {scores}{message}\n"
+    assert not out.exists()  # every file is read before the directory is made
+
+
+def test_roc_refuses_score_files_that_share_a_name(tmp_path, capsys):
+    a, b = tmp_path / "a" / "s.csv", tmp_path / "b" / "s.csv"
+    for path in (a, b):
+        path.parent.mkdir()
+        path.write_text("score,label\n0.9,1\n0.1,0\n")
+    out = tmp_path / "roc"
+    assert main(["roc", "--scores", str(a), str(b), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(a) in err and str(b) in err
+    assert not out.exists()

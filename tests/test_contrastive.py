@@ -149,7 +149,9 @@ def test_momentum_contracts_geometrically():
     m = 0.999
     gap = np.linalg.norm(key["w"] - query["w"])
     for _ in range(50):
+        expected = m * key["w"] + (1.0 - m) * query["w"]
         key = momentum_update(key, query, m)
+        np.testing.assert_array_equal(key["w"], expected)
         new_gap = np.linalg.norm(key["w"] - query["w"])
         assert abs(new_gap - m * gap) < 1e-12 * max(1.0, gap)
         gap = new_gap

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.numcore import (
     CheckpointError,
     GraphError,
@@ -16,6 +17,7 @@ from braincl.numcore import (
     save_checkpoint,
     sgd,
 )
+from references import adam_reference
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,58 @@ def test_sgd_update_formula_property(lr, wd):
     p = np.array([0.5, -2.0])
     g = np.array([1.5, 0.25])
     out = opt_step(sgd(lr=lr, weight_decay=wd), {"w": p}, {"w": g})
-    np.testing.assert_allclose(out["w"], p - lr * (g + wd * p), rtol=1e-12)
+    np.testing.assert_array_equal(out["w"], p - lr * (g + wd * p))
+
+
+def model_params() -> dict[str, np.ndarray]:
+    cfg = EncoderConfig(n_nodes=6, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    rng = np.random.default_rng(0)
+    return {**init_encoder_params(cfg, rng), **init_classifier_params(cfg, rng)}
+
+
+@pytest.mark.parametrize("lr, wd", [(1e-3, 0.0), (1e-3, 5e-5), (0.0, 5e-5)])
+@pytest.mark.parametrize("subset", ["all", "classifier"])
+def test_adam_matches_the_per_parameter_loop_bit_for_bit(lr, wd, subset):
+    params = model_params()
+    if subset == "classifier":  # what a frozen encoder trains
+        params = {k: v for k, v in params.items() if k.startswith("classifier.")}
+    assert len({p.shape for p in params.values()}) > 2
+    rng = np.random.default_rng(7)
+    state, ref_state = adam(lr=lr, weight_decay=wd), adam(lr=lr, weight_decay=wd)
+    moments = {"m": {}, "v": {}}
+    ours = ref = params
+    for _ in range(5):
+        grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+        ours = opt_step(state, ours, grads)
+        ref = adam_reference(ref_state, ref, grads, moments)
+        assert list(ours) == sorted(params)
+        for name in params:
+            assert ours[name].shape == ref[name].shape
+            assert ours[name].tobytes() == ref[name].tobytes(), name
+    for key, flat in (("m", state.m), ("v", state.v)):
+        joined = np.concatenate([moments[key][k].ravel() for k in sorted(params)])
+        assert flat.tobytes() == joined.tobytes()
+    assert state.step_count == ref_state.step_count == 5
+
+
+def test_adam_moments_are_one_vector_fixed_to_the_first_names_and_shapes():
+    params = model_params()
+    grads = {k: np.ones_like(p) for k, p in params.items()}
+    state = adam(lr=1e-3)
+    stepped = opt_step(state, params, grads)
+    total = sum(p.size for p in params.values())
+    for moment in (state.m, state.v):
+        assert isinstance(moment, np.ndarray) and moment.shape == (total,)
+    # the new parameters are read-only views of one vector
+    bases = {id(arr.base) for arr in stepped.values()}
+    assert len(bases) == 1 and not next(iter(stepped.values())).base.flags.writeable
+    fewer = {k: v for k, v in stepped.items() if k != "embed.b"}
+    with pytest.raises(ValueError, match="embed.b"):
+        opt_step(state, fewer, {k: grads[k] for k in fewer})
+    reshaped = {**stepped, "embed.b": np.zeros((1,) + params["embed.b"].shape)}
+    with pytest.raises(ValueError, match="embed.b"):
+        opt_step(state, reshaped, {**grads, "embed.b": np.zeros_like(reshaped["embed.b"])})
+    assert state.step_count == 1
 
 
 # ---------------------------------------------------------------------------

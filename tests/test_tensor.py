@@ -455,6 +455,20 @@ def test_add_layer_norm_gradcheck(shape):
         add_layer_norm(x, r, Tensor(np.ones(d + 1)), bias)
 
 
+@pytest.mark.parametrize("fn, shapes", [
+    (linear, [(4,), (4, 3), (3,)]),
+    (linear, [(2, 5, 4), (4, 3), (3,)]),
+    (lambda q, k, v: attention(q, k, v, 1, 0.5), [(5, 4)] * 3),
+    (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 5, 4)] * 3),
+], ids=["linear_vector", "linear_batch", "attention_one_head", "attention_batch"])
+def test_fused_gradients_are_fresh_arrays_backward_can_adopt(fn, shapes):
+    rng = np.random.default_rng(33)
+    out = fn(*(Tensor(rng.standard_normal(s)) for s in shapes))
+    grads = list(out._vjp(rng.standard_normal(out.shape), (True,) * len(shapes)))
+    for grad, shape in zip(grads, shapes):
+        assert grad.shape == shape and grad.base is None and grad.flags.writeable
+
+
 def test_leaky_relu_keeps_a_boolean_mask():
     x = Tensor([-2.0, 0.0, 3.0])
     out = x.leaky_relu(0.1)
