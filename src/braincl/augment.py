@@ -15,10 +15,10 @@ lower-indexed endpoint's direction, so the result does not depend on
 iteration order.
 
 ``make_view_pair`` works over trailing axes, as ``model.features`` does: a
-``Connectome`` or a (V, V) matrix is one sample and gives a ``ViewPair``; a
-stacked (B, V, V) batch gives the stacked first and second views. Each view
-makes these draws, samples in order and view 1 before view 2 of a sample,
-so a batch consumes the generator exactly as one call per sample would:
+(V, V) matrix is one sample and a stacked (B, V, V) array a batch, and it
+returns the first and second views in the input's shape. Each view makes
+these draws, samples in order and view 1 before view 2 of a sample, so a
+batch consumes the generator exactly as one call per sample would:
 
 - ``integers(k_min, k_max + 1)`` for k, then ``choice(V, k, replace=False)``
   (skipped for k = 0);
@@ -31,8 +31,6 @@ so a batch consumes the generator exactly as one call per sample would:
 The arithmetic then runs once over the (2B, V, V) stack of views, and one
 check over the whole stack (finite, exactly symmetric, unit diagonal,
 entries in [-1, 1]) replaces the per-view ``Connectome`` checks.
-``select_nodes``, ``dilate_shrink`` and ``background_noise`` are the
-batch-of-one case of the same helpers.
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Connectome, check_connectomes
+from .data import check_connectomes
 
-__all__ = ["NoiseSpec", "AugmentConfig", "ViewPair",
-           "select_nodes", "dilate_shrink", "background_noise", "make_view_pair"]
+__all__ = ["NoiseSpec", "AugmentConfig", "make_view_pair"]
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,6 @@ class AugmentConfig:
             raise ValueError("delta_max must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class ViewPair:
-    first: Connectome
-    second: Connectome
-
-
 def _pick(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of k distinct nodes, k uniform in [k_min, k_max]."""
     if cfg.k_max > n_nodes:
@@ -127,23 +118,12 @@ def _pick(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndar
     return np.sort(rng.choice(n_nodes, size=k, replace=False))
 
 
-def _draw_dilation(k: int, n_nodes: int, cfg: AugmentConfig,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One direction coin per picked node (< 0.5 dilates) and one increment
-    per edge with a picked endpoint, for k picked nodes."""
-    return rng.random(k), rng.uniform(0.0, cfg.delta_max, k * (n_nodes - k) + k * (k - 1) // 2)
-
-
 def _directions(picks: list[np.ndarray], coins: np.ndarray, n_nodes: int) -> np.ndarray:
     """(N, V) per-view node directions: +1 dilate, -1 shrink, 0 unpicked."""
     direction = np.zeros((len(picks), n_nodes))
     views = np.repeat(np.arange(len(picks)), [nodes.size for nodes in picks])
     direction[views, np.concatenate(picks)] = np.where(coins < 0.5, 1.0, -1.0)
     return direction
-
-
-def _noise_count(n_nodes: int, k: int) -> int:
-    return (n_nodes - k) * (n_nodes - k - 1) // 2
 
 
 def _upper(n_nodes: int) -> np.ndarray:
@@ -160,7 +140,7 @@ def _scatter(m: np.ndarray, edges: tuple[np.ndarray, ...], values: np.ndarray) -
     return out
 
 
-def _dilate_shrink(m: np.ndarray, direction: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+def _dilate(m: np.ndarray, direction: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Stacked dilation: ``m`` (N, V, V), ``direction`` (N, V), ``deltas``
     the increments of every view's touched edges, view by view."""
     picked = direction != 0.0
@@ -172,75 +152,38 @@ def _dilate_shrink(m: np.ndarray, direction: np.ndarray, deltas: np.ndarray) -> 
     return _scatter(m, edges, np.sign(vals) * np.clip(np.abs(vals) + owner * deltas, 0.0, 1.0))
 
 
-def _background_noise(m: np.ndarray, picked: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def _add_noise(m: np.ndarray, picked: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Stacked noise on the edges between unpicked nodes: ``picked`` (N, V)."""
     free = ~picked
     edges = np.nonzero(_upper(m.shape[-1]) & free[:, :, None] & free[:, None, :])
     return _scatter(m, edges, np.clip(m[edges] + eps, -1.0, 1.0))
 
 
-def select_nodes(n_nodes: int, cfg: AugmentConfig, rng: np.random.Generator) -> frozenset[int]:
-    """k distinct node indices, k uniform in [k_min, k_max]."""
-    return frozenset(int(i) for i in _pick(n_nodes, cfg, rng))
-
-
-def dilate_shrink(conn: Connectome, nodes: frozenset[int], cfg: AugmentConfig,
-                  rng: np.random.Generator) -> Connectome:
-    """Grow or shrink |C| on every edge incident to a selected node.
-
-    Each selected node is independently assigned dilate or shrink with
-    probability 1/2; each affected edge gets its own increment drawn from
-    Uniform(0, delta_max). Signs never flip: a shrink bottoms out at zero
-    and zero entries stay zero under dilation.
+def make_view_pair(conn: np.ndarray, cfg: AugmentConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two independently augmented views of each connectome: ``conn`` is a
+    (V, V) matrix or a stacked (B, V, V) array, and ``(firsts, seconds)``
+    are two arrays of its shape.
     """
-    n = conn.n_nodes
-    if nodes and (min(nodes) < 0 or max(nodes) >= n):
-        raise ValueError(f"selected nodes out of range for V={n}")
-    sorted_nodes = np.array(sorted(nodes), dtype=np.intp)
-    coins, deltas = _draw_dilation(sorted_nodes.size, n, cfg, rng)
-    direction = _directions([sorted_nodes], coins, n)
-    return Connectome(_dilate_shrink(conn.matrix[None], direction, deltas)[0])
-
-
-def background_noise(conn: Connectome, selected: frozenset[int], cfg: AugmentConfig,
-                     rng: np.random.Generator) -> Connectome:
-    """Perturb edges whose endpoints are both unselected; leave the rest alone."""
-    if cfg.noise.kind == "none":
-        return Connectome(conn.matrix)
-    picked = np.zeros((1, conn.n_nodes), dtype=bool)
-    picked[0, list(selected)] = True
-    eps = cfg.noise.draw(rng, _noise_count(conn.n_nodes, len(selected)))
-    return Connectome(_background_noise(conn.matrix[None], picked, eps)[0])
-
-
-def make_view_pair(conn, cfg: AugmentConfig,
-                   rng: np.random.Generator) -> ViewPair | tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented views of each connectome.
-
-    A ``Connectome`` or a (V, V) matrix gives a ``ViewPair``; a stacked
-    (B, V, V) array gives ``(firsts, seconds)``, two (B, V, V) arrays.
-    """
-    sources = conn.matrix if isinstance(conn, Connectome) else np.asarray(conn, dtype=np.float64)
+    sources = np.asarray(conn, dtype=np.float64)
     n = sources.shape[-1]
     samples = sources.reshape(-1, n, n)
     picks, coins, deltas, eps = [], [], [], []
     for _ in range(2 * len(samples)):
-        picks.append(_pick(n, cfg, rng))
-        view_coins, view_deltas = _draw_dilation(picks[-1].size, n, cfg, rng)
-        coins.append(view_coins)
-        deltas.append(view_deltas)
+        nodes = _pick(n, cfg, rng)
+        k = nodes.size
+        picks.append(nodes)
+        coins.append(rng.random(k))
+        deltas.append(rng.uniform(0.0, cfg.delta_max, k * (n - k) + k * (k - 1) // 2))
         if cfg.noise.kind != "none":
-            eps.append(cfg.noise.draw(rng, _noise_count(n, picks[-1].size)))
+            eps.append(cfg.noise.draw(rng, (n - k) * (n - k - 1) // 2))
     direction = _directions(picks, np.concatenate(coins), n)
 
     # view 1 then view 2 of each sample, matching the draw order above
     views = np.repeat(samples, 2, axis=0)
-    views = _dilate_shrink(views, direction, np.concatenate(deltas))
+    views = _dilate(views, direction, np.concatenate(deltas))
     if cfg.noise.kind != "none":
-        views = _background_noise(views, direction != 0.0, np.concatenate(eps))
+        views = _add_noise(views, direction != 0.0, np.concatenate(eps))
     check_connectomes(views)
     views = views.reshape(sources.shape[:-2] + (2, n, n))
-    firsts, seconds = views[..., 0, :, :], views[..., 1, :, :]
-    if sources.ndim == 2:
-        return ViewPair(first=Connectome(firsts), second=Connectome(seconds))
-    return firsts, seconds
+    return views[..., 0, :, :], views[..., 1, :, :]

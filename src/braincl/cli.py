@@ -19,6 +19,7 @@ import numpy as np
 from .augment import AugmentConfig, NoiseSpec, make_view_pair
 from .data import (
     ClassSpec,
+    Connectome,
     DatasetError,
     load_dataset,
     read_connectome_file,
@@ -96,14 +97,13 @@ def cmd_augment(args) -> None:
     cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, conn.n_nodes),
                         delta_max=args.delta_max, noise=NoiseSpec.parse(args.noise))
     rng = np.random.default_rng(args.seed or 0)
-    pair = make_view_pair(conn, cfg, rng)
+    views = dict(zip(("view1", "view2"), make_view_pair(conn.matrix, cfg, rng)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_connectome_file(out / "view1.conn.csv", pair.first)
-    write_connectome_file(out / "view2.conn.csv", pair.second)
+    for name, view in views.items():
+        write_connectome_file(out / f"{name}.conn.csv", Connectome(view))
     iu = np.triu_indices(conn.n_nodes, k=1)
-    deltas = ((name, np.abs(view.matrix - conn.matrix)[iu])
-              for name, view in (("view1", pair.first), ("view2", pair.second)))
+    deltas = ((name, np.abs(view - conn.matrix)[iu]) for name, view in views.items())
     write_csv(out / "diff.csv", ["view", "entries_changed", "mean_abs_delta"],
               ([name, (delta > 0).sum(), delta.mean()] for name, delta in deltas))
     print(f"wrote views and diff summary to {out}")

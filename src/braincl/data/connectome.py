@@ -27,7 +27,7 @@ class Connectome:
     """A symmetric V x V correlation matrix with unit diagonal.
 
     Values live in [-1, 1]; symmetry is exact (bitwise), not approximate.
-    The matrix is read-only; augmentation and ingestion build new instances.
+    The matrix is read-only.
     """
 
     __slots__ = ("matrix",)
@@ -44,12 +44,6 @@ class Connectome:
     @property
     def n_nodes(self) -> int:
         return self.matrix.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Connectome) and np.array_equal(self.matrix, other.matrix)
-
-    def __hash__(self):
-        return hash(self.matrix.tobytes())
 
     def __repr__(self) -> str:
         return f"Connectome(n_nodes={self.n_nodes})"
@@ -72,9 +66,9 @@ def _check_series(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def pearson_connectome(ts: np.ndarray) -> Connectome | np.ndarray:
+def pearson_connectome(ts: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlation of the columns of an L x V series, as a
-    Connectome; of an N x L x V stack of series, as the N x V x V matrices.
+    V x V matrix; of an N x L x V stack of series, as the N x V x V matrices.
 
     The stack is one batched pass whose every matrix is bit for bit the one
     its series alone gives; ``pearson_connectomes`` wraps each in a
@@ -103,7 +97,7 @@ def pearson_connectome(ts: np.ndarray) -> Connectome | np.ndarray:
     np.clip(corr, -1.0, 1.0, out=corr)
     diag = np.arange(n)
     corr[..., diag, diag] = 1.0
-    return Connectome(corr) if arr.ndim == 2 else corr
+    return corr
 
 
 # Bytes in any one temporary of a batched pass (the N x L x V series or the

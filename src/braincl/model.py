@@ -57,8 +57,11 @@ class EncoderConfig:
     proj_dim: int = 128
 
     def __post_init__(self):
-        if self.n_nodes < 1 or self.layers < 1 or self.heads < 1 or self.n_clusters < 1:
-            raise ValueError("counts must be positive")
+        for name in ("n_nodes", "layers", "heads", "d_model", "ffn_dim", "n_clusters",
+                     "cluster_dim", "proj_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.width % self.heads != 0:
             raise ValueError(f"d_model {self.width} not divisible by heads {self.heads}")
         if self.n_clusters > self.width:

@@ -1,8 +1,9 @@
 """Plain SGD and Adam over named parameter dicts.
 
-Adam uses the standard bias-corrected moment estimates (β1=0.9, β2=0.999,
-ε=1e-8) with weight decay applied decoupled from the moments: the decay term
-lr·wd·p is subtracted directly rather than folded into the gradient.
+SGD takes a plain gradient step. Adam uses the standard bias-corrected moment
+estimates (``BETA1``, ``BETA2``, ``EPS``) with weight decay applied decoupled
+from the moments: the decay term lr·wd·p is subtracted directly rather than
+folded into the gradient.
 
 Adam is elementwise, so one step runs over all parameters at once: the
 gradients and parameters are concatenated in sorted-name order, the two
@@ -27,15 +28,14 @@ __all__ = ["OptimState", "sgd", "adam", "opt_step"]
 
 Params = dict[str, np.ndarray]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimState:
     kind: str  # "sgd" | "adam"
     lr: float
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    weight_decay: float = 0.0  # Adam only
     step_count: int = 0
     # Adam's moments, one flat vector each over ``layout``'s (name, shape)
     # pairs in sorted-name order; None until the first step
@@ -50,8 +50,8 @@ class OptimState:
             raise ValueError("learning rate must be non-negative")
 
 
-def sgd(lr: float, weight_decay: float = 0.0) -> OptimState:
-    return OptimState(kind="sgd", lr=lr, weight_decay=weight_decay)
+def sgd(lr: float) -> OptimState:
+    return OptimState(kind="sgd", lr=lr)
 
 
 def adam(lr: float, weight_decay: float = 0.0) -> OptimState:
@@ -62,7 +62,7 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
     """One update; returns a new read-only parameter dict (see ``freeze``),
     so leaf Tensors adopt its arrays without a copy, and mutates only the state.
 
-    SGD: p ← p − lr·(g + wd·p). Adam: bias-corrected moments with the decay
+    SGD: p ← p − lr·g. Adam: bias-corrected moments with the decay
     term lr·wd·p subtracted separately (decoupled). Adam raises ``ValueError``
     when a step's names or shapes differ from those its moments cover.
     """
@@ -77,11 +77,8 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
     if state.kind == "sgd":
         updated: Params = {}
         for name in names:
-            p = params[name]
-            step = p * state.weight_decay
-            step += grads[name]
-            step *= state.lr
-            updated[name] = np.subtract(p, step, out=step)
+            step = grads[name] * state.lr
+            updated[name] = np.subtract(params[name], step, out=step)
         return freeze(updated)
 
     layout = tuple((name, params[name].shape) for name in names)
@@ -95,7 +92,7 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
                          f"name or shape from the first step")
     state.step_count += 1
     t = state.step_count
-    b1, b2, m, v = state.beta1, state.beta2, state.m, state.v
+    m, v = state.m, state.v
 
     # one full-size temporary, a, besides the output vector, new, which is
     # scratch until it takes the parameters: a holds g, then lr·m̂ / (√v̂ + ε),
@@ -103,17 +100,17 @@ def opt_step(state: OptimState, params: Params, grads: Params) -> Params:
     # decay term lr·wd·p, and last the new parameters
     a = np.concatenate([grads[name].ravel() for name in names])
     new = np.multiply(a, a)
-    new *= 1.0 - b2
-    v *= b2
+    new *= 1.0 - BETA2
+    v *= BETA2
     v += new
-    a *= 1.0 - b1
-    m *= b1
+    a *= 1.0 - BETA1
+    m *= BETA1
     m += a
-    np.divide(m, 1.0 - b1 ** t, out=a)
+    np.divide(m, 1.0 - BETA1 ** t, out=a)
     a *= state.lr
-    np.divide(v, 1.0 - b2 ** t, out=new)
+    np.divide(v, 1.0 - BETA2 ** t, out=new)
     np.sqrt(new, out=new)
-    new += state.eps
+    new += EPS
     a /= new
     np.concatenate([params[name].ravel() for name in names], out=new)
     np.subtract(new, a, out=a)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import get_args, get_type_hints
@@ -41,8 +42,14 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.queue_capacity < 1:
+            raise ValueError(f"queue_capacity must be positive, got {self.queue_capacity}")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,11 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
             raise ValueError("epochs, batch_size and repeats must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, "
+                             f"got {self.weight_decay}")
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ import filecmp
 import functools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from braincl.augment import AugmentConfig, NoiseSpec, background_noise, dilate_shrink
+from braincl.augment import AugmentConfig, NoiseSpec, make_view_pair
 from braincl.cli import main as cli_main
 from braincl.contrastive import MoCoState, info_nce, momentum_update, queue_push
 from braincl.data import ClassSpec, Connectome, Dataset, Sample, SplitSpec, stratified_split, synth_dataset
@@ -37,6 +38,7 @@ from braincl.pipeline import (
     run_experiment,
     write_report,
 )
+from references import replay_view
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
@@ -187,37 +189,31 @@ def test_criterion_3_augmentation_invariants():
         seed = int(meta_rng.integers(0, 2**31))
 
         # replay the node selection and directions to know what happened
-        rng = np.random.default_rng(seed)
-        from braincl.augment import select_nodes
-        nodes = select_nodes(n, cfg, rng)
-        direction = {node: (1.0 if rng.random() < 0.5 else -1.0)
-                     for node in sorted(nodes)}
+        dilate_cfg = replace(cfg, noise=NoiseSpec(kind="none"))
+        replayed, direction = replay_view(conn.matrix, dilate_cfg, np.random.default_rng(seed))
+        nodes = set(direction)
 
-        rng = np.random.default_rng(seed)
-        nodes_again = select_nodes(n, cfg, rng)
-        shrunk = dilate_shrink(conn, nodes_again, cfg, rng)
-        noised = background_noise(shrunk, nodes_again, cfg, rng)
+        # the first view of a batch of one: dilated only, then also noised
+        shrunk, noised, noised2 = (
+            make_view_pair(conn.matrix[None], view_cfg, np.random.default_rng(seed))[0][0]
+            for view_cfg in (dilate_cfg, cfg, cfg))
 
-        rng2 = np.random.default_rng(seed)
-        nodes2 = select_nodes(n, cfg, rng2)
-        shrunk2 = dilate_shrink(conn, nodes2, cfg, rng2)
-        noised2 = background_noise(shrunk2, nodes2, cfg, rng2)
-
-        ok = nodes == nodes_again == nodes2
-        for view in (shrunk, noised):
-            m = view.matrix
+        # every view was made from the replayed nodes and directions
+        ok = np.array_equal(shrunk, replayed)
+        ok &= np.array_equal(noised, replay_view(conn.matrix, cfg, np.random.default_rng(seed))[0])
+        for m in (shrunk, noised):
             ok &= np.array_equal(m, m.T)
             ok &= np.array_equal(np.diagonal(m), np.ones(n))
             ok &= np.abs(m).max() <= 1.0
         # bit determinism
-        ok &= np.array_equal(noised.matrix, noised2.matrix)
+        ok &= np.array_equal(noised, noised2)
         # locality of dilation and of noise
         outside = [i for i in range(n) if i not in nodes]
         sub = np.ix_(outside, outside)
-        ok &= np.array_equal(shrunk.matrix[sub], conn.matrix[sub])
+        ok &= np.array_equal(shrunk[sub], conn.matrix[sub])
         if nodes:
             inside = sorted(nodes)
-            ok &= np.array_equal(noised.matrix[inside, :], shrunk.matrix[inside, :])
+            ok &= np.array_equal(noised[inside, :], shrunk[inside, :])
         # per-owner monotonicity
         for u in range(n):
             for v in range(u + 1, n):
@@ -227,7 +223,7 @@ def test_criterion_3_augmentation_invariants():
                 if u in nodes and v in nodes:
                     owner = min(u, v)
                 before = abs(conn.matrix[u, v])
-                after = abs(shrunk.matrix[u, v])
+                after = abs(shrunk[u, v])
                 ok &= after >= before - 1e-15 if direction[owner] > 0 \
                     else after <= before + 1e-15
         if not ok:

@@ -228,6 +228,17 @@ def test_cli_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: config file {bad_config}:")
 
 
+@pytest.mark.parametrize("key", ["d_model", "ffn_dim", "cluster_dim", "proj_dim"])
+@pytest.mark.parametrize("verb", ["pretrain", "describe"])
+def test_non_positive_model_widths_are_config_errors(workdir, capsys, verb, key):
+    config = workdir / "bad.ini"
+    config.write_text(f"[model]\n{key} = 0\n")
+    args = {"pretrain": ["--data", str(workdir / "data"), "--out", str(workdir / "pre")],
+            "describe": ["--nodes", "20"]}[verb]
+    assert main([verb, *args, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be positive, got 0\n"
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("0.5", " row 1: want a number score and an integer label, got score '0.5', label None"),
     ("0.5,x", " row 1: want a number score and an integer label, got score '0.5', label 'x'"),

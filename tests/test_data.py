@@ -13,6 +13,7 @@ from braincl.data import (
     DatasetError,
     Sample,
     SplitSpec,
+    check_connectomes,
     load_dataset,
     pearson_connectome,
     stratified_split,
@@ -38,14 +39,14 @@ def make_labeled(n0: int, n1: int, n_nodes: int = 4) -> Dataset:
 def test_identical_columns_correlate_to_one():
     col = np.array([0.3, -1.2, 4.0, 2.2])
     ts = np.column_stack([col, col, np.array([1.0, 2.0, 3.0, 4.0])])
-    c = pearson_connectome(ts).matrix
+    c = pearson_connectome(ts)
     assert c[0, 1] == 1.0
     assert c[1, 0] == 1.0
 
 
 def test_constant_column_convention():
     ts = np.column_stack([np.full(5, 2.0), np.arange(5.0)])
-    c = pearson_connectome(ts).matrix
+    c = pearson_connectome(ts)
     assert c[0, 1] == 0.0 and c[1, 0] == 0.0
     assert c[0, 0] == 1.0 and c[1, 1] == 1.0
 
@@ -53,7 +54,7 @@ def test_constant_column_convention():
 def test_worked_three_point_example():
     # deviations (-1,0,1) and (0,-1,1): dot 1, norms sqrt(2) each -> 0.5
     ts = np.column_stack([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
-    c = pearson_connectome(ts).matrix
+    c = pearson_connectome(ts)
     np.testing.assert_allclose(c[0, 1], 0.5, rtol=1e-15)
 
 
@@ -65,7 +66,8 @@ def test_pearson_output_satisfies_connectome_invariants():
         ts = rng.standard_normal((length, n))
         if rng.random() < 0.2:
             ts[:, rng.integers(0, n)] = 3.14  # degenerate region
-        m = pearson_connectome(ts).matrix  # constructor enforces invariants
+        m = pearson_connectome(ts)
+        check_connectomes(m)
         assert np.array_equal(m, m.T)
         assert np.array_equal(np.diagonal(m), np.ones(n))
         assert np.abs(m).max() <= 1.0
@@ -74,13 +76,13 @@ def test_pearson_output_satisfies_connectome_invariants():
 def test_pearson_affine_invariance_and_sign_flip():
     rng = np.random.default_rng(1)
     ts = rng.standard_normal((20, 5))
-    base = pearson_connectome(ts).matrix
+    base = pearson_connectome(ts)
     scaled = ts.copy()
     scaled[:, 2] = 3.5 * scaled[:, 2] - 7.0
-    np.testing.assert_allclose(pearson_connectome(scaled).matrix, base, atol=1e-12)
+    np.testing.assert_allclose(pearson_connectome(scaled), base, atol=1e-12)
     flipped = ts.copy()
     flipped[:, 2] = -2.0 * flipped[:, 2] + 1.0
-    got = pearson_connectome(flipped).matrix
+    got = pearson_connectome(flipped)
     want = base.copy()
     want[2, :] *= -1
     want[:, 2] *= -1
@@ -126,8 +128,7 @@ def test_batched_pearson_is_bit_identical_per_series(n):
     assert matrices.shape == (n, 7, 7)
     for m, ts in zip(matrices, stack):
         single = pearson_connectome(ts)
-        assert isinstance(single, Connectome)
-        assert m.tobytes() == single.matrix.tobytes() == _pearson_reference(ts).tobytes()
+        assert m.tobytes() == single.tobytes() == _pearson_reference(ts).tobytes()
     assert (matrices[n // 2, 3, np.arange(7) != 3] == 0.0).all()
 
 
@@ -144,7 +145,7 @@ def test_pearson_connectomes_batches_by_shape_in_bounded_stacks(monkeypatch):
     monkeypatch.setattr(connectome_module, "pearson_connectome", recording)
     conns = connectome_module.pearson_connectomes(series)
     assert [c.matrix.tobytes() for c in conns] == [
-        pearson_connectome(ts).matrix.tobytes() for ts in series]
+        pearson_connectome(ts).tobytes() for ts in series]
     # one shape per call, and no stack past the batch budget unless it holds one series
     per_shape = {}
     for n, length, width in stacks:
@@ -204,7 +205,7 @@ def test_time_series_only_directory_computes_connectomes(tmp_path):
     loaded = load_dataset(tmp_path)
     for a, b in zip(ds, loaded):
         np.testing.assert_allclose(
-            b.connectome.matrix, pearson_connectome(b.time_series).matrix, atol=0)
+            b.connectome.matrix, pearson_connectome(b.time_series), atol=0)
         np.testing.assert_allclose(a.connectome.matrix, b.connectome.matrix, atol=1e-12)
 
 
@@ -298,7 +299,7 @@ def test_file_layout_tolerance(tmp_path, series, matrix):
     (tmp_path / "b.conn.csv").write_bytes(matrix.encode())
     a, b = load_dataset(tmp_path)
     assert np.array_equal(a.time_series, SERIES)
-    assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES).matrix)
+    assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES))
     assert np.array_equal(b.connectome.matrix, MATRIX)
 
 
@@ -354,7 +355,7 @@ def test_matrix_file_wins_over_series_file(tmp_path):
     s, t = load_dataset(tmp_path)
     assert np.array_equal(s.connectome.matrix, MATRIX)
     assert np.array_equal(s.time_series, SERIES)
-    assert np.array_equal(t.connectome.matrix, pearson_connectome(SERIES).matrix)
+    assert np.array_equal(t.connectome.matrix, pearson_connectome(SERIES))
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,19 @@ def test_config_rejects_unknown_sections_and_keys():
     assert cfg == load_config(None, n_nodes=10)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[pretrain]\nmomentum = 1.5\n", r"momentum must lie in \[0, 1\], got 1.5"),
+    ("[pretrain]\ntemperature = -2\n", "temperature must be positive and finite, got -2.0"),
+    ("[pretrain]\nepochs = 0\nqueue_capacity = 0\n", "queue_capacity must be positive, got 0"),
+    ("[finetune]\nweight_decay = -1\n", "weight_decay must be non-negative and finite, got -1.0"),
+    ("[pretrain]\nlr = nan\n", "lr must be positive and finite, got nan"),
+    ("[finetune]\nlr = inf\n", "lr must be positive and finite, got inf"),
+], ids=["momentum", "temperature", "queue_capacity", "weight_decay", "pretrain_lr", "finetune_lr"])
+def test_config_rejects_out_of_range_training_settings(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_config(None, n_nodes=10, text=text)
+
+
 def test_config_rejects_mismatched_pinned_nodes(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[model]\nn_nodes = 16\n")
