@@ -35,6 +35,7 @@ entries in [-1, 1]) replaces the per-view ``Connectome`` checks.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -57,8 +58,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "none"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise ValueError("gaussian sigma must be non-negative")
+        if self.kind == "gaussian" and not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"gaussian sigma must be non-negative and finite, got {self.sigma}")
+        if self.kind == "uniform" and not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ValueError(f"uniform noise needs finite bounds, got ({self.low}, {self.high})")
         if self.kind == "uniform" and self.low > self.high:
             raise ValueError("uniform noise needs low <= high")
 
@@ -130,33 +133,34 @@ def _upper(n_nodes: int) -> np.ndarray:
     return np.triu(np.ones((n_nodes, n_nodes), dtype=bool), k=1)
 
 
-def _scatter(m: np.ndarray, edges: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
-    """A copy of ``m`` with ``values`` on the upper-triangle ``edges``
-    (view, row, col) and mirrored below the diagonal."""
-    view, row, col = edges
-    out = m.copy()
-    out[view, row, col] = values
-    out[view, col, row] = values
-    return out
-
-
 def _dilate(m: np.ndarray, direction: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Stacked dilation: ``m`` (N, V, V), ``direction`` (N, V), ``deltas``
     the increments of every view's touched edges, view by view."""
     picked = direction != 0.0
-    # C order: view by view, row-major within a view, as the increments were drawn
-    view, row, col = edges = np.nonzero(_upper(m.shape[-1])
-                                        & (picked[:, :, None] | picked[:, None, :]))
-    owner = np.where(picked[view, row], direction[view, row], direction[view, col])
+    # a boolean mask selects in C order: view by view, row-major within a
+    # view, as the increments were drawn
+    edges = _upper(m.shape[-1]) & (picked[:, :, None] | picked[:, None, :])
+    # the row node is the lower-indexed endpoint, the owner when it is picked
+    row_dir = np.broadcast_to(direction[:, :, None], m.shape)[edges]
+    col_dir = np.broadcast_to(direction[:, None, :], m.shape)[edges]
+    owner = np.where(row_dir != 0.0, row_dir, col_dir)
     vals = m[edges]
-    return _scatter(m, edges, np.sign(vals) * np.clip(np.abs(vals) + owner * deltas, 0.0, 1.0))
+    new = np.sign(vals) * np.clip(np.abs(vals) + owner * deltas, 0.0, 1.0)
+    out = m.copy()
+    out[edges] = new
+    np.swapaxes(out, -1, -2)[edges] = new  # the mirror below the diagonal
+    return out
 
 
 def _add_noise(m: np.ndarray, picked: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Stacked noise on the edges between unpicked nodes: ``picked`` (N, V)."""
     free = ~picked
-    edges = np.nonzero(_upper(m.shape[-1]) & free[:, :, None] & free[:, None, :])
-    return _scatter(m, edges, np.clip(m[edges] + eps, -1.0, 1.0))
+    edges = _upper(m.shape[-1]) & free[:, :, None] & free[:, None, :]
+    new = np.clip(m[edges] + eps, -1.0, 1.0)
+    out = m.copy()
+    out[edges] = new
+    np.swapaxes(out, -1, -2)[edges] = new
+    return out
 
 
 def make_view_pair(conn: np.ndarray, cfg: AugmentConfig,

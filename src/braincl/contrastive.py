@@ -57,7 +57,7 @@ def _check_unit_rows(rows: np.ndarray, what: str) -> None:
         return
     norms = np.linalg.norm(rows, axis=-1)
     worst = float(np.abs(norms - 1.0).max())
-    if worst > UNIT_NORM_TOL:
+    if not worst <= UNIT_NORM_TOL:  # a NaN norm is a violation too
         raise ValueError(f"{what} contains non-unit vectors (worst deviation {worst:.2e})")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,9 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train, self.val, self.test)
-        if any(f <= 0 for f in fracs):
-            raise ValueError("split fractions must be positive")
+        for name, f in zip(("train", "val", "test"), fracs):
+            if not 0.0 < f < math.inf:
+                raise ValueError(f"{name}_fraction must be positive and finite, got {f}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
 

@@ -28,7 +28,7 @@ def gradcheck(fn: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:
     out = fn(leaf)
     if out.data.size != 1:
         raise GraphError(f"gradcheck needs a scalar-valued fn, got shape {out.shape}")
-    analytic = backward(out, wrt=[leaf])[leaf].data.ravel()
+    analytic = backward(out, wrt=[leaf])[leaf].ravel()
 
     flat = base.ravel()
     numeric = np.empty_like(flat)
@@ -64,7 +64,7 @@ def directional_gradcheck(fn: Callable[[dict[str, Tensor]], Tensor],
     leaves = {k: Tensor(arrays[k]) for k in names}
     out = fn(leaves)
     grads = backward(out, wrt=list(leaves.values()))
-    analytic = sum(float((grads[leaves[k]].data * direction[k]).sum()) for k in names)
+    analytic = sum(float((grads[leaves[k]] * direction[k]).sum()) for k in names)
 
     def shifted(sign: float) -> float:
         moved = {k: Tensor(arrays[k] + sign * eps * direction[k]) for k in names}

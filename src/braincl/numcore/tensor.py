@@ -15,7 +15,10 @@ sharing subgraphs (e.g. one orthonormalized center matrix feeding every sample
 in a batch) is safe and gradients simply accumulate where paths merge. A node
 requires a gradient iff one of its parents does; an operation none of whose
 inputs requires a gradient records nothing, so inference and the key encoder
-hold no graph.
+hold no graph. Every Tensor takes the next creation index, and its parents
+already exist, so ``backward`` needs no topological sort: it gathers the nodes
+reachable from the loss, visits them newest first, and returns plain
+read-only arrays.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
 leading axis of a 3-D array is a batch of matrices. Elementwise operations
@@ -35,6 +38,7 @@ operand, and ``backward`` returns gradients only for the tensors it is asked for
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,7 +57,8 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Raised for structural problems: non-scalar loss, cycles, bad shapes."""
+    """Raised for structural problems: non-scalar loss, bad shapes, or a
+    parent newer than its child, which only an edited ``.parents`` makes."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -61,6 +66,8 @@ class NonFiniteError(FloatingPointError):
 
 
 MAX_RANK = 3
+
+_created = itertools.count()  # creation index of every Tensor, in order
 
 
 def _frozen(values) -> bool:
@@ -106,7 +113,7 @@ class Tensor:
     instead of mutating.
     """
 
-    __slots__ = ("data", "op", "parents", "_vjp", "requires_grad", "__weakref__")
+    __slots__ = ("data", "op", "parents", "_vjp", "requires_grad", "_index", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = True, *, op: str = "leaf",
                  parents: tuple["Tensor", ...] = (),
@@ -123,6 +130,7 @@ class Tensor:
         self.parents = parents if requires_grad else ()
         self._vjp = vjp if requires_grad else None
         self.requires_grad = requires_grad
+        self._index = next(_created)  # parents are always older than their child
 
     # ------------------------------------------------------------------
     # basics
@@ -449,69 +457,59 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    """Iterative DFS postorder; detects cycles injected by graph tampering."""
-    order: list[Tensor] = []
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[Tensor, int]] = [(root, 0)]
-    while stack:
-        node, child = stack[-1]
-        if child == 0:
-            st = state.get(id(node))
-            if st == 1:
-                raise GraphError("cycle detected in computation graph")
-            if st == 2:
-                stack.pop()
-                continue
-            state[id(node)] = 1
-        if child < len(node.parents):
-            stack[-1] = (node, child + 1)
-            parent = node.parents[child]
-            if state.get(id(parent)) != 2:
-                stack.append((parent, 0))
-        else:
-            state[id(node)] = 2
-            order.append(node)
-            stack.pop()
-    return order
-
-
-def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, Tensor]:
+def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar loss with respect to each tensor in ``wrt``.
 
-    Returns a map from each requested tensor to its gradient tensor; one
-    that is unreachable, not a leaf, or requires no gradient gets zeros.
-    Accumulation order is fixed by graph construction order, so repeated runs
-    produce bit-identical gradients.
+    Returns a map from each requested tensor to its gradient, a read-only
+    float64 array of its shape; one that is unreachable, not a leaf, or
+    requires no gradient gets zeros. Nodes are visited newest first, so
+    contributions meet in reverse creation order and repeated runs produce
+    bit-identical gradients.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.parents:
-            needed = tuple(p.requires_grad for p in node.parents)
-            adopted: list[np.ndarray] = []
-            for parent, contribution in zip(node.parents, node._vjp(g, needed)):
-                if contribution is None:
-                    continue
-                acc = grads.get(id(parent))
-                if acc is not None:
-                    acc += contribution
-                    continue
-                # adopt an array made for this parent alone; copy anything shared
-                contribution = np.asarray(contribution, dtype=np.float64)
-                if (contribution is g or contribution.base is not None
-                        or not contribution.flags.writeable
-                        or any(contribution is a for a in adopted)):
-                    contribution = contribution.copy()
-                adopted.append(contribution)
-                grads[id(parent)] = contribution
-        elif node.requires_grad:
-            grads[id(node)] = g  # keep the gradients of leaves that want one
+    nodes, todo = {loss}, [loss]
+    while todo:
+        node = todo.pop()
+        for parent in node.parents:
+            if parent._index >= node._index:
+                raise GraphError("a parent newer than its child: the graph was edited")
+            if parent not in nodes:
+                nodes.add(parent)
+                todo.append(parent)
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # an overflow shows as a non-finite result below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in sorted(nodes, key=lambda t: t._index, reverse=True):
+            g = grads.pop(node, None)
+            if g is None:
+                continue
+            if node.parents:
+                needed = tuple(p.requires_grad for p in node.parents)
+                adopted: list[np.ndarray] = []
+                for parent, contribution in zip(node.parents, node._vjp(g, needed)):
+                    if contribution is None:
+                        continue
+                    acc = grads.get(parent)
+                    if acc is not None:
+                        acc += contribution
+                        continue
+                    # adopt an array made for this parent alone; copy anything shared
+                    contribution = np.asarray(contribution, dtype=np.float64)
+                    if (contribution is g or contribution.base is not None
+                            or not contribution.flags.writeable
+                            or any(contribution is a for a in adopted)):
+                        contribution = contribution.copy()
+                    adopted.append(contribution)
+                    grads[parent] = contribution
+            elif node.requires_grad:
+                grads[node] = g  # keep the gradients of leaves that want one
 
-    return {t: Tensor(grads[id(t)] if id(t) in grads else np.zeros_like(t.data),
-                      requires_grad=False, op="grad") for t in wrt}
+    result = {}
+    for t in wrt:
+        g = grads[t] if t in grads else np.zeros_like(t.data)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite values in 'grad' result")
+        g.flags.writeable = False
+        result[t] = g
+    return result

@@ -123,7 +123,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         logits = classify(features(conns, leaves, encoder_cfg, centers=centers), leaves)
         loss = cross_entropy(logits, [sample.label for sample in samples])
         grads = backward(loss, wrt=[leaves[k] for k in trainable])
-        return loss.item(), {k: grads[leaves[k]].data for k in trainable}
+        return loss.item(), {k: grads[leaves[k]] for k in trainable}
 
     optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
     best_auroc = -1.0

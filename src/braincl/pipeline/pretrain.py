@@ -104,7 +104,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                          key_leaves)
         loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
         grads = backward(loss, wrt=list(leaves.values()))
-        return loss.item(), {name: grads[leaf].data for name, leaf in leaves.items()}, k_vecs.data
+        return loss.item(), {name: grads[leaf] for name, leaf in leaves.items()}, k_vecs.data
 
     log: list[tuple[int, float, int, float]] = []
     for epoch in range(cfg.epochs):

@@ -239,6 +239,32 @@ def test_non_positive_model_widths_are_config_errors(workdir, capsys, verb, key)
     assert capsys.readouterr().err == f"error: {key} must be positive, got 0\n"
 
 
+@pytest.mark.parametrize("verb, old, new, message", [
+    ("pretrain", "noise = N(0,0.01)", "noise = N(0,nan)",
+     "[augment] noise: gaussian sigma must be non-negative and finite, got nan"),
+    ("pretrain", "noise = N(0,0.01)", "noise = N(0,inf)",
+     "[augment] noise: gaussian sigma must be non-negative and finite, got inf"),
+    ("pretrain", "noise = N(0,0.01)", "noise = uniform(nan,0.1)",
+     "[augment] noise: uniform noise needs finite bounds, got (nan, 0.1)"),
+    ("pretrain", "noise = N(0,0.01)", "noise = uniform(-inf,inf)",
+     "[augment] noise: uniform noise needs finite bounds, got (-inf, inf)"),
+    ("finetune", "repeats = 1", "repeats = 1\ntrain_fraction = nan",
+     "train_fraction must be positive and finite, got nan"),
+    ("finetune", "repeats = 1", "repeats = 1\ntest_fraction = inf",
+     "test_fraction must be positive and finite, got inf"),
+], ids=["sigma_nan", "sigma_inf", "uniform_nan", "uniform_inf", "train_nan", "test_inf"])
+def test_non_finite_noise_and_split_settings_are_config_errors(workdir, capsys, verb, old, new,
+                                                                message):
+    # the run stops at config load, naming the setting, before any training
+    config = workdir / "bad.ini"
+    config.write_text(CONFIG.replace(old, new))
+    out = workdir / "out"
+    assert main([verb, "--data", str(workdir / "data"), "--out", str(out),
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("0.5", " row 1: want a number score and an integer label, got score '0.5', label None"),
     ("0.5,x", " row 1: want a number score and an integer label, got score '0.5', label 'x'"),

@@ -98,8 +98,8 @@ def test_gradient_reaches_query_only_and_matches_finite_differences():
     leaf = Tensor(unit(raw_q))
     loss = info_nce(leaf, k, queue, 0.07)
     grads = backward(loss, wrt=[leaf, k])
-    assert np.abs(grads[leaf].data).max() > 0.0
-    np.testing.assert_array_equal(grads[k].data, np.zeros(dim))  # keys detached
+    assert np.abs(grads[leaf]).max() > 0.0
+    np.testing.assert_array_equal(grads[k], np.zeros(dim))  # keys detached
 
 
 def test_batched_info_nce_is_mean_of_per_sample():
@@ -128,6 +128,19 @@ def test_info_nce_input_validation():
     with pytest.raises(ValueError, match="non-unit"):
         info_nce(q, q, np.array([[3.0, 4.0]]), 0.07)
 
+
+
+def test_non_finite_rows_are_not_unit_vectors():
+    # a NaN norm fails the unit check where keys enter and where the queue is read
+    dim = 3
+    state = MoCoState.fresh({}, dim=dim, capacity=4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^pushed keys contains non-unit vectors"):
+            queue_push(state, np.full(dim, bad))
+    q = Tensor(unit([1.0, 2.0, 2.0]))
+    nan_queue = MoCoState({}, queue=np.full((2, dim), np.nan), capacity=4).queue
+    with pytest.raises(ValueError, match="^queue contains non-unit vectors"):
+        info_nce(q, q, nan_queue, 0.07)
 
 # ---------------------------------------------------------------------------
 # momentum_update

@@ -140,8 +140,8 @@ def test_batched_features_match_per_sample():
     np.testing.assert_allclose(batched.data, np.stack([f.data for f in singles]),
                                rtol=0, atol=1e-12)
     for name in arrays:
-        np.testing.assert_allclose(batched_grads[leaves[name]].data,
-                                   single_grads[leaves_one[name]].data,
+        np.testing.assert_allclose(batched_grads[leaves[name]],
+                                   single_grads[leaves_one[name]],
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -227,7 +227,7 @@ def test_gram_schmidt_matches_mgs_graph(n_rows, dim):
     for fn in (gram_schmidt, mgs_reference):
         leaf = Tensor(e)
         out = fn(leaf)
-        results.append((out.data, backward((out * w).sum(), wrt=[leaf])[leaf].data))
+        results.append((out.data, backward((out * w).sum(), wrt=[leaf])[leaf]))
     (qr_out, qr_grad), (mgs_out, mgs_grad) = results
     assert np.abs(qr_out - mgs_out).max() < 1e-12
     assert np.abs(qr_grad - mgs_grad).max() < 1e-12
@@ -328,7 +328,7 @@ def test_fused_model_matches_reference_composition(n_nodes, n_clusters, batch):
             weights = Tensor(np.random.default_rng(3).standard_normal(out.shape),
                              requires_grad=False)
             grads = backward((out * weights).sum(), wrt=list(leaves.values()))
-            results.append((out.data, {n: grads[leaves[n]].data for n in arrays}))
+            results.append((out.data, {n: grads[leaves[n]] for n in arrays}))
         (out, grads), (ref_out, ref_grads) = results
         assert np.abs(out - ref_out).max() <= 1e-12, path
         for name in arrays:

@@ -37,7 +37,7 @@ def test_square_sum_gradient():
     x = Tensor([1.0, 2.0, 3.0])
     loss = (x * x).sum()
     grads = backward(loss, wrt=[x])
-    np.testing.assert_array_equal(grads[x].data, [2.0, 4.0, 6.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0, 6.0])
 
 
 def test_softmax_sum_gradient_is_zero():
@@ -46,7 +46,7 @@ def test_softmax_sum_gradient_is_zero():
     x = Tensor(rng.standard_normal(7))
     loss = x.softmax().sum()
     grads = backward(loss, wrt=[x])
-    np.testing.assert_allclose(grads[x].data, np.zeros(7), atol=1e-14)
+    np.testing.assert_allclose(grads[x], np.zeros(7), atol=1e-14)
 
 
 def cosine(u: Tensor, v: Tensor) -> Tensor:
@@ -63,7 +63,7 @@ def test_cosine_gradient_orthogonal_to_input():
     vals = rng.standard_normal(6)
     u = Tensor(vals)
     v = Tensor(vals.copy(), requires_grad=False)
-    g = backward(cosine(u, v), wrt=[u])[u].data
+    g = backward(cosine(u, v), wrt=[u])[u]
     assert abs(np.dot(g, vals)) <= 1e-12
     err = gradcheck(lambda t: cosine(t, Tensor(vals, requires_grad=False)), vals + 0.3)
     assert err < 1e-6
@@ -84,30 +84,30 @@ def test_backward_linearity_over_independent_graphs():
     gx = backward((gx_leaf * gx_leaf).sum(), wrt=[gx_leaf])
     gy_leaf = Tensor(yv)
     gy = backward((gy_leaf * gy_leaf * gy_leaf).sum(), wrt=[gy_leaf])
-    np.testing.assert_allclose(joint[x].data, gx[gx_leaf].data)
-    np.testing.assert_allclose(joint[y].data, gy[gy_leaf].data)
+    np.testing.assert_allclose(joint[x], gx[gx_leaf])
+    np.testing.assert_allclose(joint[y], gy[gy_leaf])
 
 
 def test_unreachable_parameter_gets_zero_gradient():
     x = Tensor([1.0, 2.0])
     unused = Tensor([[3.0, 4.0]])
     grads = backward((x * 2.0).sum(), wrt=[x, unused])
-    np.testing.assert_array_equal(grads[unused].data, np.zeros((1, 2)))
+    np.testing.assert_array_equal(grads[unused], np.zeros((1, 2)))
     # so do an interior node, a constant, and a loss that needs no gradient
     inner, const = x * x, Tensor([3.0, 1.0], requires_grad=False)
     grads = backward((inner * const).sum(), wrt=[inner, const, x])
-    np.testing.assert_array_equal(grads[inner].data, [0.0, 0.0])
-    np.testing.assert_array_equal(grads[const].data, [0.0, 0.0])
-    np.testing.assert_array_equal(grads[x].data, [6.0, 4.0])
+    np.testing.assert_array_equal(grads[inner], [0.0, 0.0])
+    np.testing.assert_array_equal(grads[const], [0.0, 0.0])
+    np.testing.assert_array_equal(grads[x], [6.0, 4.0])
     for loss in (Tensor(2.0, requires_grad=False), const.sum()):
-        assert backward(loss, wrt=[loss])[loss].data == 0.0
+        assert backward(loss, wrt=[loss])[loss] == 0.0
 
 
 def test_shared_subgraph_accumulates():
     x = Tensor([2.0])
     y = x * x  # used twice below
     loss = (y + y).sum()
-    np.testing.assert_array_equal(backward(loss, wrt=[x])[x].data, [8.0])
+    np.testing.assert_array_equal(backward(loss, wrt=[x])[x], [8.0])
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -156,20 +156,20 @@ def test_concat_and_stack_gradients():
     y = Tensor(b)
     loss = (concat([x, y]) * concat([x, y])).sum()
     grads = backward(loss, wrt=[x, y])
-    np.testing.assert_allclose(grads[x].data, 2 * a)
-    np.testing.assert_allclose(grads[y].data, 2 * b)
+    np.testing.assert_allclose(grads[x], 2 * a)
+    np.testing.assert_allclose(grads[y], 2 * b)
 
     rows = [Tensor(rng.standard_normal(4)) for _ in range(3)]
     loss = (stack(rows) * 2.0).sum()
     grads = backward(loss, wrt=rows)
     for r in rows:
-        np.testing.assert_array_equal(grads[r].data, np.full(4, 2.0))
+        np.testing.assert_array_equal(grads[r], np.full(4, 2.0))
 
 
 def test_getitem_gradient_scatters():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     loss = x[1, 1] * 5.0
-    g = backward(loss, wrt=[x])[x].data
+    g = backward(loss, wrt=[x])[x]
     np.testing.assert_array_equal(g, [[0.0, 0.0], [0.0, 5.0]])
 
 
@@ -220,16 +220,16 @@ def test_one_tensor_in_two_parent_slots(name, op_first):
     def slot_grad(slot):  # the op's gradient through one slot alone
         t, const = Tensor(vals), Tensor(vals, requires_grad=False)
         pair = (t, const) if slot == 0 else (const, t)
-        return backward((op(*pair) * w).sum(), wrt=[t])[t].data
+        return backward((op(*pair) * w).sum(), wrt=[t])[t]
 
     x, y = Tensor(vals), Tensor(vals)
     grads = backward(loss(x, y), wrt=[x, y])
-    assert np.array_equal(grads[x].data, slot_grad(0) + v)
-    assert np.array_equal(grads[y].data, slot_grad(1))
-    assert not np.shares_memory(grads[x].data, grads[y].data)
+    assert np.array_equal(grads[x], slot_grad(0) + v)
+    assert np.array_equal(grads[y], slot_grad(1))
+    assert not np.shares_memory(grads[x], grads[y])
 
     x = Tensor(vals)
-    np.testing.assert_allclose(backward(loss(x, x), wrt=[x])[x].data,
+    np.testing.assert_allclose(backward(loss(x, x), wrt=[x])[x],
                                slot_grad(0) + slot_grad(1) + v, rtol=1e-12, atol=1e-12)
 
 
@@ -244,8 +244,8 @@ def test_backward_never_adopts_the_incoming_gradient():
 
     out = Tensor(2.0 * x.data + 2.0 * y.data, op="custom", parents=(x, x, y), vjp=vjp)
     grads = backward(out.sum(), wrt=[x, y])
-    np.testing.assert_array_equal(grads[x].data, [2.0, 2.0])
-    np.testing.assert_array_equal(grads[y].data, [2.0, 2.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 2.0])
+    np.testing.assert_array_equal(grads[y], [2.0, 2.0])
 
 
 def test_backward_is_deterministic():
@@ -256,10 +256,47 @@ def test_backward_is_deterministic():
         x = Tensor(vals)
         z = layer_norm(x) @ Tensor(np.eye(6), requires_grad=False)
         loss = (z.softmax() * z).sum() + z.leaky_relu().mean(axis=None)
-        return backward(loss, wrt=[x])[x].data
+        return backward(loss, wrt=[x])[x]
 
     first, second = run(), run()
     assert np.array_equal(first, second)
+
+
+def test_backward_adds_contributions_in_reverse_creation_order():
+    # three contributions whose float sum depends on the order of addition;
+    # c is created last, so its 1.0 is added first and then absorbed
+    x = Tensor([1.0])
+    a, b, c = x * 1e16, x * -1e16, x * 1.0
+    grad = backward(((c + a) + b).sum(), wrt=[x])[x]
+    assert (1.0 + -1e16) + 1e16 == 0.0 and (1e16 + -1e16) + 1.0 == 1.0
+    np.testing.assert_array_equal(grad, [0.0])
+
+
+def test_backward_returns_read_only_arrays():
+    x, unused = Tensor([1.0, 2.0]), Tensor(np.ones((2, 3)))
+    grads = backward((x * x).sum(), wrt=[x, unused])
+    for t, grad in grads.items():
+        assert type(grad) is np.ndarray and grad.dtype == np.float64
+        assert grad.shape == t.shape and not grad.flags.writeable
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+
+
+def test_backward_rejects_an_overflowing_gradient():
+    # the loss is finite, but the two 1e308 contributions into x overflow
+    x = Tensor([1.0, -1.0])
+    loss = (x * 1e308).sum() + (x * 1e308).sum()
+    assert loss.item() == 0.0
+    with pytest.raises(NonFiniteError, match="non-finite values in 'grad' result"):
+        backward(loss, wrt=[x])
+
+
+def test_backward_rejects_a_parent_newer_than_its_child():
+    x = Tensor([1.0])
+    a = x * 2.0
+    b = a * 3.0
+    a.parents = (b,)  # an edited graph: a now depends on the newer b, a cycle
+    with pytest.raises(GraphError, match="newer"):
+        backward(b.sum(), wrt=[x])
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +486,8 @@ def test_add_layer_norm_gradcheck(shape):
     # a tensor added to itself gets both gradient contributions
     loss = (add_layer_norm(x, x, gain, bias) * weights).sum()
     ref = ((layer_norm(x + x) * gain + bias) * weights).sum()
-    np.testing.assert_allclose(backward(loss, wrt=[x])[x].data,
-                               backward(ref, wrt=[x])[x].data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(backward(loss, wrt=[x])[x],
+                               backward(ref, wrt=[x])[x], rtol=0, atol=1e-12)
     with pytest.raises(GraphError):
         add_layer_norm(x, r, Tensor(np.ones(d + 1)), bias)
 
@@ -473,7 +510,7 @@ def test_leaky_relu_keeps_a_boolean_mask():
     x = Tensor([-2.0, 0.0, 3.0])
     out = x.leaky_relu(0.1)
     np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
-    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x].data, [0.1, 0.1, 1.0])
+    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x], [0.1, 0.1, 1.0])
     # the only input-sized array the backward keeps is the mask
     saved = [c.cell_contents for c in out._vjp.__closure__
              if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
