@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, NoiseSpec, make_view_pair
+from .blas import set_blas_threads
 from .data import (
     ClassSpec,
     Connectome,
@@ -40,6 +41,7 @@ from .pipeline import (
     fingerprint,
     load_config,
     load_encoder_checkpoint,
+    non_finite_guard,
     pretrain,
     run_experiment,
     score_dataset,
@@ -154,7 +156,8 @@ def cmd_evaluate(args) -> None:
         _fail("checkpoint has no classification head; pass a finetuned model")
     if ds.n_nodes != cfg.n_nodes:
         _fail(f"model expects V={cfg.n_nodes}, data has V={ds.n_nodes}")
-    scores = score_dataset(ds, arrays, cfg)
+    with non_finite_guard("evaluation scoring"):
+        scores = score_dataset(ds, arrays, cfg)
     metrics = summarize_scores(scores)
     for name, value in metrics.items():
         print(f"{name}: {value:.4f}")
@@ -328,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    set_blas_threads(1)  # artifacts must not depend on the BLAS thread count
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

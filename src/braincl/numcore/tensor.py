@@ -10,15 +10,23 @@ a copy when it is an array the vjp made for that parent alone (not ``g``, a
 view, or an array it already handed out), so a vjp must not read an array
 again once it has yielded it.
 
-Graphs are built immutably: a Tensor never changes after construction, so
-sharing subgraphs (e.g. one orthonormalized center matrix feeding every sample
-in a batch) is safe and gradients simply accumulate where paths merge. A node
-requires a gradient iff one of its parents does; an operation none of whose
-inputs requires a gradient records nothing, so inference and the key encoder
-hold no graph. Every Tensor takes the next creation index, and its parents
-already exist, so ``backward`` needs no topological sort: it gathers the nodes
-reachable from the loss, visits them newest first, and returns plain
-read-only arrays.
+A Tensor's values never change after construction, and one graph serves one
+``backward``, which spends it: each node it visits drops its parents and vjp
+once its gradients are out, so the activations its vjp saved are freed while
+the walk goes on, and a later ``backward`` that reaches a spent node raises
+``GraphError``. Within that graph, sharing subgraphs (e.g. one orthonormalized
+center matrix feeding every sample in a batch) is safe and gradients simply
+accumulate where paths merge; leaves are never spent and serve any number of
+graphs. A node requires a gradient iff one of its parents does; an operation
+none of whose inputs requires a gradient records nothing, so inference and
+the key encoder hold no graph. Every Tensor takes the next creation index,
+and its parents already exist, so ``backward`` needs no topological sort: it
+gathers the nodes reachable from the loss, visits them newest first, and
+returns plain read-only arrays.
+
+Ops whose arithmetic can overflow, ``backward`` included, run with numpy's
+floating-point warnings off; a finite check reports the result once, as
+``NonFiniteError``.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
 leading axis of a 3-D array is a batch of matrices. Elementwise operations
@@ -38,6 +46,7 @@ operand, and ``backward`` returns gradients only for the tensors it is asked for
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -57,8 +66,9 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Raised for structural problems: non-scalar loss, bad shapes, or a
-    parent newer than its child, which only an edited ``.parents`` makes."""
+    """Raised for structural problems: non-scalar loss, bad shapes, a parent
+    newer than its child, which only an edited ``.parents`` makes, or a
+    ``backward`` that reaches a node an earlier ``backward`` spent."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -92,6 +102,18 @@ def freeze(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _quiet(op):
+    """Run ``op`` with numpy's floating-point warnings off, so an overflow or
+    a 0/0 reaches a finite check (the Tensor constructor's, or ``backward``'s
+    on its results) and is reported once, as ``NonFiniteError``. Ops whose
+    arithmetic cannot leave the finite range run bare."""
+    @functools.wraps(op)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return op(*args, **kwargs)
+    return run
+
+
 def _as_array(values, copy: bool) -> np.ndarray:
     arr = np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
     if arr.ndim > MAX_RANK:
@@ -109,8 +131,8 @@ class Tensor:
     operations: they require a gradient iff a parent does, whatever flag is
     passed, and carry one ``vjp(g, needed)`` that returns or yields a gradient
     per parent (``None`` where ``needed`` is false); a node that requires none
-    keeps no parents and no vjp. ``data`` is read-only; build a new Tensor
-    instead of mutating.
+    keeps no parents and no vjp, and neither does one that ``backward`` has
+    spent. ``data`` is read-only; build a new Tensor instead of mutating.
     """
 
     __slots__ = ("data", "op", "parents", "_vjp", "requires_grad", "_index", "__weakref__")
@@ -181,6 +203,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return Tensor(-self.data, op="neg", parents=(self,), vjp=lambda g, _: (-g,))
 
+    @_quiet
     def __matmul__(self, other) -> "Tensor":
         other = _coerce(other)
         a, b = self.data, other.data
@@ -237,6 +260,7 @@ class Tensor:
     # ------------------------------------------------------------------
     # reductions
 
+    @_quiet
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         shape = self.data.shape
 
@@ -248,6 +272,7 @@ class Tensor:
         return Tensor(self.data.sum(axis=axis, keepdims=keepdims), op="sum", parents=(self,),
                       vjp=vjp)
 
+    @_quiet
     def mean(self, axis: int | None = None) -> "Tensor":
         shape = self.data.shape
         n = self.data.size if axis is None else shape[axis]
@@ -262,9 +287,9 @@ class Tensor:
     # ------------------------------------------------------------------
     # pointwise nonlinearities
 
+    @_quiet
     def sqrt(self) -> "Tensor":
-        with np.errstate(invalid="ignore"):
-            out = np.sqrt(self.data)
+        out = np.sqrt(self.data)
         return Tensor(out, op="sqrt", parents=(self,), vjp=lambda g, _: (g * 0.5 / out,))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
@@ -275,6 +300,7 @@ class Tensor:
         return Tensor(self.data * slopes.take(positive), op="leaky_relu", parents=(self,),
                       vjp=lambda g, _: (g * slopes.take(positive),))
 
+    @_quiet
     def softmax(self, axis: int = -1) -> "Tensor":
         # max subtraction keeps exp() in range; the rest works in place
         out = self.data - self.data.max(axis=axis, keepdims=True)
@@ -287,6 +313,7 @@ class Tensor:
 
         return Tensor(out, op="softmax", parents=(self,), vjp=vjp)
 
+    @_quiet
     def log_softmax(self, axis: int = -1) -> "Tensor":
         z = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
@@ -296,6 +323,11 @@ class Tensor:
             return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
         return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
+
+
+def _spent(g, needed):
+    """The vjp of a node that ``backward`` has spent."""
+    raise GraphError("this node was spent by an earlier backward")
 
 
 def _coerce(value) -> Tensor:
@@ -314,6 +346,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+@_quiet
 def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     b = _coerce(other)
     sa, sb = a.data.shape, b.data.shape
@@ -322,8 +355,7 @@ def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
     except ValueError:
         raise GraphError(f"{op} shape mismatch {sa} vs {sb}: "
                          f"shapes must broadcast as in numpy") from None
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = fwd(a.data, b.data)
+    out = fwd(a.data, b.data)
     ad, bd = a.data, b.data
 
     def vjp(g, needed):
@@ -348,6 +380,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
 
 
+@_quiet
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` as one node.
 
@@ -376,6 +409,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out.reshape(shape[:-1] + (m,)), op="linear", parents=(x, w, b), vjp=vjp)
 
 
+@_quiet
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
     """Multi-head scaled dot-product attention, all heads in one node.
 
@@ -426,6 +460,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     return Tensor(out, op="attention", parents=(q, k, v), vjp=vjp)
 
 
+@_quiet
 def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-5) -> Tensor:
     """``layer_norm(x + residual) * gain + bias`` over the last axis as one
@@ -457,6 +492,7 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
 
 
+@_quiet
 def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar loss with respect to each tensor in ``wrt``.
 
@@ -465,45 +501,58 @@ def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
     requires no gradient gets zeros. Nodes are visited newest first, so
     contributions meet in reverse creation order and repeated runs produce
     bit-identical gradients.
+
+    The walk spends the graph: once a node's vjp has yielded its gradients,
+    the node drops its parents and vjp, and ``backward`` keeps no reference
+    to it, so each saved activation is freed as soon as the last gradient
+    that needs it exists. Leaves are not spent and serve any later graph; a
+    later ``backward`` that reaches a spent node raises ``GraphError``.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
     nodes, todo = {loss}, [loss]
     while todo:
         node = todo.pop()
+        if node._vjp is _spent:
+            raise GraphError(f"a '{node.op}' node was spent by an earlier backward; "
+                             f"build the graph again")
         for parent in node.parents:
             if parent._index >= node._index:
                 raise GraphError("a parent newer than its child: the graph was edited")
             if parent not in nodes:
                 nodes.add(parent)
                 todo.append(parent)
+    order = sorted(nodes, key=lambda t: t._index)  # popped newest first
+    del nodes, node
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    # an overflow shows as a non-finite result below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for node in sorted(nodes, key=lambda t: t._index, reverse=True):
-            g = grads.pop(node, None)
-            if g is None:
-                continue
-            if node.parents:
-                needed = tuple(p.requires_grad for p in node.parents)
-                adopted: list[np.ndarray] = []
-                for parent, contribution in zip(node.parents, node._vjp(g, needed)):
-                    if contribution is None:
-                        continue
-                    acc = grads.get(parent)
-                    if acc is not None:
-                        acc += contribution
-                        continue
-                    # adopt an array made for this parent alone; copy anything shared
-                    contribution = np.asarray(contribution, dtype=np.float64)
-                    if (contribution is g or contribution.base is not None
-                            or not contribution.flags.writeable
-                            or any(contribution is a for a in adopted)):
-                        contribution = contribution.copy()
-                    adopted.append(contribution)
-                    grads[parent] = contribution
-            elif node.requires_grad:
+    while order:
+        node = order.pop()
+        g = grads.pop(node, None)
+        parents, vjp = node.parents, node._vjp
+        if not parents:
+            if node.requires_grad and g is not None:
                 grads[node] = g  # keep the gradients of leaves that want one
+            continue
+        node.parents, node._vjp = (), _spent  # the node keeps its values, not its history
+        if g is None:
+            continue
+        needed = tuple(p.requires_grad for p in parents)
+        adopted: list[np.ndarray] = []
+        for parent, contribution in zip(parents, vjp(g, needed)):
+            if contribution is None:
+                continue
+            acc = grads.get(parent)
+            if acc is not None:
+                acc += contribution
+                continue
+            # adopt an array made for this parent alone; copy anything shared
+            contribution = np.asarray(contribution, dtype=np.float64)
+            if (contribution is g or contribution.base is not None
+                    or not contribution.flags.writeable
+                    or any(contribution is a for a in adopted)):
+                contribution = contribution.copy()
+            adopted.append(contribution)
+            grads[parent] = contribution
 
     result = {}
     for t in wrt:

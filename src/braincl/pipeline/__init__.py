@@ -22,12 +22,12 @@ from .experiment import (
     write_report,
 )
 from .finetune import FinetuneResult, finetune, score_dataset, summarize_scores
-from .pretrain import PipelineError, PretrainResult, pretrain
+from .pretrain import PipelineError, PretrainResult, non_finite_guard, pretrain
 
 __all__ = [
     "PretrainConfig", "FinetuneConfig", "ExperimentConfig",
     "load_config", "resolved_text", "fingerprint",
-    "pretrain", "PretrainResult", "PipelineError",
+    "pretrain", "PretrainResult", "PipelineError", "non_finite_guard",
     "finetune", "FinetuneResult", "score_dataset", "summarize_scores",
     "run_experiment", "ExperimentReport", "write_report", "write_pretrain_artifacts",
     "ablation_grid", "write_ablation_csv",

@@ -111,9 +111,12 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
     # a frozen encoder enters the graph as constants, so no encoder gradient is formed
     trainable = [k for k in params if not cfg.freeze_encoder or k.startswith("classifier.")]
 
+    optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
+
     def step(params: dict[str, np.ndarray], batch: np.ndarray):
-        """One forward and backward pass. Only the loss value and the gradient
-        arrays leave it, so its graph is freed when it returns."""
+        """One forward and backward pass and the Adam step. Only the loss value
+        and the new trainable parameters leave it, so its graph and gradients
+        are freed when it returns."""
         leaves = as_tensors({k: params[k] for k in trainable})
         leaves.update({k: Tensor(v, requires_grad=False)
                        for k, v in params.items() if k not in leaves})
@@ -123,9 +126,9 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         logits = classify(features(conns, leaves, encoder_cfg, centers=centers), leaves)
         loss = cross_entropy(logits, [sample.label for sample in samples])
         grads = backward(loss, wrt=[leaves[k] for k in trainable])
-        return loss.item(), {k: grads[leaves[k]] for k in trainable}
+        return loss.item(), opt_step(optimizer, {k: params[k] for k in trainable},
+                                     {k: grads[leaves[k]] for k in trainable})
 
-    optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
     best_auroc = -1.0
     best_epoch = -1
     best_params = params
@@ -136,8 +139,8 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
             with non_finite_guard(f"finetuning epoch {epoch} batch {batch_no}"):
-                loss, grads = step(params, batch)
-            params = {**params, **opt_step(optimizer, {k: params[k] for k in trainable}, grads)}
+                loss, trained = step(params, batch)
+            params = {**params, **trained}
             loss_total += loss * len(batch)
 
         with non_finite_guard(f"finetuning epoch {epoch} validation"):

@@ -2,11 +2,14 @@
 
 Each step augments the stacked batch into two views per sample in one call
 (samples in batch order, which fixes the RNG stream), embeds the stacked
-first views with the query encoder and the stacked second views with
-the trailing key encoder (one batched forward each), scores every query
+second views with the trailing key encoder and then the stacked first views
+with the query encoder (one batched forward each; the key forward keeps no
+graph, so it runs before the query graph exists), scores every query
 against its key and the queue of past keys, and updates:
 gradient step on the query side, exponential trailing on the key side,
-batch keys pushed into the queue. Labels are never consulted.
+batch keys pushed into the queue. The gradients never leave the step
+function and the keys die once queued, so the next step holds none of them.
+Labels are never consulted.
 """
 
 from __future__ import annotations
@@ -87,24 +90,26 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
     optimizer = sgd(lr=cfg.lr)
 
     def step(query: dict[str, np.ndarray], moco: MoCoState, batch: np.ndarray):
-        """One forward and backward pass. Only the loss value, the gradient
-        arrays and the batch keys leave it, so its graph is freed when it
-        returns, before the next step augments."""
+        """One forward and backward pass and the gradient step. Only the loss
+        value, the new query parameters and the batch keys leave it, so its
+        graph and gradients are freed when it returns, before the next step
+        augments. The key encoder keeps no graph, so it runs first: its
+        activations are gone before the query graph is built."""
         leaves = as_tensors(query)
         key_leaves = {k: Tensor(v, requires_grad=False) for k, v in moco.key_params.items()}
-        centers = gram_schmidt(leaves["readout.centers"])
-        key_centers = gram_schmidt(key_leaves["readout.centers"])
-
         firsts, seconds = make_view_pair(
             np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
             augment_cfg, augment_rng)
 
-        q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers), leaves)
+        key_centers = gram_schmidt(key_leaves["readout.centers"])
         k_vecs = project(features(seconds, key_leaves, encoder_cfg, centers=key_centers),
                          key_leaves)
+        centers = gram_schmidt(leaves["readout.centers"])
+        q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers), leaves)
         loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
         grads = backward(loss, wrt=list(leaves.values()))
-        return loss.item(), {name: grads[leaf] for name, leaf in leaves.items()}, k_vecs.data
+        query = opt_step(optimizer, query, {name: grads[leaf] for name, leaf in leaves.items()})
+        return loss.item(), query, k_vecs.data
 
     log: list[tuple[int, float, int, float]] = []
     for epoch in range(cfg.epochs):
@@ -112,11 +117,11 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
         loss_total = 0.0
         for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
             with non_finite_guard(f"pretraining epoch {epoch} batch {batch_no}"):
-                loss, grads, keys = step(query, moco, batch)
-            query = opt_step(optimizer, query, grads)
+                loss, query, keys = step(query, moco, batch)
             moco = queue_push(
                 replace(moco, key_params=momentum_update(moco.key_params, query, moco.momentum)),
                 keys)
+            del keys  # step t+1 holds none of step t's arrays
             loss_total += loss * len(batch)
         log.append((epoch, loss_total / len(ds), moco.queue.shape[0], cfg.lr))
 

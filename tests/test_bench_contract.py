@@ -83,6 +83,13 @@ def test_score_dataset_does_not_start_an_epoch(monkeypatch):
     np.testing.assert_allclose(scored.scores, singles, rtol=0, atol=1e-12)
 
 
+def run_desk_pretrain(module):  # 2 epochs of batches 4, 4, 3
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    ds = synth_dataset(11, n_nodes=8, length=10, seed=2)
+    module.pretrain(ds, cfg, PretrainConfig(epochs=2, batch_size=4, queue_capacity=8, lr=0.01),
+                    AugmentConfig(k_min=1, k_max=3))
+
+
 def test_pretrain_augments_each_step_in_one_call(monkeypatch):
     # the traced augment.make_view_pair span must time a whole step's views
     module = importlib.import_module("braincl.pipeline.pretrain")
@@ -99,26 +106,25 @@ def test_pretrain_augments_each_step_in_one_call(monkeypatch):
 
     monkeypatch.setattr(module, "make_view_pair", counted_views)
     monkeypatch.setattr(module, "opt_step", counted_step)
-    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
-    ds = synth_dataset(11, n_nodes=8, length=10, seed=2)
-    module.pretrain(ds, cfg, PretrainConfig(epochs=2, batch_size=4, queue_capacity=8, lr=0.01),
-                    AugmentConfig(k_min=1, k_max=3))
+    run_desk_pretrain(module)
     assert calls["steps"] == 6  # 2 epochs of batches 4, 4, 3
     assert calls["augment"] == [(4, 8, 8), (4, 8, 8), (3, 8, 8)] * 2
 
 
-def live_losses_at(monkeypatch, module, hook: str) -> list[list[bool]]:
-    """Patch ``module.backward`` to keep a weakref to every loss, and
-    ``module.<hook>`` to record at each call which earlier losses are alive."""
-    losses, live = [], []
+def live_at(monkeypatch, module, hook: str, kept) -> list[list[bool]]:
+    """Patch ``module.backward`` to keep weakrefs to ``kept(loss, grads)`` of
+    every call, and ``module.<hook>`` to record at each call, per earlier
+    backward, whether any of them is alive."""
+    refs, live = [], []
     backward, hooked = module.backward, getattr(module, hook)
 
     def tracked_backward(loss, *args, **kwargs):
-        losses.append(weakref.ref(loss))
-        return backward(loss, *args, **kwargs)
+        grads = backward(loss, *args, **kwargs)
+        refs.append([weakref.ref(obj) for obj in kept(loss, grads)])
+        return grads
 
     def checked(*args, **kwargs):
-        live.append([ref() is not None for ref in losses])
+        live.append([any(ref() is not None for ref in step) for step in refs])
         return hooked(*args, **kwargs)
 
     monkeypatch.setattr(module, "backward", tracked_backward)
@@ -126,25 +132,66 @@ def live_losses_at(monkeypatch, module, hook: str) -> list[list[bool]]:
     return live
 
 
+def losses(loss, grads):
+    return [loss]
+
+
+def gradients(loss, grads):
+    return list(grads.values())
+
+
 def test_pretrain_frees_each_step_graph_before_the_next(monkeypatch):
     # a step's graph must be gone before the next step builds its own
     module = importlib.import_module("braincl.pipeline.pretrain")
-    live = live_losses_at(monkeypatch, module, "make_view_pair")
-    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
-    ds = synth_dataset(11, n_nodes=8, length=10, seed=2)
-    module.pretrain(ds, cfg, PretrainConfig(epochs=2, batch_size=4, queue_capacity=8, lr=0.01),
-                    AugmentConfig(k_min=1, k_max=3))
+    live = live_at(monkeypatch, module, "make_view_pair", losses)
+    run_desk_pretrain(module)
     assert live == [[False] * step for step in range(6)]
 
 
-def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
+def test_pretrain_frees_each_step_gradients_before_the_next(monkeypatch):
+    module = importlib.import_module("braincl.pipeline.pretrain")
+    live = live_at(monkeypatch, module, "make_view_pair", gradients)
+    run_desk_pretrain(module)
+    assert live == [[False] * step for step in range(6)]
+
+
+def finetune_liveness(monkeypatch, kept) -> list[list[bool]]:
     module = importlib.import_module("braincl.pipeline.finetune")
-    live = live_losses_at(monkeypatch, module, "as_tensors")
+    live = live_at(monkeypatch, module, "as_tensors", kept)
     cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
     ds = synth_dataset(40, n_nodes=8, length=10, seed=3)
     module.finetune(ds, None, cfg, FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1))
     assert len(live) >= 4
+    return live
+
+
+def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
+    live = finetune_liveness(monkeypatch, losses)
     assert live == [[False] * step for step in range(len(live))]
+
+
+def test_finetune_frees_each_step_gradients_before_the_next(monkeypatch):
+    live = finetune_liveness(monkeypatch, gradients)
+    assert live == [[False] * step for step in range(len(live))]
+
+
+def test_pretrain_runs_the_key_encoder_before_the_query_encoder(monkeypatch):
+    # the key forward keeps no graph, so it must finish before the query graph exists
+    module = importlib.import_module("braincl.pipeline.pretrain")
+    calls, features, as_tensors = [], module.features, module.as_tensors
+
+    def recorded_features(conn, params, *args, **kwargs):
+        calls[-1].append(params["embed.w"].requires_grad)
+        return features(conn, params, *args, **kwargs)
+
+    def step_start(*args, **kwargs):
+        calls.append([])
+        return as_tensors(*args, **kwargs)
+
+    monkeypatch.setattr(module, "features", recorded_features)
+    monkeypatch.setattr(module, "as_tensors", step_start)
+    run_desk_pretrain(module)
+    assert calls == [[False, True]] * 6
 
 
 def test_desk_pretrain_step_graph_stays_fused(monkeypatch):

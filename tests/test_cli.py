@@ -1,9 +1,14 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import braincl
 from braincl.cli import main
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.pipeline import save_encoder_checkpoint
@@ -174,6 +179,47 @@ def test_evaluate_rejects_non_finite_checkpoint(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "bad.bnck" in err and "classifier.w1" in err
+
+
+def test_evaluate_reports_a_checkpoint_that_overflows(tmp_path, capsys):
+    # every weight is finite, but the head's first product overflows
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    rng = np.random.default_rng(0)
+    arrays = {**init_encoder_params(cfg, rng), **init_classifier_params(cfg, rng)}
+    arrays["classifier.w1"] = np.full_like(arrays["classifier.w1"], 1e308)
+    model = tmp_path / "huge.bnck"
+    save_encoder_checkpoint(model, arrays, cfg)
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "6", "--nodes", "8",
+                 "--length", "12", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite value during evaluation scoring:")
+    assert captured.err.count("\n") == 1
+
+
+def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    # the default V=200 encoder's second FFN product has inner dimension 400,
+    # where OpenBLAS gives other bits at 2 threads than at 1
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n", "4", "--nodes", "200",
+                 "--length", "40", "--seed", "0"]) == 0
+    config = tmp_path / "run.ini"
+    config.write_text("[pretrain]\nepochs = 1\nbatch_size = 2\n")
+    src = str(Path(braincl.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "braincl.cli", "pretrain", "--data", str(data),
+                               "--config", str(config), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(hashlib.sha256((out / "pretrained.bnck").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_finetune_rejects_checkpoint_with_other_encoder_config(workdir, capsys):

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from braincl.augment import AugmentConfig
 from braincl.contrastive import momentum_update
 from braincl.data import synth_dataset
-from braincl.model import (EncoderConfig, init_classifier_params, init_encoder_params,
-                           init_projection_params, relabel_nodes)
+from braincl.model import (EncoderConfig, as_tensors, features, init_classifier_params,
+                           init_encoder_params, init_projection_params, relabel_nodes)
 from braincl.numcore import (
     GraphError,
     NonFiniteError,
@@ -299,6 +300,82 @@ def test_backward_rejects_a_parent_newer_than_its_child():
         backward(b.sum(), wrt=[x])
 
 
+def test_backward_spends_the_graph_but_not_its_leaves():
+    x, w = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    inner = x * w
+    loss = inner.sum()
+    grads = backward(loss, wrt=[x, w])
+    np.testing.assert_array_equal(grads[x], [3.0, 4.0])
+    assert loss.item() == 11.0 and inner.parents == ()  # values stay, history goes
+    with pytest.raises(GraphError, match="spent"):
+        backward(loss, wrt=[x])
+    with pytest.raises(GraphError, match="spent"):
+        backward((inner * 2.0).sum(), wrt=[x])
+    # leaves serve any number of graphs
+    grads = backward((x * x).sum(), wrt=[x, w])
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+    np.testing.assert_array_equal(grads[w], [0.0, 0.0])
+
+
+def test_backward_frees_each_activation_before_older_vjps_run():
+    rng = np.random.default_rng(60)
+    x, w = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 5)))
+    b = Tensor(np.zeros(5))
+    freed = []
+
+    def first_op(g, needed):  # the oldest interior node: its vjp runs last
+        freed.append(hidden() is None)
+        return (g,)
+
+    def build():  # keeps no reference to the hidden activation
+        start = Tensor(x.data, op="first", parents=(x,), vjp=first_op)
+        h = linear(start, w, b)
+        return (h * h).sum(), weakref.ref(h.data)
+
+    loss, hidden = build()
+    assert hidden() is not None
+    backward(loss, wrt=[x, w])
+    assert freed == [True]
+
+
+def test_backward_frees_an_encoder_forward_while_the_loss_lives():
+    cfg = EncoderConfig(n_nodes=8, layers=2, heads=2, n_clusters=3, proj_dim=4)
+    rng = np.random.default_rng(61)
+    leaves = as_tensors(init_encoder_params(cfg, rng))
+    conns = synth_dataset(3, n_nodes=8, length=20, seed=5)
+
+    def build():
+        loss = features(np.stack([s.connectome.matrix for s in conns.samples]), leaves, cfg).sum()
+        seen, todo, refs = {id(loss)}, [loss], []
+        while todo:
+            for parent in todo.pop().parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    todo.append(parent)
+                    if parent.op == "linear":
+                        refs.append(weakref.ref(parent.data))
+        return loss, refs
+
+    loss, refs = build()
+    assert len(refs) >= 5 and all(ref() is not None for ref in refs)
+    backward(loss, wrt=list(leaves.values()))
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert np.isfinite(loss.item())
+
+
+@pytest.mark.parametrize("op", [
+    lambda big: big * big,
+    lambda big: big @ big.T,
+    lambda big: linear(big, Tensor([[2.0], [0.0]]), Tensor([0.0])),
+    lambda big: add_layer_norm(big, big, Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
+], ids=["mul", "matmul", "linear", "add_layer_norm"])
+def test_forward_overflow_is_one_non_finite_error(op):
+    # under tier-1's filterwarnings = error a numpy RuntimeWarning would
+    # surface here instead of the error
+    with pytest.raises(NonFiniteError, match="non-finite values"):
+        op(Tensor([[1e308, -1e308]]))
+
+
 # ---------------------------------------------------------------------------
 # batched (3-D) operands
 
@@ -510,11 +587,12 @@ def test_leaky_relu_keeps_a_boolean_mask():
     x = Tensor([-2.0, 0.0, 3.0])
     out = x.leaky_relu(0.1)
     np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
-    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x], [0.1, 0.1, 1.0])
-    # the only input-sized array the backward keeps is the mask
+    # the only input-sized array the backward keeps is the mask (read before
+    # backward, which spends the node)
     saved = [c.cell_contents for c in out._vjp.__closure__
              if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
     assert [a.dtype for a in saved] == [np.bool_]
+    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x], [0.1, 0.1, 1.0])
 
 
 # ---------------------------------------------------------------------------
