@@ -4,7 +4,9 @@ OpenBLAS splits a matrix product differently at different thread counts,
 and for some shapes the bits differ: at 1 and 2 threads a product with
 inner dimension 400 (the second FFN ``linear`` of the default V=200 encoder)
 gives different checkpoints. The CLI pins one thread, so its artifacts are a
-function of (config, seed) alone; library callers keep the process's setting.
+function of (config, seed) alone. The pin is never undone, so a process that
+runs the CLI in process keeps one thread afterwards; library callers that do
+not keep the process's setting.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["set_blas_threads"]
+__all__ = ["pin_one_blas_thread"]
 
 # the setter's name in the scipy-openblas builds numpy wheels bundle, then in
 # plain OpenBLAS with 64-bit and 32-bit integers
@@ -35,9 +37,9 @@ def _setter():
     return None
 
 
-def set_blas_threads(count: int) -> None:
-    """Set the bundled OpenBLAS's thread count; do nothing when numpy bundles
-    no OpenBLAS with a known setter."""
+def pin_one_blas_thread() -> None:
+    """Run the bundled OpenBLAS on one thread for the rest of the process; do
+    nothing when numpy bundles no OpenBLAS with a known setter."""
     setter = _setter()
     if setter is not None:
-        setter(count)
+        setter(1)

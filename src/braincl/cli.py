@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, NoiseSpec, make_view_pair
-from .blas import set_blas_threads
+from .blas import pin_one_blas_thread
 from .data import (
     ClassSpec,
     Connectome,
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    set_blas_threads(1)  # artifacts must not depend on the BLAS thread count
+    pin_one_blas_thread()  # artifacts must not depend on the BLAS thread count
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
