@@ -293,11 +293,16 @@ class Tensor:
         return Tensor(out, op="sqrt", parents=(self,), vjp=lambda g, _: (g * 0.5 / out,))
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        # the backward keeps only a boolean mask; both passes multiply by the
-        # slope it picks (a gather of 1 or negative_slope, cheaper than np.where)
+        # for a slope in [0, 1] the forward is max(x, slope * x), bit for bit
+        # x * (1 if x > 0 else slope), taken in place so it allocates one array;
+        # the backward keeps only a boolean mask and multiplies by the slope it
+        # picks (a gather, cheaper than np.where)
+        if not 0.0 <= negative_slope <= 1.0:
+            raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
         positive = self.data > 0
         slopes = np.array([negative_slope, 1.0])
-        return Tensor(self.data * slopes.take(positive), op="leaky_relu", parents=(self,),
+        out = self.data * negative_slope
+        return Tensor(np.maximum(self.data, out, out=out), op="leaky_relu", parents=(self,),
                       vjp=lambda g, _: (g * slopes.take(positive),))
 
     @_quiet

@@ -123,11 +123,13 @@ def load_encoder_checkpoint(path) -> tuple[dict[str, np.ndarray], EncoderConfig]
             raise PipelineError(f"{path}: entry {name!r} holds non-finite values")
     arrays = {name[len("param."):]: arr for name, arr in raw.items()
               if name.startswith("param.")}
-    meta = {name[len("meta."):]: int(arr) for name, arr in raw.items()
-            if name.startswith("meta.")}
+    meta = {name[len("meta."):]: arr for name, arr in raw.items() if name.startswith("meta.")}
     if not arrays or set(meta) != {f.name for f in fields(EncoderConfig)}:
         raise PipelineError(f"{path}: not an encoder checkpoint")
-    return arrays, EncoderConfig(**meta)
+    for name, arr in meta.items():
+        if arr.shape or not float(arr).is_integer():
+            raise PipelineError(f"{path}: entry 'meta.{name}' is not an integer scalar")
+    return arrays, EncoderConfig(**{name: int(arr) for name, arr in meta.items()})
 
 
 # ---------------------------------------------------------------------------

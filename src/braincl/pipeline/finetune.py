@@ -29,7 +29,9 @@ from ..model import (
 )
 from ..numcore import Tensor, adam, backward, opt_step
 from .config import FinetuneConfig
-from .pretrain import PipelineError, batched_indices, non_finite_guard
+from .pretrain import PipelineError, non_finite_guard, train_epochs
+# unused: perfbench/probe.py's EPOCH_START looks the name up here until it drops it
+from .pretrain import batched_indices  # noqa: F401
 
 __all__ = ["FinetuneResult", "finetune", "score_dataset", "summarize_scores"]
 
@@ -113,10 +115,10 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
 
     optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    def step(params: dict[str, np.ndarray], batch: np.ndarray):
-        """One forward and backward pass and the Adam step. Only the loss value
-        and the new trainable parameters leave it, so its graph and gradients
-        are freed when it returns."""
+    def step(batch: np.ndarray) -> float:
+        """One forward and backward pass and the Adam step, its last call. Only
+        the loss leaves it, so its graph and gradients die when it returns."""
+        nonlocal params
         leaves = as_tensors({k: params[k] for k in trainable})
         leaves.update({k: Tensor(v, requires_grad=False)
                        for k, v in params.items() if k not in leaves})
@@ -126,26 +128,19 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         logits = classify(features(conns, leaves, encoder_cfg, centers=centers), leaves)
         loss = cross_entropy(logits, [sample.label for sample in samples])
         grads = backward(loss, wrt=[leaves[k] for k in trainable])
-        return loss.item(), opt_step(optimizer, {k: params[k] for k in trainable},
-                                     {k: grads[leaves[k]] for k in trainable})
+        params = {**params, **opt_step(optimizer, {k: params[k] for k in trainable},
+                                       {k: grads[leaves[k]] for k in trainable})}
+        return loss.item()
 
     best_auroc = -1.0
     best_epoch = -1
     best_params = params
     log: list[tuple[int, float, float]] = []
-
-    for epoch in range(1, cfg.epochs + 1):
-        order = order_rng.permutation(len(train))
-        loss_total = 0.0
-        for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
-            with non_finite_guard(f"finetuning epoch {epoch} batch {batch_no}"):
-                loss, trained = step(params, batch)
-            params = {**params, **trained}
-            loss_total += loss * len(batch)
-
+    for epoch, train_loss in train_epochs(len(train), range(1, cfg.epochs + 1), cfg.batch_size,
+                                          order_rng, step, "finetuning"):
         with non_finite_guard(f"finetuning epoch {epoch} validation"):
             val_auroc = auroc(score_dataset(val, params, encoder_cfg))
-        log.append((epoch, loss_total / len(train), val_auroc))
+        log.append((epoch, train_loss, val_auroc))
         if val_auroc > best_auroc:
             best_auroc = val_auroc
             best_epoch = epoch

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,10 +35,8 @@ from ..model import (
 from ..numcore import NonFiniteError, Tensor, backward, opt_step, sgd
 from .config import PretrainConfig
 
-__all__ = ["PretrainResult", "PipelineError", "pretrain", "ENCODER_PREFIXES",
-           "encoder_only", "batched_indices", "non_finite_guard"]
-
-ENCODER_PREFIXES = ("embed.", "layer", "readout.")
+__all__ = ["PretrainResult", "PipelineError", "pretrain", "batched_indices",
+           "non_finite_guard", "train_epochs"]
 
 
 class PipelineError(RuntimeError):
@@ -56,17 +55,27 @@ def non_finite_guard(where: str):
 @dataclass(frozen=True)
 class PretrainResult:
     encoder_params: dict[str, np.ndarray]  # query-side encoder, the checkpoint payload
-    projection_params: dict[str, np.ndarray]
     epoch_log: tuple[tuple[int, float, int, float], ...]  # epoch, loss_mean, queue_len, lr
-
-
-def encoder_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v for k, v in arrays.items() if k.startswith(ENCODER_PREFIXES)}
 
 
 def batched_indices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     """Full batches plus the trailing partial batch (kept, not dropped)."""
     return [order[start:start + batch_size] for start in range(0, order.size, batch_size)]
+
+
+def train_epochs(size: int, epochs: range, batch_size: int, order_rng: np.random.Generator,
+                 step: Callable[[np.ndarray], float], verb: str) -> Iterator[tuple[int, float]]:
+    """The training loop of both verbs: per epoch, shuffle ``size`` indices,
+    run ``step(batch) -> loss`` on each batch under a non-finite guard naming
+    the verb, epoch and batch, and yield the epoch with its sample-weighted
+    mean loss. The caller does its epoch-end work between yields."""
+    for epoch in epochs:
+        order = order_rng.permutation(size)
+        loss_total = 0.0
+        for batch_no, batch in enumerate(batched_indices(order, batch_size)):
+            with non_finite_guard(f"{verb} epoch {epoch} batch {batch_no}"):
+                loss_total += step(batch) * len(batch)
+        yield epoch, loss_total / size
 
 
 def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
@@ -89,12 +98,12 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                            temperature=cfg.temperature)
     optimizer = sgd(lr=cfg.lr)
 
-    def step(query: dict[str, np.ndarray], moco: MoCoState, batch: np.ndarray):
-        """One forward and backward pass and the gradient step. Only the loss
-        value, the new query parameters and the batch keys leave it, so its
-        graph and gradients are freed when it returns, before the next step
-        augments. The key encoder keeps no graph, so it runs first: its
-        activations are gone before the query graph is built."""
+    def step(batch: np.ndarray) -> float:
+        """One forward and backward pass, the gradient step, the key trailing
+        and the queue push, its last call. The key encoder keeps no graph, so it
+        runs before the query graph is built; the graph and gradients are freed
+        before the trailing, and only the loss leaves the step."""
+        nonlocal query, moco
         leaves = as_tensors(query)
         key_leaves = {k: Tensor(v, requires_grad=False) for k, v in moco.key_params.items()}
         firsts, seconds = make_view_pair(
@@ -109,23 +118,15 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
         loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
         grads = backward(loss, wrt=list(leaves.values()))
         query = opt_step(optimizer, query, {name: grads[leaf] for name, leaf in leaves.items()})
-        return loss.item(), query, k_vecs.data
+        loss_value = loss.item()
+        del leaves, grads, loss
+        moco = queue_push(
+            replace(moco, key_params=momentum_update(moco.key_params, query, moco.momentum)),
+            k_vecs.data)
+        return loss_value
 
-    log: list[tuple[int, float, int, float]] = []
-    for epoch in range(cfg.epochs):
-        order = order_rng.permutation(len(ds))
-        loss_total = 0.0
-        for batch_no, batch in enumerate(batched_indices(order, cfg.batch_size)):
-            with non_finite_guard(f"pretraining epoch {epoch} batch {batch_no}"):
-                loss, query, keys = step(query, moco, batch)
-            moco = queue_push(
-                replace(moco, key_params=momentum_update(moco.key_params, query, moco.momentum)),
-                keys)
-            del keys  # step t+1 holds none of step t's arrays
-            loss_total += loss * len(batch)
-        log.append((epoch, loss_total / len(ds), moco.queue.shape[0], cfg.lr))
-
-    return PretrainResult(encoder_params=encoder_only(query),
-                          projection_params={k: v for k, v in query.items()
-                                             if k.startswith("project.")},
-                          epoch_log=tuple(log))
+    log = [(epoch, loss_mean, moco.queue.shape[0], cfg.lr)
+           for epoch, loss_mean in train_epochs(len(ds), range(cfg.epochs), cfg.batch_size,
+                                                order_rng, step, "pretraining")]
+    encoder = {k: v for k, v in query.items() if not k.startswith("project.")}
+    return PretrainResult(encoder_params=encoder, epoch_log=tuple(log))

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from braincl.augment import AugmentConfig
-from braincl.data import Dataset, synth_dataset
+from braincl.data import Dataset, stratified_split, synth_dataset
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.pipeline.config import FinetuneConfig, PretrainConfig
 from braincl.pipeline.finetune import SCORE_BATCH, score_dataset
+from braincl.pipeline.pretrain import batched_indices
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
@@ -223,3 +224,54 @@ def test_perfbench_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def tiny_finetune():  # 2 epochs over the train fold of 40 subjects, batch 8
+    module = importlib.import_module("braincl.pipeline.finetune")
+    cfg = EncoderConfig(n_nodes=8, layers=1, heads=2, n_clusters=3, proj_dim=4)
+    ds = synth_dataset(40, n_nodes=8, length=10, seed=3)
+    fcfg = FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1)
+    module.finetune(ds, None, cfg, fcfg)
+    train, _, _ = stratified_split(ds.labeled(), fcfg.split)
+    return [min(8, len(train) - start) for start in range(0, len(train), 8)], 8
+
+
+def tiny_pretrain():
+    run_desk_pretrain(importlib.import_module("braincl.pipeline.pretrain"))
+    return [4, 4, 3], 4
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("run", [tiny_pretrain, tiny_finetune], ids=["pretrain", "finetune"])
+def test_probe_sees_one_step_per_batch_and_one_epoch_per_epoch(run, traced):
+    probe = load_probe().Probe(traced=traced)
+    modules = {key: importlib.import_module(f"braincl.{name}") for key, name in MODULES.items()}
+    with probe.installed(modules):
+        batches, batch_size = run()
+    assert probe.epochs == 2
+    assert [step.samples for step in probe.steps] == batches * 2
+    assert [step.full for step in probe.steps] == [n == batch_size for n in batches] * 2
+    assert [step.epoch for step in probe.steps] == [1] * len(batches) + [2] * len(batches)
+    assert all(step.end > step.start for step in probe.steps)
+    if traced:
+        assert probe.graph_nodes > 0
+        assert sum(span.name == "pipeline.step" for span in probe.spans) == len(probe.steps)
+
+
+@pytest.mark.parametrize("run", [tiny_pretrain, tiny_finetune], ids=["pretrain", "finetune"])
+def test_both_verbs_start_every_epoch_through_the_one_driver(monkeypatch, run):
+    pre, ft = (importlib.import_module(f"braincl.{MODULES[key]}")
+               for key in ("pretrain", "finetune"))
+    starts = []
+
+    def counted(order, batch_size):
+        starts.append(batch_size)
+        return batched_indices(order, batch_size)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("an epoch started outside pretrain.train_epochs")
+
+    monkeypatch.setattr(pre, "batched_indices", counted)
+    monkeypatch.setattr(ft, "batched_indices", unused)
+    _, batch_size = run()
+    assert starts == [batch_size] * 2

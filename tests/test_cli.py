@@ -11,6 +11,7 @@ import pytest
 import braincl
 from braincl.cli import main
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
+from braincl.numcore import load_checkpoint, save_checkpoint
 from braincl.pipeline import save_encoder_checkpoint
 
 CONFIG = """
@@ -198,6 +199,22 @@ def test_evaluate_reports_a_checkpoint_that_overflows(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: non-finite value during evaluation scoring:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [np.array([2.0]), np.array(2.5)], ids=["shape1", "fraction"])
+def test_evaluate_rejects_malformed_checkpoint_metadata(workdir, capsys, value):
+    # int() raised a TypeError on the first and read the second as 2 heads
+    cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    rng = np.random.default_rng(0)
+    model = workdir / "meta.bnck"
+    save_encoder_checkpoint(model, {**init_encoder_params(cfg, rng),
+                                    **init_classifier_params(cfg, rng)}, cfg)
+    save_checkpoint(model, {**load_checkpoint(model), "meta.heads": value})
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(workdir / "data"), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: entry 'meta.heads' is not an integer scalar\n"
 
 
 def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):

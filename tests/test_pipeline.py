@@ -92,8 +92,6 @@ def test_pretrain_log_schema_and_queue_growth():
     queue_lens = [row[2] for row in result.epoch_log]
     assert queue_lens == [16, 16, 16]  # capacity reached within first epoch
     assert all(row[3] == 0.02 for row in result.epoch_log)
-    assert set(result.projection_params) == {"project.w1", "project.b1",
-                                             "project.w2", "project.b2"}
     assert not any(k.startswith("project.") for k in result.encoder_params)
 
 
@@ -183,6 +181,20 @@ def test_finetune_overlapping_folds_raise_pipeline_error(monkeypatch):
     cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1)
     with pytest.raises(PipelineError, match="overlapping folds"):
         finetune(tiny_ds(), None, ECFG, cfg)
+
+
+def test_pretrain_non_finite_batch_raises_pipeline_error(monkeypatch):
+    pre = importlib.import_module("braincl.pipeline.pretrain")
+
+    def diverging_step(optimizer, params, grads):
+        return {name: np.full_like(arr, np.inf) for name, arr in params.items()}
+
+    monkeypatch.setattr(pre, "opt_step", diverging_step)
+    # the second batch's leaves meet the infinite weights of the first
+    cfg = PretrainConfig(epochs=1, lr=0.01, batch_size=8, queue_capacity=16, momentum=0.9)
+    with pytest.raises(PipelineError, match="non-finite value during pretraining "
+                                            "epoch 0 batch 1"):
+        pretrain(tiny_ds(), ECFG, cfg, AUG)
 
 
 def test_finetune_non_finite_validation_raises_pipeline_error(monkeypatch):
@@ -338,7 +350,7 @@ def test_artifact_csv_bytes_are_pinned(tmp_path):
         rows=rows, seeds=(5, 6), config_fingerprint="0" * 64,
         mean={"accuracy": 0.8, "auroc": 0.875, "sensitivity": nan, "specificity": 5 / 6},
         std={"accuracy": 0.2, "auroc": 0.125, "sensitivity": nan, "specificity": 1 / 6})
-    pre = PretrainResult(encoder_params=params, projection_params={},
+    pre = PretrainResult(encoder_params=params,
                          epoch_log=((0, 2.5, 8, 0.02), (1, 2.0000000000000004, 16, 0.02)))
     write_report(tmp_path, report, results, tiny_experiment(repeats=2), pre)
     write_ablation_csv(tmp_path / "ablation.csv", [

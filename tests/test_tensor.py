@@ -595,6 +595,20 @@ def test_leaky_relu_keeps_a_boolean_mask():
     np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x], [0.1, 0.1, 1.0])
 
 
+def test_leaky_relu_forward_is_the_slope_gather_bit_for_bit():
+    x = np.random.default_rng(41).standard_normal((6, 5))
+    x[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
+    for slope in (0.0, 0.01, 0.3, 1.0):
+        expected = x * np.array([slope, 1.0]).take(x > 0)
+        assert Tensor(x).leaky_relu(slope).data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
+def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
+    with pytest.raises(ValueError, match="negative_slope must lie in"):
+        Tensor([1.0, -1.0]).leaky_relu(slope)
+
+
 # ---------------------------------------------------------------------------
 # node protocol: one vjp(g, needed) per node, one gradient per parent
 
