@@ -96,8 +96,10 @@ def cmd_ingest(args) -> None:
 
 def cmd_augment(args) -> None:
     conn = read_connectome_file(Path(args.input))
-    cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, conn.n_nodes),
-                        delta_max=args.delta_max, noise=NoiseSpec.parse(args.noise))
+    k_max = min(args.k_max, conn.n_nodes)
+    k_min = min(AugmentConfig.k_min, k_max) if args.k_min is None else args.k_min
+    cfg = AugmentConfig(k_min=k_min, k_max=k_max, delta_max=args.delta_max,
+                        noise=NoiseSpec.parse(args.noise))
     rng = np.random.default_rng(args.seed or 0)
     views = dict(zip(("view1", "view2"), make_view_pair(conn.matrix, cfg, rng)))
     out = Path(args.out)
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="write two augmented views of one connectome")
     p.add_argument("--input", required=True, help="a .conn.csv file")
     p.add_argument("--out", required=True)
-    p.add_argument("--k-min", type=int, default=AugmentConfig.k_min)
+    p.add_argument("--k-min", type=int,
+                   help=f"default {AugmentConfig.k_min}, or the clamped --k-max if smaller")
     p.add_argument("--k-max", type=int, default=AugmentConfig.k_max)
     p.add_argument("--delta-max", type=float, default=AugmentConfig.delta_max)
     p.add_argument("--noise", default=str(AugmentConfig().noise))

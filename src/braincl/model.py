@@ -7,11 +7,11 @@ once, then flows through post-norm attention/feed-forward blocks. Each block
 is built from numcore's fused graph nodes, each with a closed-form backward:
 one ``linear`` per affine map (the heads use it too), one ``attention`` for
 all heads, and one ``add_layer_norm`` per residual add, norm and affine
-step. The readout orthonormalizes a learnable center matrix every forward
+step. ``features`` orthonormalizes a learnable center matrix every forward
 pass with one sign-fixed QR node whose backward is closed-form (so the
-centers stay trainable yet orthonormal), softly assigns node embeddings to
-centers, and projects each pooled cluster embedding to a fixed per-cluster
-width. The flattened readout is what both heads consume.
+centers stay trainable yet orthonormal); numcore's one ``readout`` node then
+softly assigns node embeddings to centers, pools each cluster, projects it
+to a fixed per-cluster width and flattens: the input of both heads.
 
 Every forward path works over trailing axes: a (V, V) connectome is one
 sample and a stacked (B, V, V) array is a batch that runs as one graph.
@@ -30,11 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import Tensor, add_layer_norm, attention, freeze, linear
+from .numcore import Tensor, add_layer_norm, attention, freeze, linear, readout
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
-           "gram_schmidt", "encoder_forward", "readout", "features",
+           "gram_schmidt", "encoder_forward", "features",
            "classify", "project", "cross_entropy", "relabel_nodes",
            "parameter_counts"]
 
@@ -199,30 +199,15 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
     return z
 
 
-def readout(z: Tensor, params: dict[str, Tensor], cfg: EncoderConfig,
-            centers: Tensor | None = None) -> Tensor:
-    """Soft-assign node embeddings to orthonormal centers and pool.
-
-    ``centers`` may be passed in when the caller has already orthonormalized
-    them (one ``gram_schmidt`` QR node can be shared across a whole batch).
-    Returns an (n_clusters, cluster_dim) feature matrix per sample, so a
-    (B, V, d) batch of embeddings gives (B, n_clusters, cluster_dim).
-    """
-    if z.ndim not in (2, 3) or z.shape[-1] != cfg.width:
-        raise ValueError(f"embeddings shape {z.shape} does not match d_model={cfg.width}")
-    if centers is None:
-        centers = gram_schmidt(params["readout.centers"])
-    assignments = (z @ centers.T).softmax(axis=-1)  # rows sum to 1
-    pooled = assignments.T @ z
-    return pooled @ params["readout.w_out"]
-
-
 def features(conn, params: dict[str, Tensor], cfg: EncoderConfig,
              centers: Tensor | None = None) -> Tensor:
     """Flattened readout of length n_clusters * cluster_dim, one row per
-    sample when ``conn`` is a stacked (B, V, V) batch."""
-    pooled = readout(encoder_forward(conn, params, cfg), params, cfg, centers=centers)
-    return pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,))
+    sample when ``conn`` is a stacked (B, V, V) batch; ``centers`` may be
+    passed in already orthonormalized."""
+    z = encoder_forward(conn, params, cfg)
+    if centers is None:
+        centers = gram_schmidt(params["readout.centers"])
+    return readout(z, centers, params["readout.w_out"])
 
 
 def classify(feats: Tensor, params: dict[str, Tensor]) -> Tensor:

@@ -29,19 +29,16 @@ floating-point warnings off; a finite check reports the result once, as
 ``NonFiniteError``.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
-leading axis of a 3-D array is a batch of matrices. Elementwise operations
-and ``@`` broadcast as numpy does.
-
-Three fused layer primitives (``linear``, ``attention`` and
-``add_layer_norm``) are one node each with their backward written out, so a
-transformer layer keeps a handful of outputs instead of one per elementary op.
-
-The ops are those braincl runs (``*``, ``/``, unary ``-``, ``@``, ``T``,
-``reshape``, indexing, ``sum``, ``mean``, ``sqrt``, ``leaky_relu``,
-``softmax``, ``log_softmax``, ``concat`` and the fused nodes) plus ``+`` and
-``-``, which only the reference compositions in ``tests/`` use (the encoder's
-residual add, the centring step of layer norm). A Tensor is always the left
-operand, and ``backward`` returns gradients only for the tensors it is asked for.
+leading axis of a 3-D array is a batch. Elementwise operations broadcast as
+numpy does; ``@`` takes vectors and matrices. The ops are exactly those
+braincl runs: ``*``, ``/``, unary ``-``, ``@``, indexing, ``sum``, ``mean``,
+``sqrt``, ``leaky_relu``, ``softmax``, ``log_softmax``, ``detach``, ``concat``
+and four fused nodes with their backward written out (``linear``,
+``attention``, ``add_layer_norm`` and ``readout``), so a transformer layer
+keeps a handful of outputs instead of one per elementary op. A Tensor is
+always the left operand, and ``backward`` returns gradients only for the
+tensors it is asked for. Other compositions (the tests' references) make
+their own nodes with the Tensor constructor's ``vjp``.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ __all__ = [
     "linear",
     "attention",
     "add_layer_norm",
+    "readout",
     "freeze",
 ]
 
@@ -180,16 +178,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def __add__(self, other) -> "Tensor":
-        return _binary(self, other, "add", np.add,
-                       lambda a, b, g: g,
-                       lambda a, b, g: g)
-
-    def __sub__(self, other) -> "Tensor":
-        return _binary(self, other, "sub", np.subtract,
-                       lambda a, b, g: g,
-                       lambda a, b, g: -g)
-
     def __mul__(self, other) -> "Tensor":
         return _binary(self, other, "mul", np.multiply,
                        lambda a, b, g: g * b,
@@ -207,12 +195,11 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = _coerce(other)
         a, b = self.data, other.data
-        if a.ndim == 0 or b.ndim == 0:
-            raise GraphError("matmul requires operands of at least 1 dimension")
-        try:
-            out = a @ b
-        except ValueError as exc:
-            raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}") from exc
+        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+            raise GraphError(f"matmul takes vectors and matrices, got {a.shape} @ {b.shape}")
+        if a.shape[-1] != b.shape[0]:
+            raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+        out = a @ b
 
         # promote vectors to matrices, so one vjp covers every rank
         a2 = a[None, :] if a.ndim == 1 else a
@@ -221,30 +208,13 @@ class Tensor:
         def vjp(g, needed):
             g = np.expand_dims(g, -2) if a.ndim == 1 else g  # g in the shape of a2 @ b2
             g = g[..., None] if b.ndim == 1 else g
-            yield (_unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
-                   if needed[0] else None)
-            yield (_unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(b.shape)
-                   if needed[1] else None)
+            yield (g @ b2.T).reshape(a.shape) if needed[0] else None
+            yield (a2.T @ g).reshape(b.shape) if needed[1] else None
 
         return Tensor(out, op="matmul", parents=(self, other), vjp=vjp)
 
     # ------------------------------------------------------------------
-    # shape ops
-
-    @property
-    def T(self) -> "Tensor":
-        """Swap the last two axes (a batch of matrices transposes each one)."""
-        if self.ndim < 2:
-            raise GraphError(f"transpose needs at least 2 dimensions, got shape {self.shape}")
-        return Tensor(np.swapaxes(self.data, -1, -2), op="transpose", parents=(self,),
-                      vjp=lambda g, _: (np.swapaxes(g, -1, -2),))
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        return Tensor(self.data.reshape(shape), op="reshape", parents=(self,),
-                      vjp=lambda g, _: (g.reshape(old),))
+    # indexing
 
     def __getitem__(self, idx) -> "Tensor":
         out = self.data[idx]
@@ -307,32 +277,30 @@ class Tensor:
 
     @_quiet
     def softmax(self, axis: int = -1) -> "Tensor":
-        # max subtraction keeps exp() in range; the rest works in place
-        out = self.data - self.data.max(axis=axis, keepdims=True)
-        np.exp(out, out=out)
-        out /= out.sum(axis=axis, keepdims=True)
-
-        def vjp(g, _):
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            return (out * (g - dot),)
-
-        return Tensor(out, op="softmax", parents=(self,), vjp=vjp)
+        out = _softmax_in_place(self.data.copy(), axis)
+        return Tensor(out, op="softmax", parents=(self,),
+                      vjp=lambda g, _: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
 
     @_quiet
     def log_softmax(self, axis: int = -1) -> "Tensor":
         z = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
         out = z - lse
-
-        def vjp(g, _):
-            return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-        return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
+        return Tensor(out, op="log_softmax", parents=(self,),
+                      vjp=lambda g, _: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
 
 
 def _spent(g, needed):
     """The vjp of a node that ``backward`` has spent."""
     raise GraphError("this node was spent by an earlier backward")
+
+
+def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` written over ``x``; the max subtraction keeps exp() in range."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def _coerce(value) -> Tensor:
@@ -446,9 +414,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     # the softmax over keys, in place on the scores
     p = qh @ np.swapaxes(kh, -1, -2)
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)  # keeps exp() in range
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    _softmax_in_place(p)
     out = merged(p, vh)
 
     def vjp(g, needed):
@@ -495,6 +461,48 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
         yield _unbroadcast(g, gd.shape) if needed[3] else None
 
     return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
+
+
+@_quiet
+def readout(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
+    """The Brain Network Transformer's clustering readout (Kan et al. 2022,
+    arXiv:2210.06681) as one node. Embeddings ``z``, (V, d) or (B, V, d), are
+    softly assigned to the (K, d) ``centers``, A = softmax(z centers^T); each
+    cluster pools its nodes, A^T z; ``w_out`` (d, c) projects each pooled row;
+    and the (K, c) result is flattened per sample. The node keeps A and the
+    pooled rows. Its backward makes the numpy calls of the same readout built
+    from elementary nodes, in their order, so the gradients are equal bit for bit.
+    """
+    z, centers, w_out = _coerce(z), _coerce(centers), _coerce(w_out)
+    if (z.ndim not in (2, 3) or centers.ndim != 2 or w_out.ndim != 2
+            or centers.shape[1] != z.shape[-1] or w_out.shape[0] != z.shape[-1]):
+        raise GraphError(f"readout shape mismatch: embeddings {z.shape}, centers "
+                         f"{centers.shape}, w_out {w_out.shape}")
+    zd, cd, wd = z.data, centers.data, w_out.data
+    zt = np.swapaxes(zd, -1, -2)
+    a = _softmax_in_place(zd @ cd.T)  # rows sum to 1
+    pooled = np.swapaxes(a, -1, -2) @ zd
+    out = pooled @ wd
+
+    def batch_sum(grad):  # a shared operand's gradient sums its per-sample terms
+        return grad.sum(axis=0) if grad.ndim == 3 else grad
+
+    def vjp(g, needed):
+        g = g.reshape(out.shape)
+        if needed[0] or needed[1]:
+            g_pooled = g @ wd.T
+            # a C-ordered copy, so the softmax's row sums run as the elementary graph's do
+            g_a = np.swapaxes(g_pooled @ zt, -1, -2).copy()
+            g_s = a * (g_a - (g_a * a).sum(axis=-1, keepdims=True))  # through the softmax
+        if needed[0]:
+            g_z = a @ g_pooled  # the pooling term, then the assignment term
+            g_z += g_s @ cd
+        yield g_z if needed[0] else None
+        yield np.swapaxes(batch_sum(zt @ g_s), -1, -2) if needed[1] else None
+        yield batch_sum(np.swapaxes(pooled, -1, -2) @ g) if needed[2] else None
+
+    return Tensor(out.reshape(zd.shape[:-2] + (-1,)), op="readout",
+                  parents=(z, centers, w_out), vjp=vjp)
 
 
 @_quiet

@@ -1,8 +1,11 @@
 """Reference implementations, for tests only.
 
-numcore keeps only the ops braincl runs, so the layer norm and the stack that
-the fused nodes and batched forwards are checked against are built here from
-those ops. Their gradients come from the ops' own backward rules.
+numcore keeps only the ops braincl runs, so the elementary nodes the fused
+nodes and batched forwards are checked against are built here with the
+``Tensor`` constructor's ``vjp``: add and subtract with numpy broadcasting,
+transpose, reshape and a batched matmul. Of their compositions,
+``layer_norm`` gives ``add_layer_norm``'s values bit for bit, and
+``readout_reference`` the ``readout`` node's values and gradients.
 
 ``adam_reference`` is Adam as it was written one parameter at a time, before
 ``opt_step`` ran it over one flat vector; the two must agree bit for bit.
@@ -14,22 +17,100 @@ bit and tells a test which nodes were picked and which way each went.
 
 import numpy as np
 
-from braincl.numcore import OptimState, Tensor, concat
+from braincl.numcore import GraphError, OptimState, Tensor, concat
 from braincl.numcore.optim import BETA1, BETA2, EPS
+
+
+def _tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value, requires_grad=False)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Reduce a gradient back to ``shape`` after numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, dim in enumerate(shape):
+        if dim == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _broadcasting(name, fwd, sign_b):
+    def op(a, b) -> Tensor:
+        a, b = _tensor(a), _tensor(b)
+        sa, sb = a.shape, b.shape
+        try:
+            np.broadcast_shapes(sa, sb)
+        except ValueError:
+            raise GraphError(f"{name} shape mismatch {sa} vs {sb}") from None
+
+        def vjp(g, needed):
+            yield _unbroadcast(g, sa) if needed[0] else None
+            yield _unbroadcast(g if sign_b > 0 else -g, sb) if needed[1] else None
+
+        return Tensor(fwd(a.data, b.data), op=name, parents=(a, b), vjp=vjp)
+    return op
+
+
+add = _broadcasting("add", np.add, +1)
+sub = _broadcasting("sub", np.subtract, -1)
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes (a batch of matrices transposes each one)."""
+    return Tensor(np.swapaxes(x.data, -1, -2), op="transpose", parents=(x,),
+                  vjp=lambda g, _: (np.swapaxes(g, -1, -2),))
+
+
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    old = x.shape
+    return Tensor(x.data.reshape(shape), op="reshape", parents=(x,),
+                  vjp=lambda g, _: (g.reshape(old),))
+
+
+def matmul(a, b) -> Tensor:
+    """``a @ b`` for vectors, matrices and (B, n, m) stacks of matrices,
+    broadcast as numpy does."""
+    a, b = _tensor(a), _tensor(b)
+    ad, bd = a.data, b.data
+    try:
+        out = ad @ bd
+    except ValueError as exc:
+        raise GraphError(f"matmul shape mismatch {ad.shape} @ {bd.shape}") from exc
+    a2 = ad[None, :] if ad.ndim == 1 else ad
+    b2 = bd[:, None] if bd.ndim == 1 else bd
+
+    def vjp(g, needed):
+        g = np.expand_dims(g, -2) if ad.ndim == 1 else g  # g in the shape of a2 @ b2
+        g = g[..., None] if bd.ndim == 1 else g
+        yield (_unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(ad.shape)
+               if needed[0] else None)
+        yield (_unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(bd.shape)
+               if needed[1] else None)
+
+    return Tensor(out, op="matmul", parents=(a, b), vjp=vjp)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, in the arithmetic ``add_layer_norm``
     uses, so its values equal the fused node's bit for bit."""
     keepdims = x.shape[:-1] + (1,)
-    centered = x - x.mean(-1).reshape(keepdims)
-    var = (centered * centered).mean(-1).reshape(keepdims)
-    return centered * (Tensor(1.0, requires_grad=False) / (var + eps).sqrt())
+    centered = sub(x, reshape(x.mean(-1), keepdims))
+    var = reshape((centered * centered).mean(-1), keepdims)
+    return centered * (Tensor(1.0, requires_grad=False) / add(var, eps).sqrt())
 
 
 def stack(tensors) -> Tensor:
     """Same-shape tensors along a new leading axis."""
-    return concat([t.reshape((1,) + t.shape) for t in tensors])
+    return concat([reshape(t, (1,) + t.shape) for t in tensors])
+
+
+def readout_reference(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
+    """The clustering readout as the graph of elementary nodes the fused
+    ``readout`` replaced: assign, pool, project, flatten."""
+    assignments = matmul(z, transpose(centers)).softmax(axis=-1)
+    pooled = matmul(matmul(transpose(assignments), z), w_out)
+    return reshape(pooled, pooled.shape[:-2] + (-1,))
 
 
 def adam_reference(state: OptimState, params: dict, grads: dict,

@@ -26,9 +26,8 @@ from braincl.model import (
     init_encoder_params,
     init_projection_params,
     project,
-    readout,
 )
-from braincl.numcore import Tensor, directional_gradcheck, gradcheck
+from braincl.numcore import Tensor, directional_gradcheck, gradcheck, readout
 from braincl.pipeline import (
     ExperimentConfig,
     FinetuneConfig,
@@ -120,15 +119,14 @@ def test_criterion_1_gradient_suite():
     # readout (orthonormalization + soft assignment + pooling) w.r.t. the
     # node embeddings and w.r.t. the raw centers
     z_val = rng.standard_normal((8, cfg.width))
-    w = Tensor(rng.standard_normal((cfg.n_clusters, cfg.cluster_dim)),
-               requires_grad=False)
-    assert gradcheck(lambda t: (readout(t, params, cfg) * w).sum(),
+    w = Tensor(rng.standard_normal(cfg.feature_dim), requires_grad=False)
+    centers = gram_schmidt(params["readout.centers"]).detach()
+    assert gradcheck(lambda t: (readout(t, centers, params["readout.w_out"]) * w).sum(),
                      z_val, eps=GRAD_EPS) < GRAD_TOL
 
     def centers_fn(t):
-        local = dict(params)
-        local["readout.centers"] = t
-        return (readout(Tensor(z_val, requires_grad=False), local, cfg) * w).sum()
+        z = Tensor(z_val, requires_grad=False)
+        return (readout(z, gram_schmidt(t), params["readout.w_out"]) * w).sum()
 
     assert gradcheck(centers_fn, arrays["readout.centers"], eps=GRAD_EPS) < GRAD_TOL
 
@@ -249,7 +247,7 @@ def test_criterion_4_readout():
     conn = random_connectome(rng, 8)
     z = encoder_forward(conn, params, cfg)
     centers = gram_schmidt(params["readout.centers"])
-    assignments = (z @ centers.T).softmax(axis=-1).data
+    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
     assert np.abs(assignments.sum(axis=1) - 1.0).max() < 1e-12
 
     flat = features(conn, params, cfg)

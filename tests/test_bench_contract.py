@@ -196,9 +196,10 @@ def test_pretrain_runs_the_key_encoder_before_the_query_encoder(monkeypatch):
 
 
 def test_desk_pretrain_step_graph_stays_fused(monkeypatch):
-    # one linear per affine map, one attention node per layer and one
-    # add_layer_norm per residual add: a per-head loop or a matmul-plus-add
-    # composition would roughly double this count
+    # one linear per affine map, one attention node per layer, one
+    # add_layer_norm per residual add and one readout node: a per-head loop
+    # or a matmul-plus-add composition would roughly double this count, and
+    # a readout split into its elementary ops would add 6 nodes (89 here)
     module = importlib.import_module("braincl.pipeline.pretrain")
     probe = load_probe()
     counts = []
@@ -215,7 +216,7 @@ def test_desk_pretrain_step_graph_stays_fused(monkeypatch):
                                             lr=0.05, momentum=0.99),
                     AugmentConfig(k_min=2, k_max=5))
     assert len(counts) == 2  # the second step scores against a non-empty queue
-    assert max(counts) <= 95, counts
+    assert max(counts) <= 83, counts
 
 
 def test_perfbench_selftest_passes():

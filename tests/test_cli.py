@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import braincl
 from braincl.cli import main
+from braincl.data import Connectome, write_connectome_file
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.numcore import load_checkpoint, save_checkpoint
 from braincl.pipeline import save_encoder_checkpoint
@@ -355,3 +357,30 @@ def test_roc_refuses_score_files_that_share_a_name(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(a) in err and str(b) in err
     assert not out.exists()
+
+
+def test_roc_svg_parses_whatever_the_score_file_is_called(tmp_path):
+    scores = tmp_path / "a&b<c.csv"
+    scores.write_text("score,label\n0.9,1\n0.4,0\n0.6,1\n0.1,0\n")
+    out = tmp_path / "roc"
+    assert main(["roc", "--scores", str(scores), "--out", str(out)]) == 0
+    labels = [el.text for el in ElementTree.parse(out / "roc.svg").iter()
+              if el.tag.endswith("text")]
+    assert "a&b<c (AUROC 1.000)" in labels
+
+
+def test_augment_defaults_fit_a_small_matrix(tmp_path, capsys):
+    # the default node range 5-20 shrinks to 3-3 on a 3-node matrix
+    conn = tmp_path / "tiny.conn.csv"
+    write_connectome_file(conn, Connectome(np.array([[1.0, 0.3, -0.2],
+                                                     [0.3, 1.0, 0.5],
+                                                     [-0.2, 0.5, 1.0]])))
+    out = tmp_path / "aug"
+    assert main(["augment", "--input", str(conn), "--out", str(out)]) == 0
+    with (out / "diff.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["entries_changed"]) for r in rows] == [3, 3]  # every node picked
+    # an explicit range that cannot fit still fails
+    assert main(["augment", "--input", str(conn), "--out", str(tmp_path / "bad"),
+                 "--k-min", "4"]) == 2
+    assert capsys.readouterr().err == "error: need 0 <= k_min <= k_max, got [4, 3]\n"

@@ -16,11 +16,10 @@ from braincl.model import (
     init_projection_params,
     parameter_counts,
     project,
-    readout,
     relabel_nodes,
 )
-from braincl.numcore import Tensor, backward, concat, gradcheck
-from references import layer_norm, stack
+from braincl.numcore import Tensor, backward, concat, gradcheck, readout
+from references import add, layer_norm, matmul, readout_reference, stack, sub, transpose
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -93,8 +92,7 @@ def test_encoder_node_relabeling_equivariance():
     rng = np.random.default_rng(5)
     conn = random_connectome(rng, 8)
     z = encoder_forward(conn, as_tensors(arrays), cfg).data
-    pooled = readout(encoder_forward(conn, as_tensors(arrays), cfg),
-                     as_tensors(arrays), cfg).data
+    pooled = features(conn, as_tensors(arrays), cfg).data
     for _ in range(50):
         perm = rng.permutation(8)
         permuted = Connectome(conn.matrix[perm][:, perm])
@@ -102,8 +100,7 @@ def test_encoder_node_relabeling_equivariance():
         z_perm = encoder_forward(permuted, relabeled, cfg).data
         np.testing.assert_allclose(z_perm, z[perm], atol=1e-10)
         # cluster embeddings are invariant, not just equivariant
-        pooled_perm = readout(encoder_forward(permuted, relabeled, cfg),
-                              relabeled, cfg).data
+        pooled_perm = features(permuted, relabeled, cfg).data
         np.testing.assert_allclose(pooled_perm, pooled, atol=1e-10)
 
 
@@ -213,7 +210,7 @@ def mgs_reference(centers: Tensor) -> Tensor:
     for i in range(centers.shape[0]):
         v = centers[i]
         for q in rows:
-            v = v - (v * q).sum() * q
+            v = sub(v, (v * q).sum() * q)
         rows.append(v / (v * v).sum().sqrt())
     return stack(rows)
 
@@ -256,7 +253,7 @@ def test_init_centers_orthonormal_at_paper_scale():
 
 
 def affine_reference(x: Tensor, params, w: str, b: str) -> Tensor:
-    return x @ params[w] + params[b]
+    return add(matmul(x, params[w]), params[b])
 
 
 def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
@@ -275,20 +272,22 @@ def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
         heads = []
         for h in range(cfg.heads):
             sl = slice(h * head_dim, (h + 1) * head_dim)
-            scores = (q[..., sl] @ k[..., sl].T) * scale
-            heads.append(scores.softmax(axis=-1) @ v[..., sl])
+            scores = matmul(q[..., sl], transpose(k[..., sl])) * scale
+            heads.append(matmul(scores.softmax(axis=-1), v[..., sl]))
         attn = affine_reference(concat(heads, axis=-1), params,
                                 f"{pre}.attn.wo", f"{pre}.attn.ob")
-        z = layer_norm(z + attn) * params[f"{pre}.norm1.gain"] + params[f"{pre}.norm1.bias"]
+        z = add(layer_norm(add(z, attn)) * params[f"{pre}.norm1.gain"],
+                params[f"{pre}.norm1.bias"])
         hidden = affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1").leaky_relu(0.01)
         ffn = affine_reference(hidden, params, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        z = layer_norm(z + ffn) * params[f"{pre}.norm2.gain"] + params[f"{pre}.norm2.bias"]
+        z = add(layer_norm(add(z, ffn)) * params[f"{pre}.norm2.gain"],
+                params[f"{pre}.norm2.bias"])
     return z
 
 
 def features_reference(conn, params, cfg: EncoderConfig) -> Tensor:
-    pooled = readout(encoder_reference(conn, params, cfg), params, cfg)
-    return pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,))
+    z = encoder_reference(conn, params, cfg)
+    return readout_reference(z, gram_schmidt(params["readout.centers"]), params["readout.w_out"])
 
 
 def project_reference(feats: Tensor, params) -> Tensor:
@@ -347,12 +346,12 @@ def test_readout_assignments_sum_to_one_and_shape():
     conn = random_connectome(np.random.default_rng(11), 8)
     z = encoder_forward(conn, params, cfg)
     centers = gram_schmidt(params["readout.centers"])
-    assignments = (z @ centers.T).softmax(axis=-1).data
+    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
     np.testing.assert_allclose(assignments.sum(axis=1), np.ones(8), atol=1e-12)
 
-    pooled = readout(z, params, cfg)
-    assert pooled.shape == (4, 8)
-    assert features(conn, params, cfg).shape == (32,)
+    pooled = readout(z, centers, params["readout.w_out"])
+    assert pooled.shape == (32,)
+    assert np.array_equal(features(conn, params, cfg).data, pooled.data)
 
 
 def test_readout_saturates_to_one_hot():
@@ -361,7 +360,7 @@ def test_readout_saturates_to_one_hot():
     centers = gram_schmidt(params["readout.centers"])
     target = 2
     z = Tensor(1e4 * centers.data[target][None, :], requires_grad=False)
-    assignments = (z @ centers.T).softmax(axis=-1).data
+    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
     expect = np.zeros(4)
     expect[target] = 1.0
     np.testing.assert_allclose(assignments[0], expect, atol=1e-12)

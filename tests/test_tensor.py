@@ -23,6 +23,7 @@ from braincl.numcore import (
     linear,
     load_checkpoint,
     opt_step,
+    readout,
     save_checkpoint,
     sgd,
 )
@@ -30,7 +31,7 @@ from braincl.numcore import tensor as tensor_module
 from braincl.numcore.gradcheck import gradcheck
 from braincl.pipeline import (FinetuneConfig, PretrainConfig, finetune, load_encoder_checkpoint,
                               pretrain, save_encoder_checkpoint)
-from references import layer_norm, stack
+from references import add, layer_norm, matmul, readout_reference, stack, sub, transpose
 
 
 def test_square_sum_gradient():
@@ -80,7 +81,7 @@ def test_backward_linearity_over_independent_graphs():
     rng = np.random.default_rng(2)
     xv, yv = rng.standard_normal(5), rng.standard_normal(5)
     x, y = Tensor(xv), Tensor(yv)
-    joint = backward((x * x).sum() + (y * y * y).sum(), wrt=[x, y])
+    joint = backward(add((x * x).sum(), (y * y * y).sum()), wrt=[x, y])
     gx_leaf = Tensor(xv)
     gx = backward((gx_leaf * gx_leaf).sum(), wrt=[gx_leaf])
     gy_leaf = Tensor(yv)
@@ -107,7 +108,7 @@ def test_unreachable_parameter_gets_zero_gradient():
 def test_shared_subgraph_accumulates():
     x = Tensor([2.0])
     y = x * x  # used twice below
-    loss = (y + y).sum()
+    loss = add(y, y).sum()
     np.testing.assert_array_equal(backward(loss, wrt=[x])[x], [8.0])
 
 
@@ -125,9 +126,9 @@ def test_matmul_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("op", [
-    lambda x: (Tensor(1.0, requires_grad=False) / (x * x + 1.5)).sum(),
+    lambda x: (Tensor(1.0, requires_grad=False) / add(x * x, 1.5)).sum(),
     lambda x: (-x * x).sum(),
-    lambda x: (x * x + 0.5).sqrt().sum(),
+    lambda x: add(x * x, 0.5).sqrt().sum(),
     lambda x: x.leaky_relu().sum() * 3.0,
     lambda x: (x.softmax() * x).sum(),
     lambda x: (x.log_softmax() * x).sum(),
@@ -144,10 +145,10 @@ def test_matrix_ops_gradcheck():
     w = Tensor(rng.standard_normal((4, 5)), requires_grad=False)
     assert gradcheck(lambda t: (layer_norm(t) * w).sum(axis=None), x) < 1e-6
     assert gradcheck(lambda t: (t.softmax(axis=1) * w).sum(), x) < 1e-6
-    assert gradcheck(lambda t: t.T.reshape(20)[3:9].sum(), x) < 1e-8
+    assert gradcheck(lambda t: t[1:3, 2:].sum(), x) < 1e-8
     assert gradcheck(lambda t: t.mean(axis=0).sum(), x) < 1e-8
     bias = Tensor(rng.standard_normal(5), requires_grad=False)
-    assert gradcheck(lambda t: ((t + bias) * (t + bias)).sum(), x) < 1e-6
+    assert gradcheck(lambda t: ((t * bias) * (t / bias)).sum(), x) < 1e-6
 
 
 def test_concat_and_stack_gradients():
@@ -193,9 +194,11 @@ def test_tensor_data_is_read_only():
 
 def test_shape_mismatch_raises():
     with pytest.raises(GraphError):
-        Tensor([1.0, 2.0]) + Tensor([1.0, 2.0, 3.0])
+        Tensor([1.0, 2.0]) * Tensor([1.0, 2.0, 3.0])
     with pytest.raises(GraphError):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+    with pytest.raises(GraphError):
+        Tensor(np.zeros(3)) @ Tensor(np.zeros(2))
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "add_layer_norm", "concat"])
@@ -207,8 +210,8 @@ def test_one_tensor_in_two_parent_slots(name, op_first):
     rng = np.random.default_rng(50)
     vals = rng.standard_normal((3, 4))
     gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
-    op = {"add": lambda a, b: a + b,
-          "sub": lambda a, b: a - b,
+    op = {"add": add,
+          "sub": sub,
           "add_layer_norm": lambda a, b: add_layer_norm(a, b, gain, bias),
           "concat": lambda a, b: concat([a, b], axis=1)}[name]
     w = rng.standard_normal(op(Tensor(vals), Tensor(vals)).shape)
@@ -216,7 +219,7 @@ def test_one_tensor_in_two_parent_slots(name, op_first):
 
     def loss(x, y):
         head, tail = (op(x, y) * w).sum(), (x * v).sum()
-        return head + tail if op_first else tail + head
+        return add(head, tail) if op_first else add(tail, head)
 
     def slot_grad(slot):  # the op's gradient through one slot alone
         t, const = Tensor(vals), Tensor(vals, requires_grad=False)
@@ -256,7 +259,7 @@ def test_backward_is_deterministic():
     def run():
         x = Tensor(vals)
         z = layer_norm(x) @ Tensor(np.eye(6), requires_grad=False)
-        loss = (z.softmax() * z).sum() + z.leaky_relu().mean(axis=None)
+        loss = add((z.softmax() * z).sum(), z.leaky_relu().mean(axis=None))
         return backward(loss, wrt=[x])[x]
 
     first, second = run(), run()
@@ -268,7 +271,7 @@ def test_backward_adds_contributions_in_reverse_creation_order():
     # c is created last, so its 1.0 is added first and then absorbed
     x = Tensor([1.0])
     a, b, c = x * 1e16, x * -1e16, x * 1.0
-    grad = backward(((c + a) + b).sum(), wrt=[x])[x]
+    grad = backward(add(add(c, a), b).sum(), wrt=[x])[x]
     assert (1.0 + -1e16) + 1e16 == 0.0 and (1e16 + -1e16) + 1.0 == 1.0
     np.testing.assert_array_equal(grad, [0.0])
 
@@ -285,7 +288,7 @@ def test_backward_returns_read_only_arrays():
 def test_backward_rejects_an_overflowing_gradient():
     # the loss is finite, but the two 1e308 contributions into x overflow
     x = Tensor([1.0, -1.0])
-    loss = (x * 1e308).sum() + (x * 1e308).sum()
+    loss = add((x * 1e308).sum(), (x * 1e308).sum())
     assert loss.item() == 0.0
     with pytest.raises(NonFiniteError, match="non-finite values in 'grad' result"):
         backward(loss, wrt=[x])
@@ -365,7 +368,7 @@ def test_backward_frees_an_encoder_forward_while_the_loss_lives():
 
 @pytest.mark.parametrize("op", [
     lambda big: big * big,
-    lambda big: big @ big.T,
+    lambda big: big @ Tensor(big.data.T),
     lambda big: linear(big, Tensor([[2.0], [0.0]]), Tensor([0.0])),
     lambda big: add_layer_norm(big, big, Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
 ], ids=["mul", "matmul", "linear", "add_layer_norm"])
@@ -381,41 +384,48 @@ def test_forward_overflow_is_one_non_finite_error(op):
 
 
 def test_batched_matmul_gradcheck():
+    # the core's @ takes vectors and matrices; the stacked products of the
+    # reference compositions are the tests' own matmul node
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 4, 5))
+    with pytest.raises(GraphError, match="vectors and matrices"):
+        Tensor(a) @ Tensor(rng.standard_normal((5, 2)))
+    with pytest.raises(GraphError, match="vectors and matrices"):
+        Tensor(rng.standard_normal(4)) @ Tensor(a)
     shared = rng.standard_normal((5, 2))
     stacked = rng.standard_normal((3, 5, 2))
     w = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=False)
     for b in (shared, stacked):
         const_a, const_b = Tensor(a, requires_grad=False), Tensor(b, requires_grad=False)
-        assert gradcheck(lambda t: ((t @ const_b) * w).sum(), a) < 1e-8
-        assert gradcheck(lambda t: ((const_a @ t) * w).sum(), b) < 1e-8
+        assert gradcheck(lambda t: (matmul(t, const_b) * w).sum(), a) < 1e-8
+        assert gradcheck(lambda t: (matmul(const_a, t) * w).sum(), b) < 1e-8
     # a vector against a stack of matrices, and a stack against a vector
     v = rng.standard_normal(4)
-    assert gradcheck(lambda t: (t @ Tensor(a, requires_grad=False)).sum(), v) < 1e-8
+    assert gradcheck(lambda t: matmul(t, Tensor(a, requires_grad=False)).sum(), v) < 1e-8
     u = rng.standard_normal(5)
     wu = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
-    assert gradcheck(lambda t: ((Tensor(a, requires_grad=False) @ t) * wu).sum(), u) < 1e-8
+    assert gradcheck(lambda t: (matmul(Tensor(a, requires_grad=False), t) * wu).sum(), u) < 1e-8
 
 
 def test_batched_shape_ops_and_broadcasting_gradcheck():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, 4, 5))
     w = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=False)
-    assert Tensor(x).T.shape == (3, 5, 4)
-    assert gradcheck(lambda t: (t.T * w).sum(), x) < 1e-6
+    assert transpose(Tensor(x)).shape == (3, 5, 4)
+    assert gradcheck(lambda t: (transpose(t) * w).sum(), x) < 1e-6
     wk = Tensor(rng.standard_normal((3, 1, 5)), requires_grad=False)
     assert gradcheck(lambda t: (t.sum(axis=1, keepdims=True) * wk).sum(), x) < 1e-6
     assert Tensor(x).sum(axis=-1, keepdims=True).shape == (3, 4, 1)
     bias = rng.standard_normal(5)
-    assert gradcheck(lambda t: ((t + Tensor(bias, requires_grad=False)) * w.T).sum(), x) < 1e-6
-    assert gradcheck(lambda t: ((Tensor(x, requires_grad=False) + t) * w.T).sum(), bias) < 1e-6
+    wt = transpose(w)
+    assert gradcheck(lambda t: (t * Tensor(bias, requires_grad=False) * wt).sum(), x) < 1e-6
+    assert gradcheck(lambda t: (Tensor(x, requires_grad=False) * t * wt).sum(), bias) < 1e-6
     rows = rng.standard_normal((6, 3))
     norms = rng.uniform(0.5, 2.0, (6, 1))
     assert gradcheck(lambda t: (t / Tensor(norms, requires_grad=False)).sum(), rows) < 1e-6
     assert gradcheck(lambda t: (Tensor(rows, requires_grad=False) / t).sum(), norms) < 1e-6
     with pytest.raises(GraphError):
-        Tensor(np.zeros((3, 4, 5))) + Tensor(np.zeros(4))
+        Tensor(np.zeros((3, 4, 5))) * Tensor(np.zeros(4))
 
 
 def test_batched_concat_and_getitem_gradcheck():
@@ -437,10 +447,11 @@ def test_batched_concat_and_getitem_gradcheck():
 def test_ops_on_constants_keep_no_graph():
     a = Tensor(np.ones((2, 3, 3)), requires_grad=False)
     b = Tensor(np.eye(3), requires_grad=False)
-    out = ((a @ b).T + 1.0).softmax(axis=-1).sum(axis=-1)
+    out = (-(a * b) / 2.0).softmax(axis=-1).sum(axis=-1)
     assert not out.requires_grad
     assert out.parents == ()
-    mixed = a @ Tensor(np.eye(3))
+    assert readout(a, b, b).parents == ()
+    mixed = a[0] @ Tensor(np.eye(3))
     assert mixed.requires_grad and len(mixed.parents) == 2
     # an op node takes requires_grad from its parents, whatever flag is passed
     for flag in (False, True):
@@ -557,16 +568,62 @@ def test_add_layer_norm_gradcheck(shape):
     gradcheck_each_input(lambda *t: (add_layer_norm(*t) * weights).sum(), arrays, 1e-6)
     x, r, gain, bias = (Tensor(a) for a in arrays)
     out = add_layer_norm(x, r, gain, bias)
-    reference = layer_norm(x + r) * gain + bias
+    reference = add(layer_norm(add(x, r)) * gain, bias)
     np.testing.assert_array_equal(out.data, reference.data)
     assert out.parents == (x, r, gain, bias)
     # a tensor added to itself gets both gradient contributions
     loss = (add_layer_norm(x, x, gain, bias) * weights).sum()
-    ref = ((layer_norm(x + x) * gain + bias) * weights).sum()
+    ref = (add(layer_norm(add(x, x)) * gain, bias) * weights).sum()
     np.testing.assert_allclose(backward(loss, wrt=[x])[x],
                                backward(ref, wrt=[x])[x], rtol=0, atol=1e-12)
     with pytest.raises(GraphError):
         add_layer_norm(x, r, Tensor(np.ones(d + 1)), bias)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+def test_readout_gradcheck(shape):
+    rng = np.random.default_rng(34)
+    arrays = [rng.standard_normal(shape), rng.standard_normal((3, 4)),
+              rng.standard_normal((4, 2))]
+    weights = Tensor(rng.standard_normal(shape[:-2] + (6,)), requires_grad=False)
+    gradcheck_each_input(lambda *t: (readout(*t) * weights).sum(), arrays, 1e-6)
+    z, centers, w_out = (Tensor(a) for a in arrays)
+    out = readout(z, centers, w_out)
+    assert out.parents == (z, centers, w_out) and out.shape == shape[:-2] + (6,)
+
+
+@pytest.mark.parametrize("n_nodes, n_clusters, batch", [
+    (20, 10, None), (20, 10, 1), (20, 10, 32),  # the criterion-7 desk model
+    (200, 100, None), (200, 100, 1), (200, 100, 32),  # the paper-scale default
+])
+def test_readout_matches_reference_composition_bit_for_bit(n_nodes, n_clusters, batch):
+    rng = np.random.default_rng(n_nodes + (batch or 0))
+    z_shape = (n_nodes, n_nodes) if batch is None else (batch, n_nodes, n_nodes)
+    arrays = [rng.standard_normal(z_shape),
+              np.linalg.qr(rng.standard_normal((n_nodes, n_clusters)))[0].T,
+              rng.uniform(-0.2, 0.2, (n_nodes, 8))]
+    weights = rng.standard_normal(z_shape[:-2] + (n_clusters * 8,))
+    results = []
+    for fn in (readout, readout_reference):
+        leaves = [Tensor(a) for a in arrays]
+        out = fn(*leaves)
+        grads = backward((out * Tensor(weights, requires_grad=False)).sum(), wrt=leaves)
+        results.append([out.data] + [grads[t] for t in leaves])
+    for name, fused, reference in zip(["values", "z", "centers", "w_out"], *results):
+        assert fused.shape == reference.shape, name
+        assert fused.tobytes() == reference.tobytes(), name
+
+
+def test_readout_rejects_mismatched_shapes():
+    z, centers, w_out = Tensor(np.ones((5, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2)))
+    for args in [(Tensor(np.ones(4)), centers, w_out),
+                 (z, Tensor(np.ones((3, 5))), w_out),
+                 (z, Tensor(np.ones(4)), w_out),
+                 (z, centers, Tensor(np.ones((5, 2)))),
+                 (z, centers, Tensor(np.ones(4))),
+                 (Tensor(np.ones((2, 5, 3))), centers, w_out)]:
+        with pytest.raises(GraphError, match="readout shape mismatch"):
+            readout(*args)
 
 
 @pytest.mark.parametrize("fn, shapes", [
@@ -612,19 +669,22 @@ def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
 # ---------------------------------------------------------------------------
 # node protocol: one vjp(g, needed) per node, one gradient per parent
 
+# add, sub and the stacked matmuls are the test references' own nodes: the
+# compositions the fused nodes are checked against rely on the same protocol
 PROTOCOL_CASES = {
-    "add": (lambda a, b: a + b, [(2, 3, 4), (4,)]),
-    "sub": (lambda a, b: a - b, [(3, 1), (2, 3, 4)]),
+    "add": (add, [(2, 3, 4), (4,)]),
+    "sub": (sub, [(3, 1), (2, 3, 4)]),
     "mul": (lambda a, b: a * b, [(2, 1, 4), (3, 1)]),
     "div": (lambda a, b: a / b, [(3, 4), (2, 1, 4)]),
     "matmul_vector": (lambda a, b: a @ b, [(4,), (4, 3)]),
     "matmul_matrix": (lambda a, b: a @ b, [(3, 4), (4,)]),
-    "matmul_stacked": (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),
-    "matmul_both_stacked": (lambda a, b: a @ b, [(2, 3, 4), (2, 4, 5)]),
+    "matmul_stacked": (matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_both_stacked": (matmul, [(2, 3, 4), (2, 4, 5)]),
     "concat": (lambda *t: concat(t, axis=-1), [(2, 3), (2, 1), (2, 4)]),
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
     "attention": (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 3, 4)] * 3),
     "add_layer_norm": (add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
+    "readout": (readout, [(2, 5, 4), (3, 4), (4, 2)]),
 }
 
 
@@ -652,12 +712,6 @@ def test_node_protocol(name):
 
 # ---------------------------------------------------------------------------
 # the core holds what braincl runs
-
-# no braincl path adds or subtracts tensors; the reference compositions in
-# tests/references.py and test_model.encoder_reference need both (the
-# residual add and the centring step of layer norm)
-UNUSED_BY_BRAINCL = {"__add__", "__sub__"}
-
 
 def test_core_holds_only_what_braincl_runs(monkeypatch):
     # every Tensor method, property and operator and every numcore op must be
@@ -694,4 +748,4 @@ def test_core_holds_only_what_braincl_runs(monkeypatch):
         finetune(ds, trained.encoder_params, cfg,
                  FinetuneConfig(epochs=1, batch_size=8, repeats=1,
                                 freeze_encoder=freeze_encoder))
-    assert (set(methods) | set(functions)) - called == UNUSED_BY_BRAINCL
+    assert (set(methods) | set(functions)) - called == set()
