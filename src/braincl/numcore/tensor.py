@@ -286,8 +286,11 @@ class Tensor:
         z = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
         out = z - lse
-        return Tensor(out, op="log_softmax", parents=(self,),
-                      vjp=lambda g, _: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
+
+        def vjp(g, _):
+            return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+        return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
 
 
 def _spent(g, needed):
@@ -484,9 +487,6 @@ def readout(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
     pooled = np.swapaxes(a, -1, -2) @ zd
     out = pooled @ wd
 
-    def batch_sum(grad):  # a shared operand's gradient sums its per-sample terms
-        return grad.sum(axis=0) if grad.ndim == 3 else grad
-
     def vjp(g, needed):
         g = g.reshape(out.shape)
         if needed[0] or needed[1]:
@@ -498,8 +498,9 @@ def readout(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
             g_z = a @ g_pooled  # the pooling term, then the assignment term
             g_z += g_s @ cd
         yield g_z if needed[0] else None
-        yield np.swapaxes(batch_sum(zt @ g_s), -1, -2) if needed[1] else None
-        yield batch_sum(np.swapaxes(pooled, -1, -2) @ g) if needed[2] else None
+        # the shared centers and w_out sum their per-sample gradients
+        yield np.swapaxes(_unbroadcast(zt @ g_s, cd.T.shape), -1, -2) if needed[1] else None
+        yield _unbroadcast(np.swapaxes(pooled, -1, -2) @ g, wd.shape) if needed[2] else None
 
     return Tensor(out.reshape(zd.shape[:-2] + (-1,)), op="readout",
                   parents=(z, centers, w_out), vjp=vjp)
