@@ -3,8 +3,8 @@ the slowly-trailing key parameters, and the FIFO queue of past keys that
 serves as the negative set.
 
 The loss denominator includes the positive term alongside every queue key,
-and gradients reach only the query side: keys are stored detached and the
-key parameters are updated by exponential trailing, never by gradient.
+and gradients reach only the query side: keys enter the loss as arrays and
+the key parameters are updated by exponential trailing, never by gradient.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numcore import Tensor, concat, freeze
+from .numcore import Tensor, contrastive_logits, freeze, mean_nll
 
 __all__ = ["MoCoState", "info_nce", "momentum_update", "queue_push"]
 
@@ -69,7 +69,9 @@ def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: flo
     dot products. ``query`` and ``key_pos`` are one (dim,) vector each or a
     (B, dim) batch of rows, and the loss is the mean over the batch. With an
     empty queue the ratio is 1 and the loss 0. Gradients flow only into
-    ``query``; keys are treated as constants.
+    ``query``: the scaled similarities are numcore's ``contrastive_logits``
+    node, whose keys are arrays, and the loss its ``mean_nll`` at the
+    positive, column 0.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
@@ -83,15 +85,8 @@ def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: flo
     _check_unit_rows(key_pos.data, "positive key")
     _check_unit_rows(q, "queue")
 
-    key_const = key_pos.detach()
-    positive = (query * key_const).sum(axis=-1, keepdims=True)
-    if q.size:
-        negatives = query @ Tensor(q.T, requires_grad=False)
-        similarities = concat([positive, negatives], axis=-1)
-    else:
-        similarities = positive
-    log_p = (similarities / temperature).log_softmax(axis=-1)
-    return -log_p[..., 0].mean()
+    logits = contrastive_logits(query, key_pos.data, q, temperature)
+    return mean_nll(logits, np.zeros(query.shape[:-1], dtype=np.intp))
 
 
 def momentum_update(key_params: dict[str, np.ndarray],

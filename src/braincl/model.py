@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import Tensor, add_layer_norm, attention, freeze, linear, readout
+from .numcore import (Tensor, add_layer_norm, attention, freeze, linear, mean_nll, readout,
+                      unit_rows)
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
@@ -218,27 +219,22 @@ def classify(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def project(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Unit-norm contrastive embedding per row; cosine of two outputs is
-    their dot."""
+    """Unit-norm contrastive embedding per row, through numcore's
+    ``unit_rows`` node (a row that collapses to zero is a ``ValueError``);
+    cosine of two outputs is their dot."""
     h = linear(feats, params["project.w1"], params["project.b1"]).leaky_relu(LEAKY_SLOPE)
-    raw = linear(h, params["project.w2"], params["project.b2"])
-    norm_sq = (raw * raw).sum(axis=-1, keepdims=True)
-    if norm_sq.data.min() < 1e-30:
-        raise ValueError("projection collapsed to the zero vector; cannot normalize")
-    return raw / norm_sq.sqrt()
+    return unit_rows(linear(h, params["project.w2"], params["project.b2"]))
 
 
 def cross_entropy(logits: Tensor, label) -> Tensor:
     """Mean negative log-likelihood of ``label`` (an int for (2,) logits,
-    an array of ints for a (B, 2) batch)."""
+    an array of ints for a (B, 2) batch), as numcore's one ``mean_nll`` node."""
     labels = np.asarray(label)
     if not np.isin(labels, (0, 1)).all():
         raise ValueError(f"labels must be 0 or 1, got {label}")
     if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
-    log_p = logits.log_softmax(axis=-1)
-    # log_p[i, labels[i]] for every sample i; log_p[label] for a single one
-    return -log_p[(*np.indices(labels.shape), labels.astype(np.intp))].mean()
+    return mean_nll(logits, labels.astype(np.intp))
 
 
 # ---------------------------------------------------------------------------

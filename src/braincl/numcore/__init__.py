@@ -1,20 +1,23 @@
-"""Minimal float64 tensor arithmetic with reverse-mode autodiff, fused
-linear/attention/add-norm/readout nodes, gradient checking, SGD/Adam, and
-flat binary checkpoints.
+"""Float64 tensors with reverse-mode autodiff over fused graph nodes
+(linear, attention, add-norm, readout, row normalization, contrastive
+logits, mean negative log-likelihood), gradient checking, SGD/Adam, and flat
+binary checkpoints.
 
 The tensor ops are the ones braincl's model, heads and losses run (see
-``tensor``); reference compositions, such as a standalone layer norm and the
-elementary readout, live in ``tests/``."""
+``tensor``); the elementary ops and the compositions the fused nodes replace
+(a standalone layer norm, the elementary readout, the losses) live in
+``tests/references.py``."""
 
 from .checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_checkpoint
 from .gradcheck import directional_gradcheck, gradcheck
 from .optim import OptimState, adam, opt_step, sgd
 from .tensor import (GraphError, NonFiniteError, Tensor, add_layer_norm, attention, backward,
-                     concat, freeze, linear, readout)
+                     contrastive_logits, freeze, linear, mean_nll, readout, unit_rows)
 
 __all__ = [
-    "Tensor", "backward", "concat", "freeze", "GraphError", "NonFiniteError",
+    "Tensor", "backward", "freeze", "GraphError", "NonFiniteError",
     "linear", "attention", "add_layer_norm", "readout",
+    "unit_rows", "contrastive_logits", "mean_nll",
     "gradcheck", "directional_gradcheck",
     "OptimState", "sgd", "adam", "opt_step",
     "save_checkpoint", "load_checkpoint", "CheckpointError", "FORMAT_VERSION",

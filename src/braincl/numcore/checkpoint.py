@@ -72,7 +72,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        raw_name = take(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name {raw_name!r} is not UTF-8") from None
         if params and name <= next(reversed(params)):  # names must strictly increase
             raise CheckpointError(f"{path}: entry {name!r} is repeated or out of name order")
         (ndim,) = struct.unpack("<B", take(1))

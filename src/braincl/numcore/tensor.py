@@ -29,23 +29,23 @@ floating-point warnings off; a finite check reports the result once, as
 ``NonFiniteError``.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
-leading axis of a 3-D array is a batch. Elementwise operations broadcast as
-numpy does; ``@`` takes vectors and matrices. The ops are exactly those
-braincl runs: ``*``, ``/``, unary ``-``, ``@``, indexing, ``sum``, ``mean``,
-``sqrt``, ``leaky_relu``, ``softmax``, ``log_softmax``, ``detach``, ``concat``
-and four fused nodes with their backward written out (``linear``,
-``attention``, ``add_layer_norm`` and ``readout``), so a transformer layer
-keeps a handful of outputs instead of one per elementary op. A Tensor is
-always the left operand, and ``backward`` returns gradients only for the
-tensors it is asked for. Other compositions (the tests' references) make
-their own nodes with the Tensor constructor's ``vjp``.
+leading axis of a 3-D array is a batch. The ops are exactly those braincl
+runs: ``leaky_relu``, the one method of a Tensor besides ``shape``, ``ndim``
+and ``item``, and seven fused nodes with their backward written out, so a
+training step keeps a handful of outputs instead of one per elementary op:
+``linear``, ``attention``, ``add_layer_norm`` and ``readout`` for the model,
+``unit_rows`` for the projection's normalization, and ``contrastive_logits``
+and ``mean_nll`` for the InfoNCE and cross-entropy losses. ``backward``
+returns gradients only for the tensors it is asked for. Other compositions
+(the tests' references) make their own nodes with the Tensor constructor's
+``vjp``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,11 +54,13 @@ __all__ = [
     "GraphError",
     "NonFiniteError",
     "backward",
-    "concat",
     "linear",
     "attention",
     "add_layer_norm",
     "readout",
+    "unit_rows",
+    "contrastive_logits",
+    "mean_nll",
     "freeze",
 ]
 
@@ -168,99 +170,11 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A constant with the same values and no history."""
-        return Tensor(self.data, requires_grad=False, op="detach")
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
     # ------------------------------------------------------------------
-    # arithmetic
-
-    def __mul__(self, other) -> "Tensor":
-        return _binary(self, other, "mul", np.multiply,
-                       lambda a, b, g: g * b,
-                       lambda a, b, g: g * a)
-
-    def __truediv__(self, other) -> "Tensor":
-        return _binary(self, other, "div", np.divide,
-                       lambda a, b, g: g / b,
-                       lambda a, b, g: -g * a / (b * b))
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(-self.data, op="neg", parents=(self,), vjp=lambda g, _: (-g,))
-
-    @_quiet
-    def __matmul__(self, other) -> "Tensor":
-        other = _coerce(other)
-        a, b = self.data, other.data
-        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-            raise GraphError(f"matmul takes vectors and matrices, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[0]:
-            raise GraphError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-        out = a @ b
-
-        # promote vectors to matrices, so one vjp covers every rank
-        a2 = a[None, :] if a.ndim == 1 else a
-        b2 = b[:, None] if b.ndim == 1 else b
-
-        def vjp(g, needed):
-            g = np.expand_dims(g, -2) if a.ndim == 1 else g  # g in the shape of a2 @ b2
-            g = g[..., None] if b.ndim == 1 else g
-            yield (g @ b2.T).reshape(a.shape) if needed[0] else None
-            yield (a2.T @ g).reshape(b.shape) if needed[1] else None
-
-        return Tensor(out, op="matmul", parents=(self, other), vjp=vjp)
-
-    # ------------------------------------------------------------------
-    # indexing
-
-    def __getitem__(self, idx) -> "Tensor":
-        out = self.data[idx]
-        shape = self.data.shape
-
-        def vjp(g, _):
-            full = np.zeros(shape)
-            np.add.at(full, idx, g)
-            return (full,)
-
-        return Tensor(out, op="getitem", parents=(self,), vjp=vjp)
-
-    # ------------------------------------------------------------------
-    # reductions
-
-    @_quiet
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        shape = self.data.shape
-
-        def vjp(g, _):
-            if axis is None or keepdims:
-                return (np.broadcast_to(g, shape),)
-            return (np.broadcast_to(np.expand_dims(g, axis), shape),)
-
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), op="sum", parents=(self,),
-                      vjp=vjp)
-
-    @_quiet
-    def mean(self, axis: int | None = None) -> "Tensor":
-        shape = self.data.shape
-        n = self.data.size if axis is None else shape[axis]
-
-        def vjp(g, _):
-            if axis is None:
-                return (np.broadcast_to(g / n, shape),)
-            return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
-
-        return Tensor(self.data.mean(axis=axis), op="mean", parents=(self,), vjp=vjp)
-
-    # ------------------------------------------------------------------
-    # pointwise nonlinearities
-
-    @_quiet
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor(out, op="sqrt", parents=(self,), vjp=lambda g, _: (g * 0.5 / out,))
+    # the one pointwise nonlinearity
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         # for a slope in [0, 1] the forward is max(x, slope * x), bit for bit
@@ -274,23 +188,6 @@ class Tensor:
         out = self.data * negative_slope
         return Tensor(np.maximum(self.data, out, out=out), op="leaky_relu", parents=(self,),
                       vjp=lambda g, _: (g * slopes.take(positive),))
-
-    @_quiet
-    def softmax(self, axis: int = -1) -> "Tensor":
-        out = _softmax_in_place(self.data.copy(), axis)
-        return Tensor(out, op="softmax", parents=(self,),
-                      vjp=lambda g, _: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
-
-    @_quiet
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-        out = z - lse
-
-        def vjp(g, _):
-            return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-        return Tensor(out, op="log_softmax", parents=(self,), vjp=vjp)
 
 
 def _spent(g, needed):
@@ -320,40 +217,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad.reshape(shape)
-
-
-@_quiet
-def _binary(a: Tensor, other, op: str, fwd, vjp_a, vjp_b) -> Tensor:
-    b = _coerce(other)
-    sa, sb = a.data.shape, b.data.shape
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        raise GraphError(f"{op} shape mismatch {sa} vs {sb}: "
-                         f"shapes must broadcast as in numpy") from None
-    out = fwd(a.data, b.data)
-    ad, bd = a.data, b.data
-
-    def vjp(g, needed):
-        yield _unbroadcast(vjp_a(ad, bd, g), sa) if needed[0] else None
-        yield _unbroadcast(vjp_b(ad, bd, g), sb) if needed[1] else None
-
-    return Tensor(out, op=op, parents=(a, b), vjp=vjp)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; gradients slice back to each input."""
-    tensors = [_coerce(t) for t in tensors]
-    if not tensors:
-        raise GraphError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def vjp(g, needed):
-        return (part if need else None
-                for part, need in zip(np.split(g, offsets, axis=axis), needed))
-
-    return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
 
 
 @_quiet
@@ -504,6 +367,98 @@ def readout(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
 
     return Tensor(out.reshape(zd.shape[:-2] + (-1,)), op="readout",
                   parents=(z, centers, w_out), vjp=vjp)
+
+
+@_quiet
+def unit_rows(x: Tensor) -> Tensor:
+    """Each row of ``x`` (along its last axis) divided by its Euclidean norm,
+    x / sqrt(sum(x * x)), as one node. A squared norm that overflows is a
+    ``NonFiniteError`` and one below 1e-30, a row with no direction, a
+    ``ValueError``. Forward and backward make the numpy calls of the same
+    division built from elementary nodes, in their order, so values and
+    gradients are equal bit for bit."""
+    x = _coerce(x)
+    if x.ndim == 0:
+        raise GraphError("unit_rows needs at least one axis")
+    xd = x.data
+    norm_sq = (xd * xd).sum(axis=-1, keepdims=True)
+    if not np.isfinite(norm_sq).all():
+        raise NonFiniteError("non-finite values in 'unit_rows' squared norm")
+    if norm_sq.min() < 1e-30:
+        raise ValueError("a row collapsed to the zero vector; cannot normalize")
+    norm = np.sqrt(norm_sq)
+
+    def vjp(g, _):
+        g_x = g / norm
+        g_norm = (-g * xd / (norm * norm)).sum(axis=-1, keepdims=True)
+        g_sq = g_norm * 0.5 / norm
+        g_x += g_sq * xd  # once for each factor of x * x
+        g_x += g_sq * xd
+        return (g_x,)
+
+    return Tensor(xd / norm, op="unit_rows", parents=(x,), vjp=vjp)
+
+
+@_quiet
+def contrastive_logits(query: Tensor, keys: np.ndarray, queue: np.ndarray,
+                       temperature: float) -> Tensor:
+    """InfoNCE's scaled similarities (He et al. 2020, arXiv:1911.05722) as one
+    node: each row of ``query``, (dim,) or (B, dim), dotted with the same row
+    of ``keys``, then with every row of the (n, dim) ``queue``, all divided by
+    ``temperature``; the result is (..., 1 + n), the positive first. The keys
+    and the queue are arrays, constants to the graph, so the query is the
+    node's only parent. Forward and backward make the numpy calls of the same
+    logits built from elementary nodes, in their order."""
+    query = _coerce(query)
+    qd = query.data
+    keys, queue = np.asarray(keys, dtype=np.float64), np.asarray(queue, dtype=np.float64)
+    if (qd.ndim not in (1, 2) or keys.shape != qd.shape
+            or queue.size and (queue.ndim != 2 or queue.shape[1] != qd.shape[-1])):
+        raise GraphError(f"contrastive_logits shape mismatch: query {qd.shape}, keys "
+                         f"{keys.shape}, queue {queue.shape}")
+    sims = (qd * keys).sum(axis=-1, keepdims=True)
+    if queue.size:
+        sims = np.concatenate([sims, qd @ queue.T], axis=-1)
+
+    def vjp(g, _):
+        g = g / temperature
+        g_pos = g[..., :1]
+        if not queue.size:
+            return (g_pos * keys,)
+        g_q = ((g[..., 1:] if qd.ndim == 2 else g[None, 1:]) @ queue).reshape(qd.shape)
+        g_q += g_pos * keys
+        return (g_q,)
+
+    return Tensor(sims / temperature, op="contrastive_logits", parents=(query,), vjp=vjp)
+
+
+@_quiet
+def mean_nll(logits: Tensor, labels) -> Tensor:
+    """The mean over samples of -log softmax(logits)[label] as one node:
+    ``logits`` is (n,) for one sample with an int label, or (B, n) with B
+    labels in [0, n). It keeps the log-probabilities, and its forward and
+    backward make the numpy calls of the same loss built from elementary
+    nodes (log-softmax, pick, mean, negate), in their order."""
+    logits = _coerce(logits)
+    labels = np.asarray(labels)
+    if (logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]
+            or labels.dtype.kind not in "iu" or labels.size
+            and not 0 <= labels.min() <= labels.max() < logits.shape[-1]):
+        raise GraphError(f"mean_nll needs a label in [0, n) per row of (..., n) logits, got "
+                         f"labels {labels.tolist()} for logits {logits.shape}")
+    x = logits.data
+    z = x - x.max(axis=-1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    if not np.isfinite(log_p).all():  # all checked, as the log-softmax node's were
+        raise NonFiniteError("non-finite values in 'mean_nll' log-probabilities")
+    picked = (*np.indices(labels.shape), labels.astype(np.intp))
+
+    def vjp(g, _):
+        g_log_p = np.zeros(log_p.shape)
+        g_log_p[picked] += -g / labels.size
+        return (g_log_p - np.exp(log_p) * g_log_p.sum(axis=-1, keepdims=True),)
+
+    return Tensor(-log_p[picked].mean(), op="mean_nll", parents=(logits,), vjp=vjp)
 
 
 @_quiet

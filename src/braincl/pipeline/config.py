@@ -11,7 +11,6 @@ fields: a setting is written down once.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -222,4 +221,7 @@ def resolved_text(cfg: ExperimentConfig) -> str:
 
 
 def fingerprint(cfg: ExperimentConfig) -> str:
+    # imported here: hashlib maps OpenSSL's libcrypto, which no other CLI path needs
+    import hashlib
+
     return hashlib.sha256(resolved_text(cfg).encode("utf-8")).hexdigest()

@@ -28,6 +28,7 @@ from ..model import (
     init_encoder_params,
 )
 from ..numcore import Tensor, adam, backward, opt_step
+from ..numcore.tensor import _softmax_in_place
 from .config import FinetuneConfig
 from .pretrain import PipelineError, non_finite_guard, train_epochs
 # unused: perfbench/probe.py's EPOCH_START looks the name up here until it drops it
@@ -58,7 +59,7 @@ def score_dataset(ds: Dataset, arrays: dict[str, np.ndarray],
     for start in range(0, len(ds), SCORE_BATCH):
         conns = np.stack([s.connectome.matrix for s in ds.samples[start:start + SCORE_BATCH]])
         logits = classify(features(conns, params, cfg, centers=centers), params)
-        scores.append(logits.softmax(axis=-1).data[:, 1])
+        scores.append(_softmax_in_place(logits.data.copy())[:, 1])
     return ScoredSet(scores=np.concatenate(scores) if scores else np.array([]),
                      labels=np.array([s.label for s in ds]))
 

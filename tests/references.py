@@ -1,11 +1,17 @@
 """Reference implementations, for tests only.
 
-numcore keeps only the ops braincl runs, so the elementary nodes the fused
-nodes and batched forwards are checked against are built here with the
-``Tensor`` constructor's ``vjp``: add and subtract with numpy broadcasting,
-transpose, reshape and a batched matmul. Of their compositions,
-``layer_norm`` gives ``add_layer_norm``'s values bit for bit, and
-``readout_reference`` the ``readout`` node's values and gradients.
+numcore keeps only the graph and the fused nodes braincl runs, so the
+elementary nodes those fused nodes and the batched forwards are checked
+against are built here with the ``Tensor`` constructor's ``vjp``, under the
+core's floating-point error state: add, subtract, multiply and divide with
+numpy broadcasting, negate, transpose, reshape, a batched matmul, indexing,
+sum, mean, sqrt, softmax, log-softmax and concat. Each makes the numpy calls
+the core's elementary op of the same name made before the fused nodes
+replaced it. Of their compositions, ``layer_norm`` gives ``add_layer_norm``'s
+values bit for bit, and ``readout_reference``, ``unit_rows_reference``,
+``contrastive_logits_reference`` and ``mean_nll_reference`` the values and
+gradients of the ``readout``, ``unit_rows``, ``contrastive_logits`` and
+``mean_nll`` nodes.
 
 ``adam_reference`` is Adam as it was written one parameter at a time, before
 ``opt_step`` ran it over one flat vector; the two must agree bit for bit.
@@ -17,8 +23,9 @@ bit and tells a test which nodes were picked and which way each went.
 
 import numpy as np
 
-from braincl.numcore import GraphError, OptimState, Tensor, concat
+from braincl.numcore import GraphError, OptimState, Tensor
 from braincl.numcore.optim import BETA1, BETA2, EPS
+from braincl.numcore.tensor import _quiet
 
 
 def _tensor(value) -> Tensor:
@@ -35,7 +42,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _broadcasting(name, fwd, sign_b):
+def _broadcasting(name, fwd, vjp_a, vjp_b):
+    @_quiet
     def op(a, b) -> Tensor:
         a, b = _tensor(a), _tensor(b)
         sa, sb = a.shape, b.shape
@@ -43,17 +51,25 @@ def _broadcasting(name, fwd, sign_b):
             np.broadcast_shapes(sa, sb)
         except ValueError:
             raise GraphError(f"{name} shape mismatch {sa} vs {sb}") from None
+        ad, bd = a.data, b.data
 
         def vjp(g, needed):
-            yield _unbroadcast(g, sa) if needed[0] else None
-            yield _unbroadcast(g if sign_b > 0 else -g, sb) if needed[1] else None
+            yield _unbroadcast(vjp_a(ad, bd, g), sa) if needed[0] else None
+            yield _unbroadcast(vjp_b(ad, bd, g), sb) if needed[1] else None
 
-        return Tensor(fwd(a.data, b.data), op=name, parents=(a, b), vjp=vjp)
+        return Tensor(fwd(ad, bd), op=name, parents=(a, b), vjp=vjp)
     return op
 
 
-add = _broadcasting("add", np.add, +1)
-sub = _broadcasting("sub", np.subtract, -1)
+add = _broadcasting("add", np.add, lambda a, b, g: g, lambda a, b, g: g)
+sub = _broadcasting("sub", np.subtract, lambda a, b, g: g, lambda a, b, g: -g)
+mul = _broadcasting("mul", np.multiply, lambda a, b, g: g * b, lambda a, b, g: g * a)
+div = _broadcasting("div", np.divide, lambda a, b, g: g / b,
+                    lambda a, b, g: -g * a / (b * b))
+
+
+def neg(x: Tensor) -> Tensor:
+    return Tensor(-x.data, op="neg", parents=(x,), vjp=lambda g, _: (-g,))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -68,6 +84,7 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
                   vjp=lambda g, _: (g.reshape(old),))
 
 
+@_quiet
 def matmul(a, b) -> Tensor:
     """``a @ b`` for vectors, matrices and (B, n, m) stacks of matrices,
     broadcast as numpy does."""
@@ -91,13 +108,95 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, op="matmul", parents=(a, b), vjp=vjp)
 
 
+def index(x: Tensor, idx) -> Tensor:
+    """``x[idx]``; the gradient scatters back, adding where indices repeat."""
+    shape = x.shape
+
+    def vjp(g, _):
+        full = np.zeros(shape)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return Tensor(x.data[idx], op="getitem", parents=(x,), vjp=vjp)
+
+
+@_quiet
+def total(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """The sum of ``x``, over ``axis`` or over everything."""
+    shape = x.shape
+
+    def vjp(g, _):
+        if axis is None or keepdims:
+            return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), op="sum", parents=(x,), vjp=vjp)
+
+
+def weighted_sum(x: Tensor, weights) -> Tensor:
+    """sum(x * weights): a scalar loss that reads every entry of ``x``."""
+    return total(mul(x, weights))
+
+
+@_quiet
+def mean(x: Tensor, axis: int | None = None) -> Tensor:
+    shape = x.shape
+    n = x.data.size if axis is None else shape[axis]
+
+    def vjp(g, _):
+        if axis is None:
+            return (np.broadcast_to(g / n, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
+
+    return Tensor(x.data.mean(axis=axis), op="mean", parents=(x,), vjp=vjp)
+
+
+@_quiet
+def sqrt(x: Tensor) -> Tensor:
+    out = np.sqrt(x.data)
+    return Tensor(out, op="sqrt", parents=(x,), vjp=lambda g, _: (g * 0.5 / out,))
+
+
+@_quiet
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    out = x.data.copy()  # shifted by the max so exp() stays in range, in place
+    out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return Tensor(out, op="softmax", parents=(x,),
+                  vjp=lambda g, _: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
+
+
+@_quiet
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    return Tensor(out, op="log_softmax", parents=(x,),
+                  vjp=lambda g, _: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    """Concatenate along ``axis``; gradients slice back to each input."""
+    tensors = [_tensor(t) for t in tensors]
+    if not tensors:
+        raise GraphError("concat of zero tensors")
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def vjp(g, needed):
+        return (part if need else None
+                for part, need in zip(np.split(g, offsets, axis=axis), needed))
+
+    return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
+
+
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, in the arithmetic ``add_layer_norm``
     uses, so its values equal the fused node's bit for bit."""
     keepdims = x.shape[:-1] + (1,)
-    centered = sub(x, reshape(x.mean(-1), keepdims))
-    var = reshape((centered * centered).mean(-1), keepdims)
-    return centered * (Tensor(1.0, requires_grad=False) / add(var, eps).sqrt())
+    centered = sub(x, reshape(mean(x, -1), keepdims))
+    var = reshape(mean(mul(centered, centered), -1), keepdims)
+    return mul(centered, div(1.0, sqrt(add(var, eps))))
 
 
 def stack(tensors) -> Tensor:
@@ -108,9 +207,35 @@ def stack(tensors) -> Tensor:
 def readout_reference(z: Tensor, centers: Tensor, w_out: Tensor) -> Tensor:
     """The clustering readout as the graph of elementary nodes the fused
     ``readout`` replaced: assign, pool, project, flatten."""
-    assignments = matmul(z, transpose(centers)).softmax(axis=-1)
+    assignments = softmax(matmul(z, transpose(centers)), axis=-1)
     pooled = matmul(matmul(transpose(assignments), z), w_out)
     return reshape(pooled, pooled.shape[:-2] + (-1,))
+
+
+def unit_rows_reference(x: Tensor) -> Tensor:
+    """Each row over its norm, as the elementary nodes ``unit_rows``
+    replaced: x / sqrt(sum(x * x))."""
+    return div(x, sqrt(total(mul(x, x), axis=-1, keepdims=True)))
+
+
+def contrastive_logits_reference(query: Tensor, keys, queue, temperature) -> Tensor:
+    """InfoNCE's [q . k+ | q queue^T] / T as the elementary nodes
+    ``contrastive_logits`` replaced; the keys enter as constants."""
+    queue = np.asarray(queue, dtype=np.float64)
+    similarities = total(mul(query, Tensor(keys, requires_grad=False)), axis=-1, keepdims=True)
+    if queue.size:
+        negatives = matmul(query, Tensor(queue.T, requires_grad=False))
+        similarities = concat([similarities, negatives], axis=-1)
+    return div(similarities, temperature)
+
+
+def mean_nll_reference(logits: Tensor, labels) -> Tensor:
+    """-mean(log_softmax(logits)[labels]) as the elementary nodes
+    ``mean_nll`` replaced."""
+    labels = np.asarray(labels)
+    picked = index(log_softmax(logits, axis=-1),
+                   (*np.indices(labels.shape), labels.astype(np.intp)))
+    return neg(mean(picked))
 
 
 def adam_reference(state: OptimState, params: dict, grads: dict,

@@ -27,7 +27,7 @@ from braincl.model import (
     init_projection_params,
     project,
 )
-from braincl.numcore import Tensor, directional_gradcheck, gradcheck, readout
+from braincl.numcore import Tensor, directional_gradcheck, gradcheck, readout, unit_rows
 from braincl.pipeline import (
     ExperimentConfig,
     FinetuneConfig,
@@ -37,7 +37,7 @@ from braincl.pipeline import (
     run_experiment,
     write_report,
 )
-from references import replay_view
+from references import matmul, replay_view, softmax, weighted_sum
 
 GRAD_TOL = 1e-4
 GRAD_EPS = 1e-5
@@ -87,21 +87,20 @@ def test_criterion_1_gradient_suite():
     key_t = Tensor(key / np.linalg.norm(key), requires_grad=False)
 
     def nce_fn(t):
-        q = t / (t * t).sum().sqrt()
-        return info_nce(q, key_t, queue, temperature=0.07)
+        return info_nce(unit_rows(t), key_t, queue, temperature=0.07)
 
     assert gradcheck(nce_fn, rng.standard_normal(16), eps=GRAD_EPS) < GRAD_TOL
 
     # projection head w.r.t. its input and its first weight matrix
     feats = rng.standard_normal(cfg.feature_dim)
     probe = Tensor(rng.standard_normal(cfg.proj_dim), requires_grad=False)
-    assert gradcheck(lambda t: (project(t, params) * probe).sum(),
+    assert gradcheck(lambda t: weighted_sum(project(t, params), probe),
                      feats, eps=GRAD_EPS) < GRAD_TOL
 
     def project_w1_fn(t):
         local = dict(params)
         local["project.w1"] = t
-        return (project(Tensor(feats, requires_grad=False), local) * probe).sum()
+        return weighted_sum(project(Tensor(feats, requires_grad=False), local), probe)
 
     assert gradcheck(project_w1_fn, arrays["project.w1"], eps=GRAD_EPS) < GRAD_TOL
 
@@ -120,13 +119,13 @@ def test_criterion_1_gradient_suite():
     # node embeddings and w.r.t. the raw centers
     z_val = rng.standard_normal((8, cfg.width))
     w = Tensor(rng.standard_normal(cfg.feature_dim), requires_grad=False)
-    centers = gram_schmidt(params["readout.centers"]).detach()
-    assert gradcheck(lambda t: (readout(t, centers, params["readout.w_out"]) * w).sum(),
+    centers = Tensor(gram_schmidt(params["readout.centers"]).data, requires_grad=False)
+    assert gradcheck(lambda t: weighted_sum(readout(t, centers, params["readout.w_out"]), w),
                      z_val, eps=GRAD_EPS) < GRAD_TOL
 
     def centers_fn(t):
         z = Tensor(z_val, requires_grad=False)
-        return (readout(z, gram_schmidt(t), params["readout.w_out"]) * w).sum()
+        return weighted_sum(readout(z, gram_schmidt(t), params["readout.w_out"]), w)
 
     assert gradcheck(centers_fn, arrays["readout.centers"], eps=GRAD_EPS) < GRAD_TOL
 
@@ -247,7 +246,7 @@ def test_criterion_4_readout():
     conn = random_connectome(rng, 8)
     z = encoder_forward(conn, params, cfg)
     centers = gram_schmidt(params["readout.centers"])
-    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
+    assignments = softmax(matmul(z, centers.data.T), axis=-1).data
     assert np.abs(assignments.sum(axis=1) - 1.0).max() < 1e-12
 
     flat = features(conn, params, cfg)

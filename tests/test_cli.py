@@ -241,6 +241,19 @@ def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):
     assert len(digests) == 1
 
 
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # only the config fingerprint hashes, and importing hashlib maps
+    # OpenSSL's libcrypto, several MB of a CLI run's peak memory
+    src = str(Path(braincl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, braincl.cli; print('_hashlib' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_finetune_rejects_checkpoint_with_other_encoder_config(workdir, capsys):
     # heads changes no parameter shape, so only the recorded config tells
     run = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)

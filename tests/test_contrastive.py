@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from braincl.contrastive import MoCoState, info_nce, momentum_update, queue_push
-from braincl.numcore import Tensor, backward, gradcheck
+from braincl.numcore import NonFiniteError, Tensor, backward, gradcheck, unit_rows
 
 
 def unit(v) -> np.ndarray:
@@ -90,8 +90,7 @@ def test_gradient_reaches_query_only_and_matches_finite_differences():
 
     # wrapper normalizes so arbitrary perturbations stay on the sphere
     def fn(t: Tensor) -> Tensor:
-        q = t / (t * t).sum().sqrt()
-        return info_nce(q, k, queue, temperature=0.07)
+        return info_nce(unit_rows(t), k, queue, temperature=0.07)
 
     assert gradcheck(fn, raw_q, eps=1e-5) < 1e-4
 
@@ -113,8 +112,7 @@ def test_batched_info_nce_is_mean_of_per_sample():
     assert empty.item() == 0.0
 
     def loss(t: Tensor) -> Tensor:
-        rows = t / (t * t).sum(axis=-1, keepdims=True).sqrt()
-        return info_nce(rows, Tensor(keys), queue, temperature=0.07)
+        return info_nce(unit_rows(t), Tensor(keys), queue, temperature=0.07)
 
     assert gradcheck(loss, queries + 0.1) < 1e-6
 
@@ -127,7 +125,9 @@ def test_info_nce_input_validation():
         info_nce(Tensor([2.0, 0.0]), q, np.zeros((0, 2)), 0.07)
     with pytest.raises(ValueError, match="non-unit"):
         info_nce(q, q, np.array([[3.0, 4.0]]), 0.07)
-
+    # a similarity that overflows once scaled is one error from the logits node
+    with pytest.raises(NonFiniteError, match="'contrastive_logits'"):
+        info_nce(q, q, np.array([[0.6, 0.8]]), 1e-310)
 
 
 def test_non_finite_rows_are_not_unit_vectors():

@@ -18,8 +18,10 @@ from braincl.model import (
     project,
     relabel_nodes,
 )
-from braincl.numcore import Tensor, backward, concat, gradcheck, readout
-from references import add, layer_norm, matmul, readout_reference, stack, sub, transpose
+from braincl.numcore import NonFiniteError, Tensor, backward, gradcheck, readout
+from references import (add, concat, div, index, layer_norm, matmul, mul, readout_reference,
+                        softmax, sqrt, stack, sub, total, transpose, unit_rows_reference,
+                        weighted_sum)
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -125,13 +127,11 @@ def test_batched_features_match_per_sample():
     leaves = as_tensors(arrays)
     batched = features(np.stack(conns), leaves, cfg)
     assert batched.shape == (5, cfg.feature_dim)
-    batched_grads = backward((batched * Tensor(weights, requires_grad=False)).sum(),
-                             wrt=list(leaves.values()))
+    batched_grads = backward(weighted_sum(batched, weights), wrt=list(leaves.values()))
 
     leaves_one = as_tensors(arrays)
     singles = [features(c, leaves_one, cfg) for c in conns]
-    loss = stack([(f * Tensor(w, requires_grad=False)).sum()
-                  for f, w in zip(singles, weights)]).sum()
+    loss = total(stack([weighted_sum(f, w) for f, w in zip(singles, weights)]))
     single_grads = backward(loss, wrt=list(leaves_one.values()))
 
     np.testing.assert_allclose(batched.data, np.stack([f.data for f in singles]),
@@ -208,10 +208,10 @@ def mgs_reference(centers: Tensor) -> Tensor:
     single-node QR form must reproduce, values and gradients."""
     rows: list[Tensor] = []
     for i in range(centers.shape[0]):
-        v = centers[i]
+        v = index(centers, i)
         for q in rows:
-            v = sub(v, (v * q).sum() * q)
-        rows.append(v / (v * v).sum().sqrt())
+            v = sub(v, mul(total(mul(v, q)), q))
+        rows.append(div(v, sqrt(total(mul(v, v)))))
     return stack(rows)
 
 
@@ -224,7 +224,7 @@ def test_gram_schmidt_matches_mgs_graph(n_rows, dim):
     for fn in (gram_schmidt, mgs_reference):
         leaf = Tensor(e)
         out = fn(leaf)
-        results.append((out.data, backward((out * w).sum(), wrt=[leaf])[leaf]))
+        results.append((out.data, backward(weighted_sum(out, w), wrt=[leaf])[leaf]))
     (qr_out, qr_grad), (mgs_out, mgs_grad) = results
     assert np.abs(qr_out - mgs_out).max() < 1e-12
     assert np.abs(qr_grad - mgs_grad).max() < 1e-12
@@ -238,7 +238,7 @@ def test_gram_schmidt_gradcheck(n_rows, dim):
     rng = np.random.default_rng(dim)
     e = rng.standard_normal((n_rows, dim))
     w = Tensor(rng.standard_normal((n_rows, dim)), requires_grad=False)
-    assert gradcheck(lambda t: (gram_schmidt(t) * w).sum(), e) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(gram_schmidt(t), w), e) < 1e-6
 
 
 def test_init_centers_orthonormal_at_paper_scale():
@@ -272,15 +272,16 @@ def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
         heads = []
         for h in range(cfg.heads):
             sl = slice(h * head_dim, (h + 1) * head_dim)
-            scores = matmul(q[..., sl], transpose(k[..., sl])) * scale
-            heads.append(matmul(scores.softmax(axis=-1), v[..., sl]))
+            scores = mul(matmul(index(q, np.s_[..., sl]), transpose(index(k, np.s_[..., sl]))),
+                         scale)
+            heads.append(matmul(softmax(scores, axis=-1), index(v, np.s_[..., sl])))
         attn = affine_reference(concat(heads, axis=-1), params,
                                 f"{pre}.attn.wo", f"{pre}.attn.ob")
-        z = add(layer_norm(add(z, attn)) * params[f"{pre}.norm1.gain"],
+        z = add(mul(layer_norm(add(z, attn)), params[f"{pre}.norm1.gain"]),
                 params[f"{pre}.norm1.bias"])
         hidden = affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1").leaky_relu(0.01)
         ffn = affine_reference(hidden, params, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
-        z = add(layer_norm(add(z, ffn)) * params[f"{pre}.norm2.gain"],
+        z = add(mul(layer_norm(add(z, ffn)), params[f"{pre}.norm2.gain"]),
                 params[f"{pre}.norm2.bias"])
     return z
 
@@ -293,7 +294,7 @@ def features_reference(conn, params, cfg: EncoderConfig) -> Tensor:
 def project_reference(feats: Tensor, params) -> Tensor:
     h = affine_reference(feats, params, "project.w1", "project.b1").leaky_relu(0.01)
     raw = affine_reference(h, params, "project.w2", "project.b2")
-    return raw / (raw * raw).sum(axis=-1, keepdims=True).sqrt()
+    return unit_rows_reference(raw)
 
 
 def classify_reference(feats: Tensor, params) -> Tensor:
@@ -326,7 +327,7 @@ def test_fused_model_matches_reference_composition(n_nodes, n_clusters, batch):
             out = fn(leaves)
             weights = Tensor(np.random.default_rng(3).standard_normal(out.shape),
                              requires_grad=False)
-            grads = backward((out * weights).sum(), wrt=list(leaves.values()))
+            grads = backward(weighted_sum(out, weights), wrt=list(leaves.values()))
             results.append((out.data, {n: grads[leaves[n]] for n in arrays}))
         (out, grads), (ref_out, ref_grads) = results
         assert np.abs(out - ref_out).max() <= 1e-12, path
@@ -346,7 +347,7 @@ def test_readout_assignments_sum_to_one_and_shape():
     conn = random_connectome(np.random.default_rng(11), 8)
     z = encoder_forward(conn, params, cfg)
     centers = gram_schmidt(params["readout.centers"])
-    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
+    assignments = softmax(matmul(z, centers.data.T), axis=-1).data
     np.testing.assert_allclose(assignments.sum(axis=1), np.ones(8), atol=1e-12)
 
     pooled = readout(z, centers, params["readout.w_out"])
@@ -360,7 +361,7 @@ def test_readout_saturates_to_one_hot():
     centers = gram_schmidt(params["readout.centers"])
     target = 2
     z = Tensor(1e4 * centers.data[target][None, :], requires_grad=False)
-    assignments = (z @ Tensor(centers.data.T)).softmax(axis=-1).data
+    assignments = softmax(matmul(z, centers.data.T), axis=-1).data
     expect = np.zeros(4)
     expect[target] = 1.0
     np.testing.assert_allclose(assignments[0], expect, atol=1e-12)
@@ -415,7 +416,7 @@ def test_projection_gradcheck_and_zero_error():
     params = as_tensors(init_projection_params(cfg, np.random.default_rng(20)))
     x = np.random.default_rng(21).standard_normal(32)
     w = Tensor(np.random.default_rng(22).standard_normal(16), requires_grad=False)
-    err = gradcheck(lambda t: (project(t, params) * w).sum(), x)
+    err = gradcheck(lambda t: weighted_sum(project(t, params), w), x)
     assert err < 1e-4
 
     zero_params = {name: Tensor(np.zeros_like(p.data)) for name, p in params.items()}
@@ -427,6 +428,10 @@ def test_projection_gradcheck_and_zero_error():
     batch[1] = 0.0
     with pytest.raises(ValueError, match="zero vector"):
         project(Tensor(batch), no_bias)
+    # a finite projection whose squared norm overflows is an error, not a zero row
+    huge = {**params, "project.w2": Tensor(params["project.w2"].data * 1e200)}
+    with pytest.raises(NonFiniteError, match="'unit_rows' squared norm"):
+        project(Tensor(x), huge)
 
 
 def test_cross_entropy_label_validation():

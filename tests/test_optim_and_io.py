@@ -17,7 +17,7 @@ from braincl.numcore import (
     save_checkpoint,
     sgd,
 )
-from references import adam_reference
+from references import adam_reference, mul, sqrt, total
 
 
 # ---------------------------------------------------------------------------
@@ -27,20 +27,20 @@ from references import adam_reference
 def test_gradcheck_quadratic_is_exact_to_roundoff():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(8)
-    err = gradcheck(lambda t: (t * t).sum(), x, eps=1e-5)
+    err = gradcheck(lambda t: total(mul(t, t)), x, eps=1e-5)
     assert err < 1e-7
 
 
 def test_gradcheck_rejects_non_scalar_and_bad_eps():
     with pytest.raises(GraphError):
-        gradcheck(lambda t: t * t, np.ones(3))
+        gradcheck(lambda t: mul(t, t), np.ones(3))
     with pytest.raises(ValueError):
-        gradcheck(lambda t: (t * t).sum(), np.ones(3), eps=0.0)
+        gradcheck(lambda t: total(mul(t, t)), np.ones(3), eps=0.0)
 
 
 def test_gradcheck_flags_non_finite_fn():
     def fn(t: Tensor) -> Tensor:
-        return t.sqrt().sum()  # blows up once a perturbation crosses zero
+        return total(sqrt(t))  # blows up once a perturbation crosses zero
 
     with pytest.raises((GraphError, FloatingPointError)):
         gradcheck(fn, np.array([1e-6, 1.0]), eps=1e-5)
@@ -207,6 +207,11 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "trail").write_bytes(blob + b"\x01")
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "trail")
+    # the one-byte name "w" follows magic, version, count and its length
+    assert blob[14:15] == b"w"
+    (tmp_path / "latin").write_bytes(blob[:14] + b"\xff" + blob[15:])
+    with pytest.raises(CheckpointError, match=r"latin: entry name b'\\xff' is not UTF-8"):
+        load_checkpoint(tmp_path / "latin")
 
 
 def checkpoint_blob(entries) -> bytes:

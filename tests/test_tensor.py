@@ -19,25 +19,30 @@ from braincl.numcore import (
     add_layer_norm,
     attention,
     backward,
-    concat,
+    contrastive_logits,
     linear,
     load_checkpoint,
+    mean_nll,
     opt_step,
     readout,
     save_checkpoint,
     sgd,
+    unit_rows,
 )
 from braincl.numcore import tensor as tensor_module
 from braincl.numcore.gradcheck import gradcheck
 from braincl.pipeline import (FinetuneConfig, PretrainConfig, finetune, load_encoder_checkpoint,
                               pretrain, save_encoder_checkpoint)
-from references import add, layer_norm, matmul, readout_reference, stack, sub, transpose
+from references import (add, concat, contrastive_logits_reference, div, index, layer_norm,
+                        log_softmax, matmul, mean, mean_nll_reference, mul, neg,
+                        readout_reference, softmax, sqrt, stack, sub, total, transpose,
+                        unit_rows_reference, weighted_sum)
 
 
 def test_square_sum_gradient():
     # d(sum x^2)/dx = 2x
     x = Tensor([1.0, 2.0, 3.0])
-    loss = (x * x).sum()
+    loss = total(mul(x, x))
     grads = backward(loss, wrt=[x])
     np.testing.assert_array_equal(grads[x], [2.0, 4.0, 6.0])
 
@@ -46,16 +51,16 @@ def test_softmax_sum_gradient_is_zero():
     # softmax rows sum to 1 regardless of input, so the gradient vanishes
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal(7))
-    loss = x.softmax().sum()
+    loss = total(softmax(x))
     grads = backward(loss, wrt=[x])
     np.testing.assert_allclose(grads[x], np.zeros(7), atol=1e-14)
 
 
 def cosine(u: Tensor, v: Tensor) -> Tensor:
-    uv = (u * v).sum()
-    nu = (u * u).sum().sqrt()
-    nv = (v * v).sum().sqrt()
-    return uv / (nu * nv)
+    uv = total(mul(u, v))
+    nu = sqrt(total(mul(u, u)))
+    nv = sqrt(total(mul(v, v)))
+    return div(uv, mul(nu, nv))
 
 
 def test_cosine_gradient_orthogonal_to_input():
@@ -74,18 +79,18 @@ def test_cosine_gradient_orthogonal_to_input():
 def test_backward_requires_scalar_loss():
     x = Tensor([1.0, 2.0])
     with pytest.raises(GraphError):
-        backward(x * x, wrt=[x])
+        backward(mul(x, x), wrt=[x])
 
 
 def test_backward_linearity_over_independent_graphs():
     rng = np.random.default_rng(2)
     xv, yv = rng.standard_normal(5), rng.standard_normal(5)
     x, y = Tensor(xv), Tensor(yv)
-    joint = backward(add((x * x).sum(), (y * y * y).sum()), wrt=[x, y])
+    joint = backward(add(total(mul(x, x)), total(mul(mul(y, y), y))), wrt=[x, y])
     gx_leaf = Tensor(xv)
-    gx = backward((gx_leaf * gx_leaf).sum(), wrt=[gx_leaf])
+    gx = backward(total(mul(gx_leaf, gx_leaf)), wrt=[gx_leaf])
     gy_leaf = Tensor(yv)
-    gy = backward((gy_leaf * gy_leaf * gy_leaf).sum(), wrt=[gy_leaf])
+    gy = backward(total(mul(mul(gy_leaf, gy_leaf), gy_leaf)), wrt=[gy_leaf])
     np.testing.assert_allclose(joint[x], gx[gx_leaf])
     np.testing.assert_allclose(joint[y], gy[gy_leaf])
 
@@ -93,22 +98,22 @@ def test_backward_linearity_over_independent_graphs():
 def test_unreachable_parameter_gets_zero_gradient():
     x = Tensor([1.0, 2.0])
     unused = Tensor([[3.0, 4.0]])
-    grads = backward((x * 2.0).sum(), wrt=[x, unused])
+    grads = backward(weighted_sum(x, 2.0), wrt=[x, unused])
     np.testing.assert_array_equal(grads[unused], np.zeros((1, 2)))
     # so do an interior node, a constant, and a loss that needs no gradient
-    inner, const = x * x, Tensor([3.0, 1.0], requires_grad=False)
-    grads = backward((inner * const).sum(), wrt=[inner, const, x])
+    inner, const = mul(x, x), Tensor([3.0, 1.0], requires_grad=False)
+    grads = backward(weighted_sum(inner, const), wrt=[inner, const, x])
     np.testing.assert_array_equal(grads[inner], [0.0, 0.0])
     np.testing.assert_array_equal(grads[const], [0.0, 0.0])
     np.testing.assert_array_equal(grads[x], [6.0, 4.0])
-    for loss in (Tensor(2.0, requires_grad=False), const.sum()):
+    for loss in (Tensor(2.0, requires_grad=False), total(const)):
         assert backward(loss, wrt=[loss])[loss] == 0.0
 
 
 def test_shared_subgraph_accumulates():
     x = Tensor([2.0])
-    y = x * x  # used twice below
-    loss = add(y, y).sum()
+    y = mul(x, x)  # used twice below
+    loss = total(add(y, y))
     np.testing.assert_array_equal(backward(loss, wrt=[x])[x], [8.0])
 
 
@@ -116,22 +121,22 @@ def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2))
-    err = gradcheck(lambda t: (t @ Tensor(b, requires_grad=False)).sum(), a)
+    err = gradcheck(lambda t: total(matmul(t, b)), a)
     assert err < 1e-8
-    err = gradcheck(lambda t: (Tensor(a, requires_grad=False) @ t).sum(), b)
+    err = gradcheck(lambda t: total(matmul(a, t)), b)
     assert err < 1e-8
     v = rng.standard_normal(4)
-    err = gradcheck(lambda t: (Tensor(a, requires_grad=False) @ t).sum(), v)
+    err = gradcheck(lambda t: total(matmul(a, t)), v)
     assert err < 1e-8
 
 
 @pytest.mark.parametrize("op", [
-    lambda x: (Tensor(1.0, requires_grad=False) / add(x * x, 1.5)).sum(),
-    lambda x: (-x * x).sum(),
-    lambda x: add(x * x, 0.5).sqrt().sum(),
-    lambda x: x.leaky_relu().sum() * 3.0,
-    lambda x: (x.softmax() * x).sum(),
-    lambda x: (x.log_softmax() * x).sum(),
+    lambda x: total(div(1.0, add(mul(x, x), 1.5))),
+    lambda x: total(mul(neg(x), x)),
+    lambda x: total(sqrt(add(mul(x, x), 0.5))),
+    lambda x: mul(total(x.leaky_relu()), 3.0),
+    lambda x: weighted_sum(softmax(x), x),
+    lambda x: weighted_sum(log_softmax(x), x),
 ])
 def test_pointwise_ops_gradcheck(op):
     rng = np.random.default_rng(4)
@@ -143,12 +148,12 @@ def test_matrix_ops_gradcheck():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 5))
     w = Tensor(rng.standard_normal((4, 5)), requires_grad=False)
-    assert gradcheck(lambda t: (layer_norm(t) * w).sum(axis=None), x) < 1e-6
-    assert gradcheck(lambda t: (t.softmax(axis=1) * w).sum(), x) < 1e-6
-    assert gradcheck(lambda t: t[1:3, 2:].sum(), x) < 1e-8
-    assert gradcheck(lambda t: t.mean(axis=0).sum(), x) < 1e-8
+    assert gradcheck(lambda t: weighted_sum(layer_norm(t), w), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(softmax(t, axis=1), w), x) < 1e-6
+    assert gradcheck(lambda t: total(index(t, np.s_[1:3, 2:])), x) < 1e-8
+    assert gradcheck(lambda t: total(mean(t, axis=0)), x) < 1e-8
     bias = Tensor(rng.standard_normal(5), requires_grad=False)
-    assert gradcheck(lambda t: ((t * bias) * (t / bias)).sum(), x) < 1e-6
+    assert gradcheck(lambda t: total(mul(mul(t, bias), div(t, bias))), x) < 1e-6
 
 
 def test_concat_and_stack_gradients():
@@ -156,13 +161,13 @@ def test_concat_and_stack_gradients():
     a, b = rng.standard_normal(3), rng.standard_normal(2)
     x = Tensor(a)
     y = Tensor(b)
-    loss = (concat([x, y]) * concat([x, y])).sum()
+    loss = total(mul(concat([x, y]), concat([x, y])))
     grads = backward(loss, wrt=[x, y])
     np.testing.assert_allclose(grads[x], 2 * a)
     np.testing.assert_allclose(grads[y], 2 * b)
 
     rows = [Tensor(rng.standard_normal(4)) for _ in range(3)]
-    loss = (stack(rows) * 2.0).sum()
+    loss = weighted_sum(stack(rows), 2.0)
     grads = backward(loss, wrt=rows)
     for r in rows:
         np.testing.assert_array_equal(grads[r], np.full(4, 2.0))
@@ -170,7 +175,7 @@ def test_concat_and_stack_gradients():
 
 def test_getitem_gradient_scatters():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    loss = x[1, 1] * 5.0
+    loss = mul(index(x, (1, 1)), 5.0)
     g = backward(loss, wrt=[x])[x]
     np.testing.assert_array_equal(g, [[0.0, 0.0], [0.0, 5.0]])
 
@@ -183,7 +188,7 @@ def test_tensor_rejects_non_finite_and_3d():
     with pytest.raises(GraphError):
         Tensor(np.zeros((2, 2, 2, 2)))
     with pytest.raises(NonFiniteError):
-        Tensor([-1.0]).sqrt()
+        sqrt(Tensor([-1.0]))
 
 
 def test_tensor_data_is_read_only():
@@ -194,11 +199,20 @@ def test_tensor_data_is_read_only():
 
 def test_shape_mismatch_raises():
     with pytest.raises(GraphError):
-        Tensor([1.0, 2.0]) * Tensor([1.0, 2.0, 3.0])
+        mul(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(GraphError):
-        Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(GraphError):
-        Tensor(np.zeros(3)) @ Tensor(np.zeros(2))
+        matmul(Tensor(np.zeros(3)), Tensor(np.zeros(2)))
+    with pytest.raises(GraphError):
+        unit_rows(Tensor(2.0))
+    with pytest.raises(GraphError):
+        contrastive_logits(Tensor(np.ones((2, 3))), np.ones((2, 4)), np.zeros((0, 3)), 0.1)
+    with pytest.raises(GraphError):
+        contrastive_logits(Tensor(np.ones((2, 3))), np.ones((2, 3)), np.ones((5, 4)), 0.1)
+    for labels in ([0, 2], [0], [0.0, 1.0], [-1, 0]):
+        with pytest.raises(GraphError, match="mean_nll needs a label"):
+            mean_nll(Tensor(np.zeros((2, 2))), labels)
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "add_layer_norm", "concat"])
@@ -218,13 +232,13 @@ def test_one_tensor_in_two_parent_slots(name, op_first):
     v = rng.standard_normal(vals.shape)
 
     def loss(x, y):
-        head, tail = (op(x, y) * w).sum(), (x * v).sum()
+        head, tail = weighted_sum(op(x, y), w), weighted_sum(x, v)
         return add(head, tail) if op_first else add(tail, head)
 
     def slot_grad(slot):  # the op's gradient through one slot alone
         t, const = Tensor(vals), Tensor(vals, requires_grad=False)
         pair = (t, const) if slot == 0 else (const, t)
-        return backward((op(*pair) * w).sum(), wrt=[t])[t]
+        return backward(weighted_sum(op(*pair), w), wrt=[t])[t]
 
     x, y = Tensor(vals), Tensor(vals)
     grads = backward(loss(x, y), wrt=[x, y])
@@ -247,7 +261,7 @@ def test_backward_never_adopts_the_incoming_gradient():
         yield 2.0 * g
 
     out = Tensor(2.0 * x.data + 2.0 * y.data, op="custom", parents=(x, x, y), vjp=vjp)
-    grads = backward(out.sum(), wrt=[x, y])
+    grads = backward(total(out), wrt=[x, y])
     np.testing.assert_array_equal(grads[x], [2.0, 2.0])
     np.testing.assert_array_equal(grads[y], [2.0, 2.0])
 
@@ -258,8 +272,8 @@ def test_backward_is_deterministic():
 
     def run():
         x = Tensor(vals)
-        z = layer_norm(x) @ Tensor(np.eye(6), requires_grad=False)
-        loss = add((z.softmax() * z).sum(), z.leaky_relu().mean(axis=None))
+        z = matmul(layer_norm(x), np.eye(6))
+        loss = add(weighted_sum(softmax(z), z), mean(z.leaky_relu()))
         return backward(loss, wrt=[x])[x]
 
     first, second = run(), run()
@@ -270,15 +284,15 @@ def test_backward_adds_contributions_in_reverse_creation_order():
     # three contributions whose float sum depends on the order of addition;
     # c is created last, so its 1.0 is added first and then absorbed
     x = Tensor([1.0])
-    a, b, c = x * 1e16, x * -1e16, x * 1.0
-    grad = backward(add(add(c, a), b).sum(), wrt=[x])[x]
+    a, b, c = mul(x, 1e16), mul(x, -1e16), mul(x, 1.0)
+    grad = backward(total(add(add(c, a), b)), wrt=[x])[x]
     assert (1.0 + -1e16) + 1e16 == 0.0 and (1e16 + -1e16) + 1.0 == 1.0
     np.testing.assert_array_equal(grad, [0.0])
 
 
 def test_backward_returns_read_only_arrays():
     x, unused = Tensor([1.0, 2.0]), Tensor(np.ones((2, 3)))
-    grads = backward((x * x).sum(), wrt=[x, unused])
+    grads = backward(total(mul(x, x)), wrt=[x, unused])
     for t, grad in grads.items():
         assert type(grad) is np.ndarray and grad.dtype == np.float64
         assert grad.shape == t.shape and not grad.flags.writeable
@@ -288,7 +302,7 @@ def test_backward_returns_read_only_arrays():
 def test_backward_rejects_an_overflowing_gradient():
     # the loss is finite, but the two 1e308 contributions into x overflow
     x = Tensor([1.0, -1.0])
-    loss = add((x * 1e308).sum(), (x * 1e308).sum())
+    loss = add(weighted_sum(x, 1e308), weighted_sum(x, 1e308))
     assert loss.item() == 0.0
     with pytest.raises(NonFiniteError, match="non-finite values in 'grad' result"):
         backward(loss, wrt=[x])
@@ -296,26 +310,26 @@ def test_backward_rejects_an_overflowing_gradient():
 
 def test_backward_rejects_a_parent_newer_than_its_child():
     x = Tensor([1.0])
-    a = x * 2.0
-    b = a * 3.0
+    a = mul(x, 2.0)
+    b = mul(a, 3.0)
     a.parents = (b,)  # an edited graph: a now depends on the newer b, a cycle
     with pytest.raises(GraphError, match="newer"):
-        backward(b.sum(), wrt=[x])
+        backward(total(b), wrt=[x])
 
 
 def test_backward_spends_the_graph_but_not_its_leaves():
     x, w = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-    inner = x * w
-    loss = inner.sum()
+    inner = mul(x, w)
+    loss = total(inner)
     grads = backward(loss, wrt=[x, w])
     np.testing.assert_array_equal(grads[x], [3.0, 4.0])
     assert loss.item() == 11.0 and inner.parents == ()  # values stay, history goes
     with pytest.raises(GraphError, match="spent"):
         backward(loss, wrt=[x])
     with pytest.raises(GraphError, match="spent"):
-        backward((inner * 2.0).sum(), wrt=[x])
+        backward(weighted_sum(inner, 2.0), wrt=[x])
     # leaves serve any number of graphs
-    grads = backward((x * x).sum(), wrt=[x, w])
+    grads = backward(total(mul(x, x)), wrt=[x, w])
     np.testing.assert_array_equal(grads[x], [2.0, 4.0])
     np.testing.assert_array_equal(grads[w], [0.0, 0.0])
 
@@ -333,7 +347,7 @@ def test_backward_frees_each_activation_before_older_vjps_run():
     def build():  # keeps no reference to the hidden activation
         start = Tensor(x.data, op="first", parents=(x,), vjp=first_op)
         h = linear(start, w, b)
-        return (h * h).sum(), weakref.ref(h.data)
+        return total(mul(h, h)), weakref.ref(h.data)
 
     loss, hidden = build()
     assert hidden() is not None
@@ -348,7 +362,7 @@ def test_backward_frees_an_encoder_forward_while_the_loss_lives():
     conns = synth_dataset(3, n_nodes=8, length=20, seed=5)
 
     def build():
-        loss = features(np.stack([s.connectome.matrix for s in conns.samples]), leaves, cfg).sum()
+        loss = total(features(np.stack([s.connectome.matrix for s in conns.samples]), leaves, cfg))
         seen, todo, refs = {id(loss)}, [loss], []
         while todo:
             for parent in todo.pop().parents:
@@ -367,14 +381,21 @@ def test_backward_frees_an_encoder_forward_while_the_loss_lives():
 
 
 @pytest.mark.parametrize("op", [
-    lambda big: big * big,
-    lambda big: big @ Tensor(big.data.T),
+    lambda big: mul(big, big),
+    lambda big: matmul(big, big.data.T),
     lambda big: linear(big, Tensor([[2.0], [0.0]]), Tensor([0.0])),
     lambda big: add_layer_norm(big, big, Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
-], ids=["mul", "matmul", "linear", "add_layer_norm"])
+    unit_rows,
+    lambda big: unit_rows(Tensor(big.data * 1e-154)),  # squares finite, their sum not
+    lambda big: contrastive_logits(Tensor(np.array([[0.6, 0.8]])), np.array([[0.6, 0.8]]),
+                                   np.array([[0.8, 0.6]]), 1e-310),
+    lambda big: mean_nll(big, [0]),  # the loss reads a finite log-probability, not the -inf
+], ids=["mul", "matmul", "linear", "add_layer_norm", "unit_rows", "unit_rows_sum",
+        "contrastive_logits", "mean_nll"])
 def test_forward_overflow_is_one_non_finite_error(op):
     # under tier-1's filterwarnings = error a numpy RuntimeWarning would
-    # surface here instead of the error
+    # surface here instead of the error; an overflowing squared norm must not
+    # give a silently zero row
     with pytest.raises(NonFiniteError, match="non-finite values"):
         op(Tensor([[1e308, -1e308]]))
 
@@ -384,27 +405,23 @@ def test_forward_overflow_is_one_non_finite_error(op):
 
 
 def test_batched_matmul_gradcheck():
-    # the core's @ takes vectors and matrices; the stacked products of the
-    # reference compositions are the tests' own matmul node
+    # the core has no matmul node; the products of the reference
+    # compositions, stacked ones included, are the tests' own
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 4, 5))
-    with pytest.raises(GraphError, match="vectors and matrices"):
-        Tensor(a) @ Tensor(rng.standard_normal((5, 2)))
-    with pytest.raises(GraphError, match="vectors and matrices"):
-        Tensor(rng.standard_normal(4)) @ Tensor(a)
     shared = rng.standard_normal((5, 2))
     stacked = rng.standard_normal((3, 5, 2))
     w = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=False)
     for b in (shared, stacked):
         const_a, const_b = Tensor(a, requires_grad=False), Tensor(b, requires_grad=False)
-        assert gradcheck(lambda t: (matmul(t, const_b) * w).sum(), a) < 1e-8
-        assert gradcheck(lambda t: (matmul(const_a, t) * w).sum(), b) < 1e-8
+        assert gradcheck(lambda t: weighted_sum(matmul(t, const_b), w), a) < 1e-8
+        assert gradcheck(lambda t: weighted_sum(matmul(const_a, t), w), b) < 1e-8
     # a vector against a stack of matrices, and a stack against a vector
     v = rng.standard_normal(4)
-    assert gradcheck(lambda t: matmul(t, Tensor(a, requires_grad=False)).sum(), v) < 1e-8
+    assert gradcheck(lambda t: total(matmul(t, a)), v) < 1e-8
     u = rng.standard_normal(5)
     wu = Tensor(rng.standard_normal((3, 4)), requires_grad=False)
-    assert gradcheck(lambda t: (matmul(Tensor(a, requires_grad=False), t) * wu).sum(), u) < 1e-8
+    assert gradcheck(lambda t: weighted_sum(matmul(a, t), wu), u) < 1e-8
 
 
 def test_batched_shape_ops_and_broadcasting_gradcheck():
@@ -412,20 +429,20 @@ def test_batched_shape_ops_and_broadcasting_gradcheck():
     x = rng.standard_normal((3, 4, 5))
     w = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=False)
     assert transpose(Tensor(x)).shape == (3, 5, 4)
-    assert gradcheck(lambda t: (transpose(t) * w).sum(), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(transpose(t), w), x) < 1e-6
     wk = Tensor(rng.standard_normal((3, 1, 5)), requires_grad=False)
-    assert gradcheck(lambda t: (t.sum(axis=1, keepdims=True) * wk).sum(), x) < 1e-6
-    assert Tensor(x).sum(axis=-1, keepdims=True).shape == (3, 4, 1)
+    assert gradcheck(lambda t: weighted_sum(total(t, axis=1, keepdims=True), wk), x) < 1e-6
+    assert total(Tensor(x), axis=-1, keepdims=True).shape == (3, 4, 1)
     bias = rng.standard_normal(5)
     wt = transpose(w)
-    assert gradcheck(lambda t: (t * Tensor(bias, requires_grad=False) * wt).sum(), x) < 1e-6
-    assert gradcheck(lambda t: (Tensor(x, requires_grad=False) * t * wt).sum(), bias) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(mul(t, bias), wt), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(mul(x, t), wt), bias) < 1e-6
     rows = rng.standard_normal((6, 3))
     norms = rng.uniform(0.5, 2.0, (6, 1))
-    assert gradcheck(lambda t: (t / Tensor(norms, requires_grad=False)).sum(), rows) < 1e-6
-    assert gradcheck(lambda t: (Tensor(rows, requires_grad=False) / t).sum(), norms) < 1e-6
+    assert gradcheck(lambda t: total(div(t, norms)), rows) < 1e-6
+    assert gradcheck(lambda t: total(div(rows, t)), norms) < 1e-6
     with pytest.raises(GraphError):
-        Tensor(np.zeros((3, 4, 5))) * Tensor(np.zeros(4))
+        mul(Tensor(np.zeros((3, 4, 5))), Tensor(np.zeros(4)))
 
 
 def test_batched_concat_and_getitem_gradcheck():
@@ -433,29 +450,34 @@ def test_batched_concat_and_getitem_gradcheck():
     x = rng.standard_normal((2, 3, 4))
     w = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=False)
     other = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=False)
-    assert gradcheck(lambda t: (concat([t, other], axis=-1) * w).sum(), x) < 1e-6
-    assert gradcheck(lambda t: (concat([other, t], axis=-1) * w).sum(), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(concat([t, other], axis=-1), w), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(concat([other, t], axis=-1), w), x) < 1e-6
     ws = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=False)
-    assert gradcheck(lambda t: (t[..., 1:3] * ws).sum(), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(index(t, np.s_[..., 1:3]), ws), x) < 1e-6
     rows, cols = np.array([0, 2, 2]), np.array([1, 3, 3])  # (2, 3) twice: gradients add
     wf = Tensor(rng.standard_normal((2, 3)), requires_grad=False)
-    assert gradcheck(lambda t: (t[:, rows, cols] * wf).sum(), x) < 1e-6
+    assert gradcheck(lambda t: weighted_sum(index(t, np.s_[:, rows, cols]), wf), x) < 1e-6
     m = rng.standard_normal((4, 2))
-    assert gradcheck(lambda t: (t[np.arange(4), np.array([1, 0, 0, 1])] * 2.0).sum(), m) < 1e-6
+    picked = (np.arange(4), np.array([1, 0, 0, 1]))
+    assert gradcheck(lambda t: weighted_sum(index(t, picked), 2.0), m) < 1e-6
 
 
 def test_ops_on_constants_keep_no_graph():
     a = Tensor(np.ones((2, 3, 3)), requires_grad=False)
     b = Tensor(np.eye(3), requires_grad=False)
-    out = (-(a * b) / 2.0).softmax(axis=-1).sum(axis=-1)
+    out = total(softmax(div(neg(mul(a, b)), 2.0), axis=-1), axis=-1)
     assert not out.requires_grad
     assert out.parents == ()
     assert readout(a, b, b).parents == ()
-    mixed = a[0] @ Tensor(np.eye(3))
-    assert mixed.requires_grad and len(mixed.parents) == 2
+    assert unit_rows(b).parents == () and mean_nll(b, [0, 1, 2]).parents == ()
+    assert contrastive_logits(b, b.data, a.data[0], 0.5).parents == ()
+    mixed = linear(a, Tensor(np.eye(3)), Tensor(np.zeros(3), requires_grad=False))
+    assert mixed.requires_grad and len(mixed.parents) == 3
     # an op node takes requires_grad from its parents, whatever flag is passed
     for flag in (False, True):
-        node = Tensor(np.ones(2), requires_grad=flag, op="add", parents=(b[0, :2], b[1, :2]),
+        node = Tensor(np.ones(2), requires_grad=flag, op="add",
+                      parents=(Tensor(b.data[0, :2], requires_grad=False),
+                               Tensor(b.data[1, :2], requires_grad=False)),
                       vjp=lambda g, needed: (g, g))
         assert not node.requires_grad and node.parents == () and node._vjp is None
 
@@ -522,7 +544,7 @@ def test_linear_gradcheck(shape):
     x, w, b = (rng.standard_normal(shape), rng.standard_normal((shape[-1], 4)),
                rng.standard_normal(4))
     weights = Tensor(rng.standard_normal(shape[:-1] + (4,)), requires_grad=False)
-    gradcheck_each_input(lambda *t: (linear(*t) * weights).sum(), [x, w, b], 1e-6)
+    gradcheck_each_input(lambda *t: weighted_sum(linear(*t), weights), [x, w, b], 1e-6)
     out = linear(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_allclose(out.data, x @ w + b, rtol=0, atol=1e-14)
     assert out.shape == shape[:-1] + (4,) and len(out.parents) == 3
@@ -539,7 +561,7 @@ def test_attention_gradcheck(shape, heads):
     qkv = [rng.standard_normal(shape) for _ in range(3)]
     weights = Tensor(rng.standard_normal(shape), requires_grad=False)
     scale = 0.7
-    gradcheck_each_input(lambda q, k, v: (attention(q, k, v, heads, scale) * weights).sum(),
+    gradcheck_each_input(lambda q, k, v: weighted_sum(attention(q, k, v, heads, scale), weights),
                          qkv, 1e-6)
     # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that head's columns
     q, k, v = (Tensor(a) for a in qkv)
@@ -565,15 +587,15 @@ def test_add_layer_norm_gradcheck(shape):
     arrays = [rng.standard_normal(shape), rng.standard_normal(shape),
               rng.uniform(0.5, 1.5, d), rng.standard_normal(d)]
     weights = Tensor(rng.standard_normal(shape), requires_grad=False)
-    gradcheck_each_input(lambda *t: (add_layer_norm(*t) * weights).sum(), arrays, 1e-6)
+    gradcheck_each_input(lambda *t: weighted_sum(add_layer_norm(*t), weights), arrays, 1e-6)
     x, r, gain, bias = (Tensor(a) for a in arrays)
     out = add_layer_norm(x, r, gain, bias)
-    reference = add(layer_norm(add(x, r)) * gain, bias)
+    reference = add(mul(layer_norm(add(x, r)), gain), bias)
     np.testing.assert_array_equal(out.data, reference.data)
     assert out.parents == (x, r, gain, bias)
     # a tensor added to itself gets both gradient contributions
-    loss = (add_layer_norm(x, x, gain, bias) * weights).sum()
-    ref = (add(layer_norm(add(x, x)) * gain, bias) * weights).sum()
+    loss = weighted_sum(add_layer_norm(x, x, gain, bias), weights)
+    ref = weighted_sum(add(mul(layer_norm(add(x, x)), gain), bias), weights)
     np.testing.assert_allclose(backward(loss, wrt=[x])[x],
                                backward(ref, wrt=[x])[x], rtol=0, atol=1e-12)
     with pytest.raises(GraphError):
@@ -586,10 +608,25 @@ def test_readout_gradcheck(shape):
     arrays = [rng.standard_normal(shape), rng.standard_normal((3, 4)),
               rng.standard_normal((4, 2))]
     weights = Tensor(rng.standard_normal(shape[:-2] + (6,)), requires_grad=False)
-    gradcheck_each_input(lambda *t: (readout(*t) * weights).sum(), arrays, 1e-6)
+    gradcheck_each_input(lambda *t: weighted_sum(readout(*t), weights), arrays, 1e-6)
     z, centers, w_out = (Tensor(a) for a in arrays)
     out = readout(z, centers, w_out)
     assert out.parents == (z, centers, w_out) and out.shape == shape[:-2] + (6,)
+
+
+def equal_values_and_gradients(fused, reference, arrays, weights=None):
+    """Run ``fused`` and ``reference`` on leaves of ``arrays`` and compare the
+    outputs and the gradients of every leaf by their bytes; ``weights`` turn
+    a non-scalar output into a loss."""
+    results = []
+    for fn in (fused, reference):
+        leaves = [Tensor(a) for a in arrays]
+        out = fn(*leaves)
+        loss = out if weights is None else weighted_sum(out, weights)
+        grads = backward(loss, wrt=leaves)
+        results.append([out.data] + [grads[t] for t in leaves])
+    for i, (a, b) in enumerate(zip(*results)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), i
 
 
 @pytest.mark.parametrize("n_nodes, n_clusters, batch", [
@@ -602,16 +639,8 @@ def test_readout_matches_reference_composition_bit_for_bit(n_nodes, n_clusters, 
     arrays = [rng.standard_normal(z_shape),
               np.linalg.qr(rng.standard_normal((n_nodes, n_clusters)))[0].T,
               rng.uniform(-0.2, 0.2, (n_nodes, 8))]
-    weights = rng.standard_normal(z_shape[:-2] + (n_clusters * 8,))
-    results = []
-    for fn in (readout, readout_reference):
-        leaves = [Tensor(a) for a in arrays]
-        out = fn(*leaves)
-        grads = backward((out * Tensor(weights, requires_grad=False)).sum(), wrt=leaves)
-        results.append([out.data] + [grads[t] for t in leaves])
-    for name, fused, reference in zip(["values", "z", "centers", "w_out"], *results):
-        assert fused.shape == reference.shape, name
-        assert fused.tobytes() == reference.tobytes(), name
+    equal_values_and_gradients(readout, readout_reference, arrays,
+                               rng.standard_normal(z_shape[:-2] + (n_clusters * 8,)))
 
 
 def test_readout_rejects_mismatched_shapes():
@@ -624,6 +653,84 @@ def test_readout_rejects_mismatched_shapes():
                  (Tensor(np.ones((2, 5, 3))), centers, w_out)]:
         with pytest.raises(GraphError, match="readout shape mismatch"):
             readout(*args)
+
+
+def unit_vectors(rng, shape):
+    rows = rng.standard_normal(shape)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_unit_rows_gradcheck(shape):
+    rng = np.random.default_rng(35)
+    weights = Tensor(rng.standard_normal(shape), requires_grad=False)
+    gradcheck_each_input(lambda x: weighted_sum(unit_rows(x), weights),
+                         [rng.standard_normal(shape)], 1e-6)
+    out = unit_rows(Tensor(rng.standard_normal(shape)))
+    np.testing.assert_allclose(np.linalg.norm(out.data, axis=-1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("query_shape, n_queue", [((4,), 0), ((4,), 5), ((3, 4), 0),
+                                                  ((3, 4), 5)])
+def test_contrastive_logits_gradcheck(query_shape, n_queue):
+    rng = np.random.default_rng(36)
+    keys, queue = unit_vectors(rng, query_shape), unit_vectors(rng, (n_queue, 4))
+    weights = Tensor(rng.standard_normal(query_shape[:-1] + (1 + n_queue,)), requires_grad=False)
+    gradcheck_each_input(lambda q: weighted_sum(contrastive_logits(q, keys, queue, 0.2), weights),
+                         [unit_vectors(rng, query_shape)], 1e-6)
+    out = contrastive_logits(Tensor(unit_vectors(rng, query_shape)), keys, queue, 0.2)
+    assert out.shape == query_shape[:-1] + (1 + n_queue,)
+
+
+@pytest.mark.parametrize("shape, labels", [((2,), 1), ((4, 2), [0, 1, 1, 0]), ((3, 6), [0, 0, 0])])
+def test_mean_nll_gradcheck(shape, labels):
+    rng = np.random.default_rng(37)
+    gradcheck_each_input(lambda x: mean_nll(x, labels), [rng.standard_normal(shape)], 1e-6)
+    logits = rng.standard_normal(shape)
+    log_p = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    expected = -np.mean(np.take_along_axis(log_p, np.reshape(labels, shape[:-1] + (1,)), -1))
+    np.testing.assert_allclose(mean_nll(Tensor(logits), labels).item(), expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (32, 16), (32, 128)])
+def test_unit_rows_matches_reference_composition_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    equal_values_and_gradients(unit_rows, unit_rows_reference, [rng.standard_normal(shape)],
+                               rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("query_shape, n_queue", [
+    ((16,), 0), ((16,), 40), ((1, 16), 40),  # a single query; the empty-queue first step
+    ((32, 16), 0), ((32, 16), 256), ((8, 128), 512),
+])
+def test_contrastive_logits_matches_reference_composition_bit_for_bit(query_shape, n_queue):
+    rng = np.random.default_rng(query_shape[-1] + n_queue)
+    keys, queue = unit_vectors(rng, query_shape), unit_vectors(rng, (n_queue, query_shape[-1]))
+    labels = np.zeros(query_shape[:-1], dtype=np.intp)
+    equal_values_and_gradients(lambda q: contrastive_logits(q, keys, queue, 0.07),
+                               lambda q: contrastive_logits_reference(q, keys, queue, 0.07),
+                               [unit_vectors(rng, query_shape)],
+                               rng.standard_normal(query_shape[:-1] + (1 + n_queue,)))
+    # and the whole InfoNCE loss, the log-softmax at the positive included
+    equal_values_and_gradients(
+        lambda q: mean_nll(contrastive_logits(q, keys, queue, 0.07), labels),
+        lambda q: mean_nll_reference(contrastive_logits_reference(q, keys, queue, 0.07), labels),
+        [unit_vectors(rng, query_shape)])
+
+
+@pytest.mark.parametrize("shape, labels", [
+    ((2,), 1), ((1, 2), [0]), ((32, 2), "random"),  # one-sample and batched cross-entropy
+    ((32, 1), "zeros"), ((32, 257), "zeros"),  # InfoNCE: the positive is column 0
+])
+def test_mean_nll_matches_reference_composition_bit_for_bit(shape, labels):
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    if labels == "random":
+        labels = rng.integers(0, shape[-1], shape[:-1])
+    elif labels == "zeros":
+        labels = np.zeros(shape[:-1], dtype=np.intp)
+    equal_values_and_gradients(lambda x: mean_nll(x, labels),
+                               lambda x: mean_nll_reference(x, labels),
+                               [rng.standard_normal(shape) * 3.0])
 
 
 @pytest.mark.parametrize("fn, shapes", [
@@ -649,7 +756,7 @@ def test_leaky_relu_keeps_a_boolean_mask():
     saved = [c.cell_contents for c in out._vjp.__closure__
              if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
     assert [a.dtype for a in saved] == [np.bool_]
-    np.testing.assert_array_equal(backward(out.sum(), wrt=[x])[x], [0.1, 0.1, 1.0])
+    np.testing.assert_array_equal(backward(total(out), wrt=[x])[x], [0.1, 0.1, 1.0])
 
 
 def test_leaky_relu_forward_is_the_slope_gather_bit_for_bit():
@@ -669,15 +776,16 @@ def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
 # ---------------------------------------------------------------------------
 # node protocol: one vjp(g, needed) per node, one gradient per parent
 
-# add, sub and the stacked matmuls are the test references' own nodes: the
-# compositions the fused nodes are checked against rely on the same protocol
+# add, sub, mul, div, the matmuls and concat are the test references' own
+# nodes: the compositions the fused nodes are checked against rely on the
+# same protocol
 PROTOCOL_CASES = {
     "add": (add, [(2, 3, 4), (4,)]),
     "sub": (sub, [(3, 1), (2, 3, 4)]),
-    "mul": (lambda a, b: a * b, [(2, 1, 4), (3, 1)]),
-    "div": (lambda a, b: a / b, [(3, 4), (2, 1, 4)]),
-    "matmul_vector": (lambda a, b: a @ b, [(4,), (4, 3)]),
-    "matmul_matrix": (lambda a, b: a @ b, [(3, 4), (4,)]),
+    "mul": (mul, [(2, 1, 4), (3, 1)]),
+    "div": (div, [(3, 4), (2, 1, 4)]),
+    "matmul_vector": (matmul, [(4,), (4, 3)]),
+    "matmul_matrix": (matmul, [(3, 4), (4,)]),
     "matmul_stacked": (matmul, [(2, 3, 4), (4, 5)]),
     "matmul_both_stacked": (matmul, [(2, 3, 4), (2, 4, 5)]),
     "concat": (lambda *t: concat(t, axis=-1), [(2, 3), (2, 1), (2, 4)]),
@@ -685,6 +793,10 @@ PROTOCOL_CASES = {
     "attention": (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 3, 4)] * 3),
     "add_layer_norm": (add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "readout": (readout, [(2, 5, 4), (3, 4), (4, 2)]),
+    "unit_rows": (unit_rows, [(2, 3)]),
+    "contrastive_logits": (lambda q: contrastive_logits(q, np.ones((2, 3)), np.ones((4, 3)), 0.5),
+                           [(2, 3)]),
+    "mean_nll": (lambda x: mean_nll(x, [0, 2]), [(2, 3)]),
 }
 
 
