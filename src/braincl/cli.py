@@ -90,8 +90,9 @@ def cmd_ingest(args) -> None:
     print(f"nodes per sample: {ds.n_nodes}")
     print(f"labeled: {n_labeled} ({sum(1 for l in labels if l == 1)} positive, "
           f"{sum(1 for l in labels if l == 0)} control)")
-    with_ts = sum(1 for s in ds if s.time_series is not None)
-    print(f"with time series: {with_ts}")
+    root = Path(args.data)
+    print(f"files: {len(list(root.glob('*.ts.csv')))} *.ts.csv, "
+          f"{len(list(root.glob('*.conn.csv')))} *.conn.csv")
 
 
 def cmd_augment(args) -> None:

@@ -9,6 +9,7 @@ the key parameters are updated by exponential trailing, never by gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class MoCoState:
             raise ValueError("queue capacity must be positive")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must lie in [0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         q = np.asarray(self.queue, dtype=np.float64)
         if q.ndim != 2:
             raise ValueError("queue must be a (n_keys, dim) array")
@@ -73,8 +74,8 @@ def info_nce(query: Tensor, key_pos: Tensor, queue: np.ndarray, temperature: flo
     node, whose keys are arrays, and the loss its ``mean_nll`` at the
     positive, column 0.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     q = np.asarray(queue, dtype=np.float64)
     if q.size and q.ndim != 2:
         raise ValueError("queue must be a (n_keys, dim) array")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -108,17 +108,26 @@ def pearson_connectome(ts: np.ndarray) -> np.ndarray:
 _BATCH_BYTES = 64 * 1024
 
 
-def pearson_connectomes(series: Sequence[np.ndarray]) -> list[Connectome]:
+def pearson_connectomes(series: Iterable[np.ndarray]) -> list[Connectome]:
     """``pearson_connectome`` of each L x V series, in order, computed in
-    batched calls over series of one shape (sites differ in scan length)."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
+    batched calls over series of one shape (sites differ in scan length).
+    The series are taken one at a time and a batch is computed once it is
+    full, so at most one batch per shape is held: a loader that hands over
+    each series as it parses it keeps none."""
+    out: list[Connectome | None] = []
+    pending: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}  # by shape
+
+    def flush(shape):
+        batch = pending.pop(shape)
+        for (i, _), m in zip(batch, pearson_connectome(np.stack([ts for _, ts in batch]))):
+            out[i] = Connectome(m)
+
     for i, ts in enumerate(series):
-        by_shape.setdefault(np.shape(ts), []).append(i)
-    out: list[Connectome] = [None] * len(series)
-    for shape, members in by_shape.items():
-        step = max(1, _BATCH_BYTES // (8 * max(shape[-2:]) * shape[-1]))
-        for start in range(0, len(members), step):
-            batch = members[start:start + step]
-            for i, m in zip(batch, pearson_connectome(np.stack([series[i] for i in batch]))):
-                out[i] = Connectome(m)
+        out.append(None)
+        shape = np.shape(ts)
+        pending.setdefault(shape, []).append((i, ts))
+        if len(pending[shape]) >= max(1, _BATCH_BYTES // (8 * max(shape[-2:]) * shape[-1])):
+            flush(shape)
+    for shape in list(pending):
+        flush(shape)
     return out

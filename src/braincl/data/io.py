@@ -8,7 +8,9 @@ A dataset directory holds:
 * per subject, either ``<subject_id>.conn.csv`` — first line ``V``, then V
   lines of V comma-separated decimals — or ``<subject_id>.ts.csv`` — first
   line ``L,V``, then L lines of V decimals. When both exist the matrix file
-  wins; connectomes are computed from the series otherwise.
+  wins, though the series file is still parsed and checked; connectomes are
+  computed from the series otherwise. A loaded dataset keeps the connectomes
+  only: ``read_time_series_file`` returns a file's series.
 
 Blank lines are skipped, line ends may be LF or CRLF, and fields may carry
 surrounding whitespace. The data rows of a file are parsed in one call to
@@ -191,7 +193,8 @@ def _read_labels(path: Path) -> dict[str, int]:
 
 
 def load_dataset(path) -> Dataset:
-    """Load every subject found in a dataset directory, sorted by id."""
+    """Load every subject found in a dataset directory, sorted by id, as its
+    connectome; no sample keeps a time series."""
     root = Path(path)
     if not root.is_dir():
         raise DatasetError(f"{root}: not a directory")
@@ -208,17 +211,24 @@ def load_dataset(path) -> Dataset:
     if orphans:
         raise DatasetError(f"labels.csv names subjects with no data file: {orphans}")
 
-    series: dict[str, np.ndarray] = {}
     conns: dict[str, Connectome] = {}
-    for sid in subject_ids:
-        if sid in ts_files:
-            series[sid] = read_time_series_file(ts_files[sid])
-        if sid in conn_files:
-            conns[sid] = read_connectome_file(conn_files[sid])
-    missing = [sid for sid in subject_ids if sid not in conns]
-    conns.update(zip(missing, pearson_connectomes([series[sid] for sid in missing])))
-    return Dataset(tuple(Sample(subject_id=sid, connectome=conns[sid], label=labels.get(sid),
-                                time_series=series.get(sid)) for sid in subject_ids))
+    derived: list[str] = []  # the subjects whose connectome comes from their series
+
+    def parsed_series() -> Iterator[np.ndarray]:
+        # each subject's files in id order, the series first; the series of a
+        # subject with no matrix file goes on to its connectome, not into a list
+        for sid in subject_ids:
+            ts = read_time_series_file(ts_files[sid]) if sid in ts_files else None
+            if sid in conn_files:
+                conns[sid] = read_connectome_file(conn_files[sid])
+            else:
+                derived.append(sid)
+                yield ts
+
+    computed = pearson_connectomes(parsed_series())
+    conns.update(zip(derived, computed))
+    return Dataset(tuple(Sample(subject_id=sid, connectome=conns[sid], label=labels.get(sid))
+                         for sid in subject_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ contrastive projection heads.
 Node j enters the encoder as row j of the connectivity matrix, is embedded
 once, then flows through post-norm attention/feed-forward blocks. Each block
 is built from numcore's fused graph nodes, each with a closed-form backward:
-one ``linear`` per affine map (the heads use it too), one ``attention`` for
-all heads, and one ``add_layer_norm`` per residual add, norm and affine
-step. ``features`` orthonormalizes a learnable center matrix every forward
-pass with one sign-fixed QR node whose backward is closed-form (so the
-centers stay trainable yet orthonormal); numcore's one ``readout`` node then
-softly assigns node embeddings to centers, pools each cluster, projects it
-to a fixed per-cluster width and flattens: the input of both heads.
+one ``linear`` per query, key and value map, one ``attention`` for all
+heads, one ``linear`` with its leaky ReLU for the feed-forward's first map
+(the heads' hidden maps use it too), and one ``linear_add_layer_norm`` for
+each residual branch's last map with its residual add, norm and affine step,
+so no block keeps an array that no backward reads. ``features``
+orthonormalizes a learnable center matrix every forward pass with one
+sign-fixed QR node whose backward is closed-form (so the centers stay
+trainable yet orthonormal); numcore's one ``readout`` node then softly
+assigns node embeddings to centers, pools each cluster, projects it to a
+fixed per-cluster width and flattens: the input of both heads.
 
 Every forward path works over trailing axes: a (V, V) connectome is one
 sample and a stacked (B, V, V) array is a batch that runs as one graph.
@@ -30,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Connectome
-from .numcore import (Tensor, add_layer_norm, attention, freeze, linear, mean_nll, readout,
-                      unit_rows)
+from .numcore import (Tensor, attention, freeze, linear, linear_add_layer_norm, mean_nll,
+                      readout, unit_rows)
 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
@@ -191,12 +194,12 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
         q = linear(z, params[f"{pre}.attn.wq"], params[f"{pre}.attn.qb"])
         k = linear(z, params[f"{pre}.attn.wk"], params[f"{pre}.attn.kb"])
         v = linear(z, params[f"{pre}.attn.wv"], params[f"{pre}.attn.vb"])
-        attn = linear(attention(q, k, v, cfg.heads, scale),
-                      params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"])
-        z = add_layer_norm(z, attn, params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
-        hidden = linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]).leaky_relu(LEAKY_SLOPE)
-        ffn = linear(hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
-        z = add_layer_norm(z, ffn, params[f"{pre}.norm2.gain"], params[f"{pre}.norm2.bias"])
+        z = linear_add_layer_norm(z, attention(q, k, v, cfg.heads, scale),
+                                  params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"],
+                                  params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
+        hidden = linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"], LEAKY_SLOPE)
+        z = linear_add_layer_norm(z, hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"],
+                                  params[f"{pre}.norm2.gain"], params[f"{pre}.norm2.bias"])
     return z
 
 
@@ -213,8 +216,8 @@ def features(conn, params: dict[str, Tensor], cfg: EncoderConfig,
 
 def classify(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Two-way logits from the flattened readout (along the last axis)."""
-    h = linear(feats, params["classifier.w1"], params["classifier.b1"]).leaky_relu(LEAKY_SLOPE)
-    h = linear(h, params["classifier.w2"], params["classifier.b2"]).leaky_relu(LEAKY_SLOPE)
+    h = linear(feats, params["classifier.w1"], params["classifier.b1"], LEAKY_SLOPE)
+    h = linear(h, params["classifier.w2"], params["classifier.b2"], LEAKY_SLOPE)
     return linear(h, params["classifier.w3"], params["classifier.b3"])
 
 
@@ -222,7 +225,7 @@ def project(feats: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Unit-norm contrastive embedding per row, through numcore's
     ``unit_rows`` node (a row that collapses to zero is a ``ValueError``);
     cosine of two outputs is their dot."""
-    h = linear(feats, params["project.w1"], params["project.b1"]).leaky_relu(LEAKY_SLOPE)
+    h = linear(feats, params["project.w1"], params["project.b1"], LEAKY_SLOPE)
     return unit_rows(linear(h, params["project.w2"], params["project.b2"]))
 
 

@@ -18,6 +18,7 @@ parameters would only add two full-size copies per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,11 @@ class OptimState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, "
+                             f"got {self.weight_decay}")
 
 
 def sgd(lr: float) -> OptimState:

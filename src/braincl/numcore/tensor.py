@@ -29,16 +29,18 @@ floating-point warnings off; a finite check reports the result once, as
 ``NonFiniteError``.
 
 Scope is deliberately small: float64 arrays of up to 3 dimensions, where the
-leading axis of a 3-D array is a batch. The ops are exactly those braincl
-runs: ``leaky_relu``, the one method of a Tensor besides ``shape``, ``ndim``
-and ``item``, and seven fused nodes with their backward written out, so a
-training step keeps a handful of outputs instead of one per elementary op:
-``linear``, ``attention``, ``add_layer_norm`` and ``readout`` for the model,
-``unit_rows`` for the projection's normalization, and ``contrastive_logits``
-and ``mean_nll`` for the InfoNCE and cross-entropy losses. ``backward``
-returns gradients only for the tensors it is asked for. Other compositions
-(the tests' references) make their own nodes with the Tensor constructor's
-``vjp``.
+leading axis of a 3-D array is a batch. A Tensor has no ops of its own
+besides ``shape``, ``ndim`` and ``item``; the ops are exactly the seven
+fused nodes braincl runs, each with its backward written out, so a training
+step keeps a handful of outputs instead of one per elementary op and no
+array that no backward reads: ``linear`` (with an optional leaky ReLU that
+keeps only a boolean mask), ``attention``, ``linear_add_layer_norm`` (a
+residual branch's last map, the residual add and the post-norm) and
+``readout`` for the model, ``unit_rows`` for the projection's normalization,
+and ``contrastive_logits`` and ``mean_nll`` for the InfoNCE and
+cross-entropy losses. ``backward`` returns gradients only for the tensors it
+is asked for. Other compositions (the tests' references) make their own
+nodes with the Tensor constructor's ``vjp``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ __all__ = [
     "backward",
     "linear",
     "attention",
-    "add_layer_norm",
+    "linear_add_layer_norm",
     "readout",
     "unit_rows",
     "contrastive_logits",
@@ -173,22 +175,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
 
-    # ------------------------------------------------------------------
-    # the one pointwise nonlinearity
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        # for a slope in [0, 1] the forward is max(x, slope * x), bit for bit
-        # x * (1 if x > 0 else slope), taken in place so it allocates one array;
-        # the backward keeps only a boolean mask and multiplies by the slope it
-        # picks (a gather, cheaper than np.where)
-        if not 0.0 <= negative_slope <= 1.0:
-            raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
-        positive = self.data > 0
-        slopes = np.array([negative_slope, 1.0])
-        out = self.data * negative_slope
-        return Tensor(np.maximum(self.data, out, out=out), op="leaky_relu", parents=(self,),
-                      vjp=lambda g, _: (g * slopes.take(positive),))
-
 
 def _spent(g, needed):
     """The vjp of a node that ``backward`` has spent."""
@@ -219,31 +205,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-@_quiet
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` over the last axis of ``x`` as one node.
+def _affine_vjp(g2: np.ndarray, x2: np.ndarray, wd: np.ndarray, x_shape: tuple[int, ...],
+                needed) -> Iterable:
+    """The gradients of ``x2 @ wd + b`` for the (rows, m) output gradient
+    ``g2``: that of x in ``x_shape``, written into an array of its own, which
+    backward adopts, then those of w and b."""
+    gx = None
+    if needed[0]:
+        gx = np.empty(x_shape)
+        np.matmul(g2, wd.T, out=gx.reshape(-1, wd.shape[0]))
+    yield gx
+    yield x2.T @ g2 if needed[1] else None
+    yield g2.sum(axis=0) if needed[2] else None
 
-    The leading axes of ``x`` are flattened first, so a (B, V, n) batch is
-    one (B*V, n) @ (n, m) product rather than B stacked ones.
-    """
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+
+def _affine_inputs(x: Tensor, w: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``x``'s values as (rows, n) for ``x @ w + b``; a GraphError unless
+    ``w`` is (n, m) and ``b`` (m,)."""
     if (x.ndim == 0 or w.ndim != 2 or x.shape[-1] != w.shape[0]
             or b.shape != (w.shape[1],)):
-        raise GraphError(f"linear shape mismatch {x.shape} @ {w.shape} + {b.shape}")
-    n, m = w.shape
-    shape, x2, wd = x.shape, x.data.reshape(-1, n), w.data
+        raise GraphError(f"{op} shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    return x.data.reshape(-1, w.shape[0])
+
+
+@_quiet
+def linear(x: Tensor, w: Tensor, b: Tensor, negative_slope: float | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x`` as one node; with a
+    ``negative_slope`` in [0, 1], its leaky ReLU.
+
+    The leading axes of ``x`` are flattened first, so a (B, V, n) batch is
+    one (B*V, n) @ (n, m) product rather than B stacked ones. The leaky ReLU
+    is max(y, slope * y), bit for bit y * (1 if y > 0 else slope), taken in
+    place over the affine map, which is not kept: the backward keeps only a
+    boolean mask and multiplies by the slope it picks (a gather, cheaper than
+    np.where).
+    """
+    if negative_slope is not None and not 0.0 <= negative_slope <= 1.0:
+        raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    x2, wd = _affine_inputs(x, w, b, "linear"), w.data
+    shape, m = x.shape, wd.shape[1]
     out = x2 @ wd
     out += b.data
+    if negative_slope is not None:
+        positive = out > 0
+        slopes = np.array([negative_slope, 1.0])
+        np.maximum(out, out * negative_slope, out=out)
 
     def vjp(g, needed):
         g2 = g.reshape(-1, m)
-        gx = None
-        if needed[0]:  # written into an array of x's shape, which backward adopts
-            gx = np.empty(shape)
-            np.matmul(g2, wd.T, out=gx.reshape(-1, n))
-        yield gx
-        yield x2.T @ g2 if needed[1] else None
-        yield g2.sum(axis=0) if needed[2] else None
+        if negative_slope is not None:
+            g2 = g2 * slopes.take(positive)
+        return _affine_vjp(g2, x2, wd, shape, needed)
 
     return Tensor(out.reshape(shape[:-1] + (m,)), op="linear", parents=(x, w, b), vjp=vjp)
 
@@ -298,16 +311,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
 
 @_quiet
-def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
-                   eps: float = 1e-5) -> Tensor:
-    """``layer_norm(x + residual) * gain + bias`` over the last axis as one
-    node; it keeps the normalized sum and 1 / std for the backward."""
-    x, residual, gain, bias = (_coerce(t) for t in (x, residual, gain, bias))
-    if (x.ndim == 0 or residual.shape != x.shape or gain.shape != x.shape[-1:]
-            or bias.shape != gain.shape):
-        raise GraphError(f"add_layer_norm shape mismatch: x {x.shape}, residual "
-                         f"{residual.shape}, gain {gain.shape}, bias {bias.shape}")
-    normed = x.data + residual.data  # centered, then scaled, in place
+def linear_add_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor,
+                          bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + (h @ w + b)) * gain + bias`` over the last axis as one
+    node: a residual branch's last affine map, the residual add and the
+    post-norm with its affine step. It keeps the normalized sum and 1 / std
+    for the backward, besides ``h`` as ``linear`` does, and not the branch's
+    output, which no gradient reads. Forward and backward make the numpy
+    calls of ``linear`` followed by a separate add-and-norm node, in their
+    order, so values and gradients are equal bit for bit."""
+    x, h, w, b, gain, bias = (_coerce(t) for t in (x, h, w, b, gain, bias))
+    h2, wd = _affine_inputs(h, w, b, "linear_add_layer_norm"), w.data
+    m = wd.shape[1]
+    if (x.shape != h.shape[:-1] + (m,) or gain.shape != (m,) or bias.shape != gain.shape):
+        raise GraphError(f"linear_add_layer_norm shape mismatch: x {x.shape}, branch "
+                         f"{h.shape[:-1] + (m,)}, gain {gain.shape}, bias {bias.shape}")
+    # the branch h @ w + b, then the sum (r + x is x + r bit for bit),
+    # centered, then scaled, all in one array
+    normed = h2 @ wd
+    normed += b.data
+    normed = normed.reshape(x.shape)
+    normed += x.data
     normed -= normed.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
     normed *= inv
@@ -316,17 +340,22 @@ def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
     out += bias.data
 
     def vjp(g, needed):
-        if needed[0] or needed[1]:
+        branch = (None, None, None)
+        if any(needed[:4]):
             gn = g * gd
             d_sum = gn - gn.mean(axis=-1, keepdims=True)
             d_sum -= normed * (gn * normed).mean(axis=-1, keepdims=True)
             d_sum *= inv
+            # the branch's gradients all read d_sum, so they are formed before
+            # x's gradient, d_sum itself, is handed to backward to add into
+            if any(needed[1:4]):
+                branch = tuple(_affine_vjp(d_sum.reshape(-1, m), h2, wd, h.shape, needed[1:4]))
         yield d_sum if needed[0] else None
-        yield d_sum if needed[1] else None
-        yield _unbroadcast(g * normed, gd.shape) if needed[2] else None
-        yield _unbroadcast(g, gd.shape) if needed[3] else None
+        yield from branch
+        yield _unbroadcast(g * normed, gd.shape) if needed[4] else None
+        yield _unbroadcast(g, gd.shape) if needed[5] else None
 
-    return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
+    return Tensor(out, op="linear_add_layer_norm", parents=(x, h, w, b, gain, bias), vjp=vjp)
 
 
 @_quiet

@@ -5,10 +5,13 @@ elementary nodes those fused nodes and the batched forwards are checked
 against are built here with the ``Tensor`` constructor's ``vjp``, under the
 core's floating-point error state: add, subtract, multiply and divide with
 numpy broadcasting, negate, transpose, reshape, a batched matmul, indexing,
-sum, mean, sqrt, softmax, log-softmax and concat. Each makes the numpy calls
-the core's elementary op of the same name made before the fused nodes
-replaced it. Of their compositions, ``layer_norm`` gives ``add_layer_norm``'s
-values bit for bit, and ``readout_reference``, ``unit_rows_reference``,
+sum, mean, sqrt, softmax, log-softmax, concat, leaky ReLU and add-and-norm.
+Each makes the numpy calls the core's op of the same name made before the
+fused nodes replaced it. ``linear`` then ``leaky_relu`` gives the values and
+gradients of ``linear`` with a slope bit for bit, and ``linear`` then
+``add_layer_norm`` those of ``linear_add_layer_norm``. Of the compositions,
+``layer_norm`` gives ``add_layer_norm``'s values bit for bit, and
+``readout_reference``, ``unit_rows_reference``,
 ``contrastive_logits_reference`` and ``mean_nll_reference`` the values and
 gradients of the ``readout``, ``unit_rows``, ``contrastive_logits`` and
 ``mean_nll`` nodes.
@@ -188,6 +191,51 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 for part, need in zip(np.split(g, offsets, axis=axis), needed))
 
     return Tensor(out, op="concat", parents=tuple(tensors), vjp=vjp)
+
+
+def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
+    """max(x, slope * x) for a slope in [0, 1]; the backward keeps a boolean
+    mask and multiplies by the slope it picks."""
+    if not 0.0 <= negative_slope <= 1.0:
+        raise ValueError(f"negative_slope must lie in [0, 1], got {negative_slope}")
+    positive = x.data > 0
+    slopes = np.array([negative_slope, 1.0])
+    out = x.data * negative_slope
+    return Tensor(np.maximum(x.data, out, out=out), op="leaky_relu", parents=(x,),
+                  vjp=lambda g, _: (g * slopes.take(positive),))
+
+
+@_quiet
+def add_layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """``layer_norm(x + residual) * gain + bias`` over the last axis as one
+    node that keeps the normalized sum and 1 / std; its backward hands the
+    same array to both summands."""
+    x, residual, gain, bias = (_tensor(t) for t in (x, residual, gain, bias))
+    if (x.ndim == 0 or residual.shape != x.shape or gain.shape != x.shape[-1:]
+            or bias.shape != gain.shape):
+        raise GraphError(f"add_layer_norm shape mismatch: x {x.shape}, residual "
+                         f"{residual.shape}, gain {gain.shape}, bias {bias.shape}")
+    normed = x.data + residual.data  # centered, then scaled, in place
+    normed -= normed.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    normed *= inv
+    gd = gain.data
+    out = normed * gd
+    out += bias.data
+
+    def vjp(g, needed):
+        if needed[0] or needed[1]:
+            gn = g * gd
+            d_sum = gn - gn.mean(axis=-1, keepdims=True)
+            d_sum -= normed * (gn * normed).mean(axis=-1, keepdims=True)
+            d_sum *= inv
+        yield d_sum if needed[0] else None
+        yield d_sum if needed[1] else None
+        yield _unbroadcast(g * normed, gd.shape) if needed[2] else None
+        yield _unbroadcast(g, gd.shape) if needed[3] else None
+
+    return Tensor(out, op="add_layer_norm", parents=(x, residual, gain, bias), vjp=vjp)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:

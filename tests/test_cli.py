@@ -63,6 +63,18 @@ def test_synth_and_ingest(workdir, capsys):
     assert "labeled: 24" in out
 
 
+def test_ingest_counts_the_files_of_each_kind(tmp_path, capsys):
+    # a subject with both files counts once in each; the matrix wins
+    write_connectome_file(tmp_path / "a.conn.csv", Connectome(np.eye(3)))
+    write_connectome_file(tmp_path / "b.conn.csv", Connectome(np.eye(3)))
+    for sid in ("b", "c"):
+        (tmp_path / f"{sid}.ts.csv").write_text("3,3\n0.5,1.0,0\n-1.5,2.0,1\n2.0,-0.25,0\n")
+    assert main(["ingest", "--data", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "samples: 3\n" in out
+    assert out.endswith("files: 2 *.ts.csv, 2 *.conn.csv\n")
+
+
 def test_synth_matrices_mode(tmp_path):
     out = tmp_path / "md"
     assert main(["synth", "--out", str(out), "--n", "4", "--nodes", "6",

@@ -128,6 +128,10 @@ def test_info_nce_input_validation():
     # a similarity that overflows once scaled is one error from the logits node
     with pytest.raises(NonFiniteError, match="'contrastive_logits'"):
         info_nce(q, q, np.array([[0.6, 0.8]]), 1e-310)
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"temperature must be positive and finite, "
+                                             f"got {temperature}"):
+            info_nce(q, q, np.zeros((0, 2)), temperature)
 
 
 def test_non_finite_rows_are_not_unit_vectors():
@@ -241,6 +245,12 @@ def test_state_validation():
         MoCoState(key_params={}, queue=np.zeros((0, 4)), momentum=1.2)
     with pytest.raises(ValueError):
         MoCoState(key_params={}, queue=np.zeros((0, 4)), temperature=0.0)
+    for temperature in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=f"temperature must be positive and finite, "
+                                             f"got {temperature}"):
+            MoCoState.fresh({}, dim=4, temperature=temperature)
+    with pytest.raises(ValueError, match="momentum"):
+        MoCoState.fresh({}, dim=4, momentum=float("nan"))
     with pytest.raises(ValueError):
         MoCoState(key_params={}, queue=random_units(np.random.default_rng(8), 9, 4),
                   capacity=8)

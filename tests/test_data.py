@@ -22,7 +22,7 @@ from braincl.data import (
 )
 from braincl.data import connectome as connectome_module
 from braincl.data import io as data_io
-from braincl.data.io import write_connectome_file
+from braincl.data.io import read_time_series_file, write_connectome_file
 
 
 def make_labeled(n0: int, n1: int, n_nodes: int = 4) -> Dataset:
@@ -196,7 +196,10 @@ def test_ids_with_commas_and_quotes_round_trip(tmp_path):
     by_id = {s.subject_id: s for s in loaded}
     for s in ds:
         assert by_id[s.subject_id].label == s.label
-        np.testing.assert_array_equal(by_id[s.subject_id].time_series, s.time_series)
+        assert by_id[s.subject_id].time_series is None
+        assert by_id[s.subject_id].connectome.matrix.tobytes() == s.connectome.matrix.tobytes()
+        np.testing.assert_array_equal(
+            read_time_series_file(tmp_path / f"{s.subject_id}.ts.csv"), s.time_series)
 
 
 def test_time_series_only_directory_computes_connectomes(tmp_path):
@@ -204,8 +207,9 @@ def test_time_series_only_directory_computes_connectomes(tmp_path):
     write_dataset(tmp_path, ds, as_time_series=True)
     loaded = load_dataset(tmp_path)
     for a, b in zip(ds, loaded):
-        np.testing.assert_allclose(
-            b.connectome.matrix, pearson_connectome(b.time_series), atol=0)
+        assert b.time_series is None
+        series = read_time_series_file(tmp_path / f"{b.subject_id}.ts.csv")
+        np.testing.assert_allclose(b.connectome.matrix, pearson_connectome(series), atol=0)
         np.testing.assert_allclose(a.connectome.matrix, b.connectome.matrix, atol=1e-12)
 
 
@@ -298,7 +302,8 @@ def test_file_layout_tolerance(tmp_path, series, matrix):
     (tmp_path / "a.ts.csv").write_bytes(series.encode())
     (tmp_path / "b.conn.csv").write_bytes(matrix.encode())
     a, b = load_dataset(tmp_path)
-    assert np.array_equal(a.time_series, SERIES)
+    assert np.array_equal(read_time_series_file(tmp_path / "a.ts.csv"), SERIES)
+    assert a.time_series is None
     assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES))
     assert np.array_equal(b.connectome.matrix, MATRIX)
 
@@ -334,7 +339,8 @@ def test_well_formed_files_take_the_bulk_parse(tmp_path, monkeypatch):
 
 
 def test_mixed_series_lengths_load_per_subject(tmp_path):
-    # sites differ in scan length; every subject keeps its own series
+    # sites differ in scan length; every subject's connectome comes from its
+    # own series
     short = synth_dataset(3, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=1)
     long = synth_dataset(4, n_nodes=5, length=14, spec=ClassSpec(separation=0.0), seed=2)
     renamed = [Sample(f"{tag}{s.subject_id}", s.connectome, s.label, s.time_series)
@@ -343,7 +349,9 @@ def test_mixed_series_lengths_load_per_subject(tmp_path):
     loaded = load_dataset(tmp_path)
     assert [s.subject_id for s in loaded] == [s.subject_id for s in renamed]
     for want, got in zip(renamed, loaded):
-        assert np.array_equal(got.time_series, want.time_series)  # repr round-trips exactly
+        series = read_time_series_file(tmp_path / f"{want.subject_id}.ts.csv")
+        assert np.array_equal(series, want.time_series)  # repr round-trips exactly
+        assert got.time_series is None
         assert got.connectome.matrix.tobytes() == want.connectome.matrix.tobytes()
         assert got.label == want.label
 
@@ -354,8 +362,13 @@ def test_matrix_file_wins_over_series_file(tmp_path):
     (tmp_path / "t.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25\n")
     s, t = load_dataset(tmp_path)
     assert np.array_equal(s.connectome.matrix, MATRIX)
-    assert np.array_equal(s.time_series, SERIES)
+    assert s.time_series is None and t.time_series is None
+    assert np.array_equal(read_time_series_file(tmp_path / "s.ts.csv"), SERIES)
     assert np.array_equal(t.connectome.matrix, pearson_connectome(SERIES))
+    # the losing series file is still parsed: a bad one fails the load
+    (tmp_path / "s.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,x\n2.0,-0.25\n")
+    with pytest.raises(DatasetError, match="s.ts.csv row 1"):
+        load_dataset(tmp_path)
 
 
 # ---------------------------------------------------------------------------

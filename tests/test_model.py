@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from braincl.data import Connectome
 from braincl.model import (
+    LEAKY_SLOPE,
     EncoderConfig,
     RankDeficiencyError,
     as_tensors,
@@ -18,10 +22,11 @@ from braincl.model import (
     project,
     relabel_nodes,
 )
-from braincl.numcore import NonFiniteError, Tensor, backward, gradcheck, readout
-from references import (add, concat, div, index, layer_norm, matmul, mul, readout_reference,
-                        softmax, sqrt, stack, sub, total, transpose, unit_rows_reference,
-                        weighted_sum)
+from braincl.numcore import (NonFiniteError, Tensor, attention, backward, gradcheck, linear,
+                             readout, unit_rows)
+from references import (add, add_layer_norm, concat, div, index, layer_norm, leaky_relu, matmul,
+                        mul, readout_reference, softmax, sqrt, stack, sub, total, transpose,
+                        unit_rows_reference, weighted_sum)
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -259,7 +264,7 @@ def affine_reference(x: Tensor, params, w: str, b: str) -> Tensor:
 def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
     """The encoder as a graph of elementary ops (matmul plus bias add, a
     per-head loop of slices, a concat, add then layer_norm then affine): the
-    reference the fused linear, attention and add_layer_norm nodes must
+    reference the fused linear, attention and linear_add_layer_norm nodes must
     reproduce, values and gradients."""
     z = affine_reference(Tensor(conn, requires_grad=False), params, "embed.w", "embed.b")
     head_dim = cfg.width // cfg.heads
@@ -279,7 +284,7 @@ def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
                                 f"{pre}.attn.wo", f"{pre}.attn.ob")
         z = add(mul(layer_norm(add(z, attn)), params[f"{pre}.norm1.gain"]),
                 params[f"{pre}.norm1.bias"])
-        hidden = affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1").leaky_relu(0.01)
+        hidden = leaky_relu(affine_reference(z, params, f"{pre}.ffn.w1", f"{pre}.ffn.b1"), 0.01)
         ffn = affine_reference(hidden, params, f"{pre}.ffn.w2", f"{pre}.ffn.b2")
         z = add(mul(layer_norm(add(z, ffn)), params[f"{pre}.norm2.gain"]),
                 params[f"{pre}.norm2.bias"])
@@ -292,14 +297,14 @@ def features_reference(conn, params, cfg: EncoderConfig) -> Tensor:
 
 
 def project_reference(feats: Tensor, params) -> Tensor:
-    h = affine_reference(feats, params, "project.w1", "project.b1").leaky_relu(0.01)
+    h = leaky_relu(affine_reference(feats, params, "project.w1", "project.b1"), 0.01)
     raw = affine_reference(h, params, "project.w2", "project.b2")
     return unit_rows_reference(raw)
 
 
 def classify_reference(feats: Tensor, params) -> Tensor:
-    h = affine_reference(feats, params, "classifier.w1", "classifier.b1").leaky_relu(0.01)
-    h = affine_reference(h, params, "classifier.w2", "classifier.b2").leaky_relu(0.01)
+    h = leaky_relu(affine_reference(feats, params, "classifier.w1", "classifier.b1"), 0.01)
+    h = leaky_relu(affine_reference(h, params, "classifier.w2", "classifier.b2"), 0.01)
     return affine_reference(h, params, "classifier.w3", "classifier.b3")
 
 
@@ -334,6 +339,100 @@ def test_fused_model_matches_reference_composition(n_nodes, n_clusters, batch):
         for name in arrays:
             bound = 1e-10 * (1.0 + np.abs(ref_grads[name]).max())
             assert np.abs(grads[name] - ref_grads[name]).max() <= bound, (path, name)
+
+
+# ---------------------------------------------------------------------------
+# fused encoder and heads against separate activation and add-norm nodes
+
+
+def encoder_unfused(conn, params, cfg: EncoderConfig) -> Tensor:
+    """The encoder with a node of its own for each leaky ReLU and each
+    residual branch's last map: ``linear``, then the references'
+    ``leaky_relu`` and ``add_layer_norm``, which ``linear``'s slope and
+    ``linear_add_layer_norm`` fold together."""
+    z = linear(Tensor(conn, requires_grad=False), params["embed.w"], params["embed.b"])
+    scale = 1.0 / math.sqrt(cfg.width // cfg.heads)
+    for i in range(cfg.layers):
+        pre = f"layer{i}"
+        q, k, v = (linear(z, params[f"{pre}.attn.w{c}"], params[f"{pre}.attn.{c}b"])
+                   for c in "qkv")
+        attn = linear(attention(q, k, v, cfg.heads, scale),
+                      params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"])
+        z = add_layer_norm(z, attn, params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
+        hidden = leaky_relu(linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]),
+                            LEAKY_SLOPE)
+        ffn = linear(hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
+        z = add_layer_norm(z, ffn, params[f"{pre}.norm2.gain"], params[f"{pre}.norm2.bias"])
+    return z
+
+
+def features_unfused(conn, params, cfg: EncoderConfig) -> Tensor:
+    return readout(encoder_unfused(conn, params, cfg), gram_schmidt(params["readout.centers"]),
+                   params["readout.w_out"])
+
+
+@pytest.mark.parametrize("batch", [None, 32])
+def test_fused_model_matches_separate_nodes_bit_for_bit(batch):
+    # the desk config (criterion 7), one sample and a batch: the fused nodes
+    # make the separate nodes' numpy calls, so every output and gradient has
+    # the same bytes
+    cfg = EncoderConfig(n_nodes=20, n_clusters=10, proj_dim=32)
+    arrays = full_params(cfg, seed=7)
+    rng = np.random.default_rng(8)
+    conns = [random_connectome(rng, 20).matrix for _ in range(batch or 1)]
+    conns = conns[0] if batch is None else np.stack(conns)
+
+    def project_unfused(feats, p):
+        h = leaky_relu(linear(feats, p["project.w1"], p["project.b1"]), LEAKY_SLOPE)
+        return unit_rows(linear(h, p["project.w2"], p["project.b2"]))
+
+    def classify_unfused(feats, p):
+        h = leaky_relu(linear(feats, p["classifier.w1"], p["classifier.b1"]), LEAKY_SLOPE)
+        h = leaky_relu(linear(h, p["classifier.w2"], p["classifier.b2"]), LEAKY_SLOPE)
+        return linear(h, p["classifier.w3"], p["classifier.b3"])
+
+    paths = {
+        "features": (lambda p: features(conns, p, cfg), lambda p: features_unfused(conns, p, cfg)),
+        "project": (lambda p: project(features(conns, p, cfg), p),
+                    lambda p: project_unfused(features_unfused(conns, p, cfg), p)),
+        "classify": (lambda p: classify(features(conns, p, cfg), p),
+                     lambda p: classify_unfused(features_unfused(conns, p, cfg), p)),
+    }
+    for path, (fused, unfused) in paths.items():
+        results = []
+        for fn in (fused, unfused):
+            leaves = as_tensors(arrays)
+            out = fn(leaves)
+            weights = np.random.default_rng(3).standard_normal(out.shape)
+            grads = backward(weighted_sum(out, weights), wrt=list(leaves.values()))
+            results.append([out.data] + [grads[leaves[n]] for n in arrays])
+        for i, (a, b) in enumerate(zip(*results)):
+            assert a.tobytes() == b.tobytes(), (path, i)
+
+
+def test_fused_encoder_peaks_below_separate_nodes():
+    # one query forward and backward through features on a fixed desk-config
+    # batch (V=20, K=10, batch 32): the fused nodes keep neither the residual
+    # branches' outputs nor the feed-forward's pre-activation, so the traced
+    # peak of live arrays must fall below that of the same encoder built from
+    # separate nodes, measured the same way in the same process
+    cfg = EncoderConfig(n_nodes=20, n_clusters=10, proj_dim=32)
+    arrays = init_encoder_params(cfg, np.random.default_rng(9))
+    rng = np.random.default_rng(10)
+    conns = np.stack([random_connectome(rng, 20).matrix for _ in range(32)])
+    weights = rng.standard_normal((32, cfg.feature_dim))
+
+    def traced_peak(forward) -> int:
+        leaves = as_tensors(arrays)
+        tracemalloc.start()
+        try:
+            backward(weighted_sum(forward(conns, leaves, cfg), weights), wrt=list(leaves.values()))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fused, unfused = traced_peak(features), traced_peak(features_unfused)
+    assert fused < unfused, (fused, unfused)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_lr_zero_is_identity():
             np.testing.assert_array_equal(out[k], params[k])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: sgd(float("nan")), "lr must be non-negative and finite, got nan"),
+    (lambda: sgd(-0.1), "lr must be non-negative and finite, got -0.1"),
+    (lambda: adam(float("inf")), "lr must be non-negative and finite, got inf"),
+    (lambda: adam(1e-3, weight_decay=-1), "weight_decay must be non-negative and finite, got -1"),
+    (lambda: adam(1e-3, weight_decay=float("nan")),
+     "weight_decay must be non-negative and finite, got nan"),
+])
+def test_optimizer_rejects_a_negative_or_non_finite_setting(make, message):
+    # lr = 0 stays valid: see test_lr_zero_is_identity
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_adam_constant_gradient_moves_monotonically():
     # scalar simulation: with a constant positive gradient the parameter
     # must decrease at every one of 100 steps

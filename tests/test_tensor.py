@@ -16,11 +16,11 @@ from braincl.numcore import (
     NonFiniteError,
     Tensor,
     adam,
-    add_layer_norm,
     attention,
     backward,
     contrastive_logits,
     linear,
+    linear_add_layer_norm,
     load_checkpoint,
     mean_nll,
     opt_step,
@@ -33,9 +33,9 @@ from braincl.numcore import tensor as tensor_module
 from braincl.numcore.gradcheck import gradcheck
 from braincl.pipeline import (FinetuneConfig, PretrainConfig, finetune, load_encoder_checkpoint,
                               pretrain, save_encoder_checkpoint)
-from references import (add, concat, contrastive_logits_reference, div, index, layer_norm,
-                        log_softmax, matmul, mean, mean_nll_reference, mul, neg,
-                        readout_reference, softmax, sqrt, stack, sub, total, transpose,
+from references import (add, add_layer_norm, concat, contrastive_logits_reference, div, index,
+                        layer_norm, leaky_relu, log_softmax, matmul, mean, mean_nll_reference, mul,
+                        neg, readout_reference, softmax, sqrt, stack, sub, total, transpose,
                         unit_rows_reference, weighted_sum)
 
 
@@ -134,7 +134,7 @@ def test_matmul_gradients_match_finite_differences():
     lambda x: total(div(1.0, add(mul(x, x), 1.5))),
     lambda x: total(mul(neg(x), x)),
     lambda x: total(sqrt(add(mul(x, x), 0.5))),
-    lambda x: mul(total(x.leaky_relu()), 3.0),
+    lambda x: mul(total(leaky_relu(x)), 3.0),
     lambda x: weighted_sum(softmax(x), x),
     lambda x: weighted_sum(log_softmax(x), x),
 ])
@@ -215,7 +215,8 @@ def test_shape_mismatch_raises():
             mean_nll(Tensor(np.zeros((2, 2))), labels)
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "add_layer_norm", "concat"])
+@pytest.mark.parametrize("name", ["add", "sub", "add_layer_norm", "linear_add_layer_norm",
+                                  "concat"])
 @pytest.mark.parametrize("op_first", [True, False])
 def test_one_tensor_in_two_parent_slots(name, op_first):
     # backward adopts a fresh first contribution as the accumulator; a vjp
@@ -224,9 +225,12 @@ def test_one_tensor_in_two_parent_slots(name, op_first):
     rng = np.random.default_rng(50)
     vals = rng.standard_normal((3, 4))
     gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
+    w_h, b_h = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal(4))
     op = {"add": add,
           "sub": sub,
           "add_layer_norm": lambda a, b: add_layer_norm(a, b, gain, bias),
+          # one tensor as x and as the branch's input
+          "linear_add_layer_norm": lambda x, h: linear_add_layer_norm(x, h, w_h, b_h, gain, bias),
           "concat": lambda a, b: concat([a, b], axis=1)}[name]
     w = rng.standard_normal(op(Tensor(vals), Tensor(vals)).shape)
     v = rng.standard_normal(vals.shape)
@@ -273,7 +277,7 @@ def test_backward_is_deterministic():
     def run():
         x = Tensor(vals)
         z = matmul(layer_norm(x), np.eye(6))
-        loss = add(weighted_sum(softmax(z), z), mean(z.leaky_relu()))
+        loss = add(weighted_sum(softmax(z), z), mean(leaky_relu(z)))
         return backward(loss, wrt=[x])[x]
 
     first, second = run(), run()
@@ -384,14 +388,17 @@ def test_backward_frees_an_encoder_forward_while_the_loss_lives():
     lambda big: mul(big, big),
     lambda big: matmul(big, big.data.T),
     lambda big: linear(big, Tensor([[2.0], [0.0]]), Tensor([0.0])),
+    lambda big: linear(big, Tensor([[-2.0], [0.0]]), Tensor([0.0]), 0.5),
     lambda big: add_layer_norm(big, big, Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
+    lambda big: linear_add_layer_norm(big, big, Tensor(np.eye(2)), Tensor([0.0, 0.0]),
+                                      Tensor([1.0, 1.0]), Tensor([0.0, 0.0])),
     unit_rows,
     lambda big: unit_rows(Tensor(big.data * 1e-154)),  # squares finite, their sum not
     lambda big: contrastive_logits(Tensor(np.array([[0.6, 0.8]])), np.array([[0.6, 0.8]]),
                                    np.array([[0.8, 0.6]]), 1e-310),
     lambda big: mean_nll(big, [0]),  # the loss reads a finite log-probability, not the -inf
-], ids=["mul", "matmul", "linear", "add_layer_norm", "unit_rows", "unit_rows_sum",
-        "contrastive_logits", "mean_nll"])
+], ids=["mul", "matmul", "linear", "linear_slope", "add_layer_norm", "linear_add_layer_norm",
+        "unit_rows", "unit_rows_sum", "contrastive_logits", "mean_nll"])
 def test_forward_overflow_is_one_non_finite_error(op):
     # under tier-1's filterwarnings = error a numpy RuntimeWarning would
     # surface here instead of the error; an overflowing squared norm must not
@@ -602,6 +609,40 @@ def test_add_layer_norm_gradcheck(shape):
         add_layer_norm(x, r, Tensor(np.ones(d + 1)), bias)
 
 
+@pytest.mark.parametrize("shape", [(4,), (5, 3), (2, 5, 3)])
+def test_linear_with_a_slope_gradcheck(shape):
+    rng = np.random.default_rng(38)
+    arrays = [rng.standard_normal(shape), rng.standard_normal((shape[-1], 4)),
+              rng.standard_normal(4)]
+    weights = Tensor(rng.standard_normal(shape[:-1] + (4,)), requires_grad=False)
+    gradcheck_each_input(lambda *t: weighted_sum(linear(*t, 0.1), weights), arrays, 1e-6)
+    affine = arrays[0] @ arrays[1] + arrays[2]
+    out = linear(*(Tensor(a) for a in arrays), 0.1)
+    np.testing.assert_allclose(out.data, np.where(affine > 0, affine, 0.1 * affine),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
+def test_linear_add_layer_norm_gradcheck(shape):
+    rng = np.random.default_rng(39)
+    d = shape[-1]
+    arrays = [rng.standard_normal(shape), rng.standard_normal(shape[:-1] + (3,)),
+              rng.standard_normal((3, d)), rng.standard_normal(d),
+              rng.uniform(0.5, 1.5, d), rng.standard_normal(d)]
+    weights = Tensor(rng.standard_normal(shape), requires_grad=False)
+    gradcheck_each_input(lambda *t: weighted_sum(linear_add_layer_norm(*t), weights),
+                         arrays, 1e-6)
+    x, h, w, b, gain, bias = (Tensor(a) for a in arrays)
+    out = linear_add_layer_norm(x, h, w, b, gain, bias)
+    assert out.shape == shape and out.parents == (x, h, w, b, gain, bias)
+    wide = (Tensor(np.ones((3, d + 1))), Tensor(np.ones(d + 1)))  # a branch wider than x
+    for args in [(x, h, Tensor(np.ones((4, d))), b, gain, bias), (x, h, *wide, gain, bias),
+                 (x, h, w, b, Tensor(np.ones(d + 1)), bias),
+                 (x, h, w, b, gain, Tensor(np.ones(d + 1)))]:
+        with pytest.raises(GraphError, match="linear_add_layer_norm shape mismatch"):
+            linear_add_layer_norm(*args)
+
+
 @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
 def test_readout_gradcheck(shape):
     rng = np.random.default_rng(34)
@@ -641,6 +682,58 @@ def test_readout_matches_reference_composition_bit_for_bit(n_nodes, n_clusters, 
               rng.uniform(-0.2, 0.2, (n_nodes, 8))]
     equal_values_and_gradients(readout, readout_reference, arrays,
                                rng.standard_normal(z_shape[:-2] + (n_clusters * 8,)))
+
+
+# the desk encoder's feed-forward (V=20, width 40), the heads' one-sample
+# vectors and the paper-scale feed-forward (V=200, width 400)
+@pytest.mark.parametrize("shape, width", [((6,), 5), ((32, 20, 20), 40), ((640, 20), 40),
+                                          ((2, 200, 200), 400)])
+def test_linear_with_a_slope_matches_separate_nodes_bit_for_bit(shape, width):
+    rng = np.random.default_rng(width + len(shape))
+    arrays = [rng.standard_normal(shape), rng.uniform(-0.3, 0.3, (shape[-1], width)),
+              rng.uniform(-0.3, 0.3, width)]
+    equal_values_and_gradients(lambda x, w, b: linear(x, w, b, 0.01),
+                               lambda x, w, b: leaky_relu(linear(x, w, b), 0.01), arrays,
+                               rng.standard_normal(shape[:-1] + (width,)))
+
+
+# the desk encoder's two residual branches (attention, width 20; feed-forward,
+# width 40 back to 20), one sample and the paper-scale feed-forward
+@pytest.mark.parametrize("shape, width", [((32, 20, 20), 20), ((32, 20, 40), 20),
+                                          ((20, 40), 20), ((2, 200, 400), 200)])
+def test_linear_add_layer_norm_matches_separate_nodes_bit_for_bit(shape, width):
+    rng = np.random.default_rng(width + shape[-1] + len(shape))
+    arrays = [rng.standard_normal(shape[:-1] + (width,)), rng.standard_normal(shape),
+              rng.uniform(-0.3, 0.3, (shape[-1], width)), rng.uniform(-0.3, 0.3, width),
+              rng.uniform(0.5, 1.5, width), rng.standard_normal(width)]
+    equal_values_and_gradients(
+        linear_add_layer_norm,
+        lambda x, h, w, b, gain, bias: add_layer_norm(x, linear(h, w, b), gain, bias), arrays,
+        rng.standard_normal(shape[:-1] + (width,)))
+
+
+@pytest.mark.parametrize("adopted", [True, False])
+def test_linear_add_layer_norm_with_x_as_the_branch_input(adopted):
+    # backward adopts x's gradient, the add-and-norm gradient itself, as x's
+    # accumulator (unless x already has one) and adds the branch input's
+    # gradient into it when both are one tensor; the weight and bias
+    # gradients must still read it unsummed
+    rng = np.random.default_rng(42)
+    arrays = [rng.standard_normal((3, 4)), rng.uniform(-0.5, 0.5, (4, 4)),
+              rng.uniform(-0.5, 0.5, 4), rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)]
+    weights, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    results = []
+    for fn in (linear_add_layer_norm,
+               lambda x, h, w, b, gain, bias: add_layer_norm(x, linear(h, w, b), gain, bias)):
+        leaves = [Tensor(a) for a in arrays]
+        x = leaves[0]
+        loss = weighted_sum(fn(x, x, *leaves[1:]), weights)
+        if not adopted:  # a newer node gives x its first gradient
+            loss = add(loss, weighted_sum(x, v))
+        grads = backward(loss, wrt=leaves)
+        results.append([grads[t] for t in leaves])
+    for i, (a, b) in enumerate(zip(*results)):
+        assert a.tobytes() == b.tobytes(), i
 
 
 def test_readout_rejects_mismatched_shapes():
@@ -736,9 +829,11 @@ def test_mean_nll_matches_reference_composition_bit_for_bit(shape, labels):
 @pytest.mark.parametrize("fn, shapes", [
     (linear, [(4,), (4, 3), (3,)]),
     (linear, [(2, 5, 4), (4, 3), (3,)]),
+    (lambda x, w, b: linear(x, w, b, 0.01), [(2, 5, 4), (4, 3), (3,)]),
     (lambda q, k, v: attention(q, k, v, 1, 0.5), [(5, 4)] * 3),
     (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 5, 4)] * 3),
-], ids=["linear_vector", "linear_batch", "attention_one_head", "attention_batch"])
+], ids=["linear_vector", "linear_batch", "linear_slope_batch", "attention_one_head",
+        "attention_batch"])
 def test_fused_gradients_are_fresh_arrays_backward_can_adopt(fn, shapes):
     rng = np.random.default_rng(33)
     out = fn(*(Tensor(rng.standard_normal(s)) for s in shapes))
@@ -748,37 +843,40 @@ def test_fused_gradients_are_fresh_arrays_backward_can_adopt(fn, shapes):
 
 
 def test_leaky_relu_keeps_a_boolean_mask():
-    x = Tensor([-2.0, 0.0, 3.0])
-    out = x.leaky_relu(0.1)
-    np.testing.assert_array_equal(out.data, [-0.2, 0.0, 3.0])
-    # the only input-sized array the backward keeps is the mask (read before
+    # linear's leaky ReLU keeps no affine output: of the arrays of the
+    # output's size, its backward holds only the boolean mask (read before
     # backward, which spends the node)
+    x = Tensor([[-2.0, 0.0, 3.0, 1.0]])
+    out = linear(x, Tensor(np.eye(4)[:, :3]), Tensor(np.zeros(3)), 0.1)
+    np.testing.assert_array_equal(out.data, [[-0.2, 0.0, 3.0]])
     saved = [c.cell_contents for c in out._vjp.__closure__
-             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == x.shape]
+             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.size == out.data.size]
     assert [a.dtype for a in saved] == [np.bool_]
-    np.testing.assert_array_equal(backward(total(out), wrt=[x])[x], [0.1, 0.1, 1.0])
+    np.testing.assert_array_equal(backward(total(out), wrt=[x])[x], [[0.1, 0.1, 1.0, 0.0]])
 
 
 def test_leaky_relu_forward_is_the_slope_gather_bit_for_bit():
     x = np.random.default_rng(41).standard_normal((6, 5))
-    x[0, :4] = [0.0, -0.0, 1e-310, -1e-310]
+    x[0, :3] = [0.0, 1e-310, -1e-310]
+    identity, zero = Tensor(np.eye(5)), Tensor(np.zeros(5))
+    affine = linear(Tensor(x), identity, zero).data  # x, zeros and subnormals included
     for slope in (0.0, 0.01, 0.3, 1.0):
-        expected = x * np.array([slope, 1.0]).take(x > 0)
-        assert Tensor(x).leaky_relu(slope).data.tobytes() == expected.tobytes()
+        expected = affine * np.array([slope, 1.0]).take(affine > 0)
+        assert linear(Tensor(x), identity, zero, slope).data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("slope", [-0.01, 1.5, np.nan])
 def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(slope):
     with pytest.raises(ValueError, match="negative_slope must lie in"):
-        Tensor([1.0, -1.0]).leaky_relu(slope)
+        linear(Tensor([1.0, -1.0]), Tensor(np.eye(2)), Tensor(np.zeros(2)), slope)
 
 
 # ---------------------------------------------------------------------------
 # node protocol: one vjp(g, needed) per node, one gradient per parent
 
-# add, sub, mul, div, the matmuls and concat are the test references' own
-# nodes: the compositions the fused nodes are checked against rely on the
-# same protocol
+# add, sub, mul, div, the matmuls, concat and add_layer_norm are the test
+# references' own nodes: the compositions the fused nodes are checked against
+# rely on the same protocol
 PROTOCOL_CASES = {
     "add": (add, [(2, 3, 4), (4,)]),
     "sub": (sub, [(3, 1), (2, 3, 4)]),
@@ -790,8 +888,11 @@ PROTOCOL_CASES = {
     "matmul_both_stacked": (matmul, [(2, 3, 4), (2, 4, 5)]),
     "concat": (lambda *t: concat(t, axis=-1), [(2, 3), (2, 1), (2, 4)]),
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_slope": (lambda x, w, b: linear(x, w, b, 0.01), [(2, 3, 4), (4, 5), (5,)]),
     "attention": (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 3, 4)] * 3),
     "add_layer_norm": (add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
+    "linear_add_layer_norm": (linear_add_layer_norm,
+                              [(2, 3, 5), (2, 3, 4), (4, 5), (5,), (5,), (5,)]),
     "readout": (readout, [(2, 5, 4), (3, 4), (4, 2)]),
     "unit_rows": (unit_rows, [(2, 3)]),
     "contrastive_logits": (lambda q: contrastive_logits(q, np.ones((2, 3)), np.ones((4, 3)), 0.5),
