@@ -38,6 +38,7 @@ from .model import (
 from .pipeline import (
     PipelineError,
     ablation_grid,
+    check_compatible,
     fingerprint,
     load_config,
     load_encoder_checkpoint,
@@ -133,7 +134,7 @@ def cmd_finetune(args) -> None:
     if args.ckpt is not None:
         encoder_ckpt, ckpt_cfg = load_encoder_checkpoint(args.ckpt)
         # proj_dim sizes the pretraining projection head, which the checkpoint lacks
-        run = asdict(cfg.encoder.resolved())
+        run = asdict(cfg.encoder)
         differ = [f"{name} {value} in the checkpoint, {run[name]} in this run"
                   for name, value in asdict(ckpt_cfg).items()
                   if name != "proj_dim" and value != run[name]]
@@ -159,6 +160,10 @@ def cmd_evaluate(args) -> None:
         _fail("checkpoint has no classification head; pass a finetuned model")
     if ds.n_nodes != cfg.n_nodes:
         _fail(f"model expects V={cfg.n_nodes}, data has V={ds.n_nodes}")
+    rng = np.random.default_rng(0)  # only the names and shapes are compared
+    reference = init_encoder_params(cfg, rng)
+    reference.update(init_classifier_params(cfg, rng))
+    check_compatible(arrays, reference)
     with non_finite_guard("evaluation scoring"):
         scores = score_dataset(ds, arrays, cfg)
     metrics = summarize_scores(scores)

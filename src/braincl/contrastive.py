@@ -2,55 +2,26 @@
 the slowly-trailing key parameters, and the FIFO queue of past keys that
 serves as the negative set.
 
-The loss denominator includes the positive term alongside every queue key,
-and gradients reach only the query side: keys enter the loss as arrays and
-the key parameters are updated by exponential trailing, never by gradient.
+The key parameters (a parameter dict) and the queue (an (n_keys, dim)
+array, oldest first) are plain values that the pretraining loop holds; each
+function here takes its setting (temperature, momentum, queue capacity) as
+an argument and checks it. The loss denominator includes the positive term
+alongside every queue key, and gradients reach only the query side: keys
+enter the loss as arrays and the key parameters are updated by exponential
+trailing, never by gradient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numcore import Tensor, contrastive_logits, freeze, mean_nll
 
-__all__ = ["MoCoState", "info_nce", "momentum_update", "queue_push"]
+__all__ = ["info_nce", "momentum_update", "queue_push"]
 
 UNIT_NORM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class MoCoState:
-    key_params: dict[str, np.ndarray]
-    queue: np.ndarray  # (n_keys, dim), oldest first
-    capacity: int = 512
-    momentum: float = 0.999
-    temperature: float = 0.07
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("queue capacity must be positive")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must lie in [0, 1]")
-        if not 0.0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
-        q = np.asarray(self.queue, dtype=np.float64)
-        if q.ndim != 2:
-            raise ValueError("queue must be a (n_keys, dim) array")
-        if q.shape[0] > self.capacity:
-            raise ValueError("queue longer than its capacity")
-        # unit rows are checked where keys enter (queue_push) and where the
-        # queue is read (info_nce), not on every replace of the state
-        object.__setattr__(self, "queue", q)
-
-    @classmethod
-    def fresh(cls, key_params: dict[str, np.ndarray], dim: int, *,
-              capacity: int = 512, momentum: float = 0.999,
-              temperature: float = 0.07) -> "MoCoState":
-        return cls(key_params=key_params, queue=np.zeros((0, dim)), capacity=capacity,
-                   momentum=momentum, temperature=temperature)
 
 
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
@@ -97,7 +68,7 @@ def momentum_update(key_params: dict[str, np.ndarray],
     Returns a new frozen parameter dict (see ``numcore.freeze``), so leaf
     Tensors adopt its arrays without a copy."""
     if not 0.0 <= momentum <= 1.0:
-        raise ValueError("momentum must lie in [0, 1]")
+        raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
     if set(key_params) != set(query_params):
         raise ValueError("key and query parameter names differ")
     out: dict[str, np.ndarray] = {}
@@ -111,16 +82,22 @@ def momentum_update(key_params: dict[str, np.ndarray],
     return freeze(out)
 
 
-def queue_push(state: MoCoState, keys: np.ndarray) -> MoCoState:
-    """Append keys FIFO, evicting the oldest once capacity is exceeded."""
+def queue_push(queue: np.ndarray, keys: np.ndarray, capacity: int) -> np.ndarray:
+    """The (n_keys, dim) queue with ``keys`` appended FIFO, the oldest evicted
+    once it holds more than ``capacity`` rows; ``queue`` is left as it is."""
+    if capacity < 1:
+        raise ValueError(f"queue capacity must be positive, got {capacity}")
+    queue = np.asarray(queue, dtype=np.float64)
+    if queue.ndim != 2:
+        raise ValueError("queue must be a (n_keys, dim) array")
+    if queue.shape[0] > capacity:
+        raise ValueError(f"queue of {queue.shape[0]} keys is longer than its capacity {capacity}")
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim == 1:
         keys = keys[None, :]
     _check_unit_rows(keys, "pushed keys")
-    if keys.shape[1] != state.queue.shape[1]:
+    if keys.shape[1] != queue.shape[1]:
         raise ValueError(f"key dim {keys.shape[1]} does not match queue "
-                         f"dim {state.queue.shape[1]}")
-    merged = np.vstack([state.queue, keys]) if state.queue.size else keys.copy()
-    if merged.shape[0] > state.capacity:
-        merged = merged[merged.shape[0] - state.capacity:]
-    return replace(state, queue=merged)
+                         f"dim {queue.shape[1]}")
+    merged = np.vstack([queue, keys]) if queue.size else keys.copy()
+    return merged[-capacity:]  # capacity >= 1, so this keeps the newest rows

@@ -1,4 +1,5 @@
-"""Stratified train/validation/test partitioning."""
+"""Stratified train/validation/test partitioning: ``SplitSpec`` holds the
+three fractions, and the seed is an argument of ``stratified_split``."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ class SplitSpec:
     train: float = 0.70
     val: float = 0.10
     test: float = 0.20
-    seed: int = 0
 
     def __post_init__(self):
         fracs = (self.train, self.val, self.test)
@@ -40,13 +40,15 @@ def _apportion(count: int, fractions: tuple[float, ...]) -> list[int]:
     return base
 
 
-def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+def stratified_split(ds: Dataset, spec: SplitSpec,
+                     seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Partition a labeled dataset preserving class proportions per part.
 
-    Within each class, members are shuffled by the spec seed and dealt to
+    Within each class, members are shuffled by a generator seeded with
+    ``seed`` (a finetuning run passes its own seed) and dealt to
     train/val/test according to largest-remainder quotas, so per-class
     counts match the fractions to within one sample. Deterministic: the
-    same (dataset, spec) always yields the same partition.
+    same (dataset, spec, seed) always yields the same partition.
     """
     unlabeled = [s.subject_id for s in ds if s.label is None]
     if unlabeled:
@@ -58,7 +60,7 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
         if len(members) < 3:
             raise DatasetError(f"class {label} has only {len(members)} samples; need >= 3")
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     fractions = (spec.train, spec.val, spec.test)
     part_indices: tuple[list[int], ...] = ([], [], [])
     for label in sorted(by_class):

@@ -19,6 +19,10 @@ fixed per-cluster width and flattens: the input of both heads.
 Every forward path works over trailing axes: a (V, V) connectome is one
 sample and a stacked (B, V, V) array is a batch that runs as one graph.
 
+``EncoderConfig`` fills in ``d_model`` (the node count) and ``ffn_dim``
+(twice ``d_model``) when they are left out, so a built config always holds
+its widths and two configs of the same encoder compare equal.
+
 Node relabeling: the embedding weight's input axis is the only
 node-indexed parameter, so permuting a connectome's rows and columns
 together with that axis permutes the encoder output rows the same way (see
@@ -28,7 +32,7 @@ together with that axis permutes the encoder output rows the same way (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,39 +58,32 @@ class EncoderConfig:
     n_nodes: int
     layers: int = 2
     heads: int = 4
-    d_model: int | None = None  # defaults to n_nodes
-    ffn_dim: int | None = None  # defaults to 2 * d_model
+    d_model: int | None = None  # None means n_nodes; always an int once built
+    ffn_dim: int | None = None  # None means 2 * d_model; always an int once built
     n_clusters: int = 100
     cluster_dim: int = 8
     proj_dim: int = 128
 
     def __post_init__(self):
+        # the widths are written out here, so every reader sees them resolved
+        if self.d_model is None:
+            object.__setattr__(self, "d_model", self.n_nodes)
+        if self.ffn_dim is None:
+            object.__setattr__(self, "ffn_dim", 2 * self.d_model)
         for name in ("n_nodes", "layers", "heads", "d_model", "ffn_dim", "n_clusters",
                      "cluster_dim", "proj_dim"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.width % self.heads != 0:
-            raise ValueError(f"d_model {self.width} not divisible by heads {self.heads}")
-        if self.n_clusters > self.width:
+        if self.d_model % self.heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.n_clusters > self.d_model:
             raise ValueError("n_clusters cannot exceed d_model: centers could "
                              "never be orthonormal")
 
     @property
-    def width(self) -> int:
-        return self.d_model if self.d_model is not None else self.n_nodes
-
-    @property
-    def ffn_width(self) -> int:
-        return self.ffn_dim if self.ffn_dim is not None else 2 * self.width
-
-    @property
     def feature_dim(self) -> int:
         return self.n_clusters * self.cluster_dim
-
-    def resolved(self) -> "EncoderConfig":
-        """The same encoder with the derived widths written out."""
-        return replace(self, d_model=self.width, ffn_dim=self.ffn_width)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +98,7 @@ def _affine(rng: np.random.Generator, fan_in: int, fan_out: int):
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    d = cfg.width
+    d = cfg.d_model
     params: dict[str, np.ndarray] = {}
     params["embed.w"], params["embed.b"] = _affine(rng, cfg.n_nodes, d)
     for i in range(cfg.layers):
@@ -110,8 +107,8 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
             params[f"{pre}.attn.{w_name}"], params[f"{pre}.attn.{b_name}"] = _affine(rng, d, d)
         params[f"{pre}.norm1.gain"] = np.ones(d)
         params[f"{pre}.norm1.bias"] = np.zeros(d)
-        params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"] = _affine(rng, d, cfg.ffn_width)
-        params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"] = _affine(rng, cfg.ffn_width, d)
+        params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"] = _affine(rng, d, cfg.ffn_dim)
+        params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"] = _affine(rng, cfg.ffn_dim, d)
         params[f"{pre}.norm2.gain"] = np.ones(d)
         params[f"{pre}.norm2.bias"] = np.zeros(d)
     # np.array owns its copy of the transposed view gram_schmidt returns
@@ -186,7 +183,6 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
     x = _as_input(conn)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_nodes, cfg.n_nodes):
         raise ValueError(f"input shape {x.shape} does not match V={cfg.n_nodes}")
-    scale = 1.0 / math.sqrt(cfg.width // cfg.heads)
 
     z = linear(x, params["embed.w"], params["embed.b"])
     for i in range(cfg.layers):
@@ -194,7 +190,7 @@ def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tens
         q = linear(z, params[f"{pre}.attn.wq"], params[f"{pre}.attn.qb"])
         k = linear(z, params[f"{pre}.attn.wk"], params[f"{pre}.attn.kb"])
         v = linear(z, params[f"{pre}.attn.wv"], params[f"{pre}.attn.vb"])
-        z = linear_add_layer_norm(z, attention(q, k, v, cfg.heads, scale),
+        z = linear_add_layer_norm(z, attention(q, k, v, cfg.heads),
                                   params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"],
                                   params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
         hidden = linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"], LEAKY_SLOPE)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -78,6 +79,7 @@ class NonFiniteError(FloatingPointError):
 
 
 MAX_RANK = 3
+LAYER_NORM_EPS = 1e-5  # added to the variance in linear_add_layer_norm
 
 _created = itertools.count()  # creation index of every Tensor, in order
 
@@ -262,16 +264,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, negative_slope: float | None = None)
 
 
 @_quiet
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention, all heads in one node.
 
     ``q``, ``k`` and ``v`` are (V, d) or (B, V, d); head h reads columns
     h*d/heads to (h+1)*d/heads of each and writes the same columns of the
-    output, softmax(scale * q_h k_h^T) v_h. Besides its output O the node
-    keeps only the softmax probabilities P; its backward forms
-    dS = P * (dP - rowsum(dO * O)) once for the q and k gradients
-    (FlashAttention, Dao et al. 2022, arXiv:2205.14135, Alg. 2 without the
-    tiling; rowsum(dO * O) equals rowsum(dP * P) at a fraction of the size).
+    output, softmax(scale * q_h k_h^T) v_h with scale = 1 / sqrt(d / heads).
+    Besides its output O the node keeps only the softmax probabilities P;
+    its backward forms dS = P * (dP - rowsum(dO * O)) once for the q and k
+    gradients (FlashAttention, Dao et al. 2022, arXiv:2205.14135, Alg. 2
+    without the tiling; rowsum(dO * O) equals rowsum(dP * P) at a fraction
+    of the size).
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.ndim not in (2, 3) or k.shape != q.shape or v.shape != q.shape:
@@ -280,6 +283,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
     if heads < 1 or q.shape[-1] % heads:
         raise GraphError(f"width {q.shape[-1]} does not split into {heads} heads")
     shape = q.shape
+    scale = 1.0 / math.sqrt(shape[-1] // heads)
 
     def split(a):  # (..., V, d) -> (..., heads, V, d / heads)
         return np.swapaxes(a.reshape(shape[:-1] + (heads, -1)), -2, -3)
@@ -312,7 +316,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tens
 
 @_quiet
 def linear_add_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tensor,
-                          bias: Tensor, eps: float = 1e-5) -> Tensor:
+                          bias: Tensor) -> Tensor:
     """``layer_norm(x + (h @ w + b)) * gain + bias`` over the last axis as one
     node: a residual branch's last affine map, the residual add and the
     post-norm with its affine step. It keeps the normalized sum and 1 / std
@@ -333,7 +337,7 @@ def linear_add_layer_norm(x: Tensor, h: Tensor, w: Tensor, b: Tensor, gain: Tens
     normed = normed.reshape(x.shape)
     normed += x.data
     normed -= normed.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     normed *= inv
     gd = gain.data
     out = normed * gd

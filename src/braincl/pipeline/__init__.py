@@ -21,14 +21,14 @@ from .experiment import (
     write_pretrain_artifacts,
     write_report,
 )
-from .finetune import FinetuneResult, finetune, score_dataset, summarize_scores
+from .finetune import FinetuneResult, check_compatible, finetune, score_dataset, summarize_scores
 from .pretrain import PipelineError, PretrainResult, non_finite_guard, pretrain
 
 __all__ = [
     "PretrainConfig", "FinetuneConfig", "ExperimentConfig",
     "load_config", "resolved_text", "fingerprint",
     "pretrain", "PretrainResult", "PipelineError", "non_finite_guard",
-    "finetune", "FinetuneResult", "score_dataset", "summarize_scores",
+    "finetune", "FinetuneResult", "check_compatible", "score_dataset", "summarize_scores",
     "run_experiment", "ExperimentReport", "write_report", "write_pretrain_artifacts",
     "ablation_grid", "write_ablation_csv",
     "ABLATION_NODE_RANGES", "ABLATION_NOISES", "FULL_SCALE_REFERENCE",

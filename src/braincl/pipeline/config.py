@@ -5,7 +5,13 @@ resolves its configuration (data-derived node count, CLI seed overrides)
 into a canonical text form (values by ``braincl.tables.format_value``) that
 is written next to the run artifacts; its SHA-256 is the config fingerprint
 recorded in reports. Parsing and the resolved text walk the dataclass
-fields: a setting is written down once.
+fields: a setting is written down once, as one field, and its default
+once, there. The code that uses a setting reads it from that field (the
+queue capacity, momentum and temperature from ``PretrainConfig``; the
+split's shuffle from ``FinetuneConfig.seed``), and ``EncoderConfig``
+writes out its derived widths when it is built, so ``asdict`` of it is
+already resolved. ``[experiment] rng`` is recorded in the text; a file may
+carry it with that one value.
 """
 
 from __future__ import annotations
@@ -87,9 +93,7 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self,
                        pretrain=replace(self.pretrain, seed=seed),
-                       finetune=replace(self.finetune,
-                                        seed=seed,
-                                        split=replace(self.finetune.split, seed=seed)))
+                       finetune=replace(self.finetune, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,7 @@ def _layout(cls=ExperimentConfig, path=(), section="experiment"):
 
     A nested config opens a section named after its field (``encoder`` is
     ``[model]``); a NoiseSpec is one setting. The split expands in place to
-    ``<part>_fraction`` keys; its seed follows ``[finetune] seed``.
+    ``<part>_fraction`` keys.
     """
     hints = get_type_hints(cls)
     for f in fields(cls):
@@ -110,7 +114,7 @@ def _layout(cls=ExperimentConfig, path=(), section="experiment"):
         here = path + (f.name,)
         if kind is SplitSpec:
             yield from ((section, f"{key}_fraction", p, k)
-                        for _, key, p, k in _layout(kind, here) if key != "seed")
+                        for _, key, p, k in _layout(kind, here))
         elif is_dataclass(kind) and kind is not NoiseSpec:
             yield from _layout(kind, here, "model" if f.name == "encoder" else f.name)
         else:
@@ -175,7 +179,8 @@ def _load(path, text: str | None, n_nodes: int) -> ExperimentConfig:
             parser.read_file(fh)
 
     known = {(section, key): (attrs, kind) for section, key, attrs, kind in _SETTINGS}
-    # rng is recorded in every resolved text, so a config file may carry it
+    # rng is recorded in every resolved text, so a config file may carry it,
+    # with the one value a run can honour
     accepted = set(known) | {("experiment", "rng")}
     sections = {section for section, _ in accepted}
     unknown = [f"section [{section}]" for section in parser.sections()
@@ -185,6 +190,9 @@ def _load(path, text: str | None, n_nodes: int) -> ExperimentConfig:
                 if (section, key) not in accepted]
     if unknown:
         raise ValueError("unknown config " + ", ".join(unknown))
+    rng = parser.get("experiment", "rng", fallback=RNG)
+    if rng != RNG:
+        raise ValueError(f"[experiment] rng: runs draw from {RNG!r} only, got {rng!r}")
 
     values: dict = {}
     for (section, key), (attrs, kind) in known.items():
@@ -200,15 +208,11 @@ def _load(path, text: str | None, n_nodes: int) -> ExperimentConfig:
     if values["encoder"]["n_nodes"] != n_nodes:
         raise ValueError(f"config pins n_nodes={values['encoder']['n_nodes']} "
                          f"but data has {n_nodes}")
-    finetune = values.get("finetune", {})
-    if "seed" in finetune:
-        finetune.setdefault("split", {})["seed"] = finetune["seed"]
     return _build(ExperimentConfig, values)
 
 
 def resolved_text(cfg: ExperimentConfig) -> str:
     """Canonical INI dump of every resolved value."""
-    cfg = replace(cfg, encoder=cfg.encoder.resolved())
     sections: dict[str, dict[str, str]] = {}
     for section, key, attrs, _ in _SETTINGS:
         sections.setdefault(section, {})[key] = format_value(reduce(getattr, attrs, cfg))

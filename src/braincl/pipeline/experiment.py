@@ -84,12 +84,11 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig,
     for repeat in range(cfg.finetune.repeats):
         seed = cfg.finetune.seed + repeat
         seeds.append(seed)
-        fcfg = replace(cfg.finetune, seed=seed,
-                       split=replace(cfg.finetune.split, seed=seed))
+        fcfg = replace(cfg.finetune, seed=seed)
         if encoder_ckpt is not None:
             ckpt = encoder_ckpt
         elif cfg.pretrain_scope == "train_only" and cfg.pretrain.epochs > 0:
-            train_fold, _, _ = stratified_split(labeled, fcfg.split)
+            train_fold, _, _ = stratified_split(labeled, fcfg.split, seed)
             pcfg = replace(cfg.pretrain, seed=cfg.pretrain.seed + repeat)
             ckpt = pretrain(train_fold, cfg.encoder, pcfg, cfg.augment).encoder_params
         else:
@@ -112,7 +111,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig,
 def save_encoder_checkpoint(path, arrays: dict[str, np.ndarray], cfg: EncoderConfig) -> None:
     payload = {f"param.{name}": arr for name, arr in arrays.items()}
     payload.update((f"meta.{name}", np.array(float(value)))
-                   for name, value in asdict(cfg.resolved()).items())
+                   for name, value in asdict(cfg).items())
     save_checkpoint(path, payload)
 
 

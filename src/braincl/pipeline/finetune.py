@@ -34,7 +34,8 @@ from .pretrain import PipelineError, non_finite_guard, train_epochs
 # unused: perfbench/probe.py's EPOCH_START looks the name up here until it drops it
 from .pretrain import batched_indices  # noqa: F401
 
-__all__ = ["FinetuneResult", "finetune", "score_dataset", "summarize_scores"]
+__all__ = ["FinetuneResult", "check_compatible", "finetune", "score_dataset",
+           "summarize_scores"]
 
 SCORE_BATCH = 64  # samples per batched forward in score_dataset
 
@@ -74,7 +75,9 @@ def summarize_scores(scores: ScoredSet) -> dict[str, float]:
     }
 
 
-def _check_compatible(ckpt: dict[str, np.ndarray], reference: dict[str, np.ndarray]) -> None:
+def check_compatible(ckpt: dict[str, np.ndarray], reference: dict[str, np.ndarray]) -> None:
+    """Raise a PipelineError unless ``ckpt`` has exactly the names and shapes
+    of ``reference``."""
     if set(ckpt) != set(reference):
         missing = sorted(set(reference) - set(ckpt))
         extra = sorted(set(ckpt) - set(reference))
@@ -92,7 +95,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
     if len(labeled) != len(ds):
         raise PipelineError("finetuning requires a fully labeled dataset")
 
-    train, val, test = stratified_split(labeled, cfg.split)
+    train, val, test = stratified_split(labeled, cfg.split, cfg.seed)
     ids = tuple(frozenset(s.subject_id for s in part) for part in (train, val, test))
     if ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2]:
         raise PipelineError("split produced overlapping folds")
@@ -107,7 +110,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
 
     params = init_encoder_params(encoder_cfg, init_rng)
     if encoder_ckpt is not None:
-        _check_compatible(encoder_ckpt, params)
+        check_compatible(encoder_ckpt, params)
         params = dict(encoder_ckpt)
     params.update(init_classifier_params(encoder_cfg, init_rng))
 

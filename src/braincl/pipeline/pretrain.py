@@ -7,21 +7,22 @@ with the query encoder (one batched forward each; the key forward keeps no
 graph, so it runs before the query graph exists), scores every query
 against its key and the queue of past keys, and updates:
 gradient step on the query side, exponential trailing on the key side,
-batch keys pushed into the queue. The gradients never leave the step
-function and the keys die once queued, so the next step holds none of them.
-Labels are never consulted.
+batch keys pushed into the queue. The key parameters and the queue are two
+plain values the loop holds between steps. The gradients never leave the
+step function and the keys die once queued, so the next step holds none of
+them. Labels are never consulted.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ..augment import AugmentConfig, make_view_pair
-from ..contrastive import MoCoState, info_nce, momentum_update, queue_push
+from ..contrastive import info_nce, momentum_update, queue_push
 from ..data import Dataset
 from ..model import (
     EncoderConfig,
@@ -92,10 +93,8 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
 
     query = init_encoder_params(encoder_cfg, init_rng)
     query.update(init_projection_params(encoder_cfg, init_rng))
-    moco = MoCoState.fresh(query, dim=encoder_cfg.proj_dim,
-                           capacity=cfg.queue_capacity,
-                           momentum=cfg.momentum,
-                           temperature=cfg.temperature)
+    key_params = query
+    queue = np.zeros((0, encoder_cfg.proj_dim))  # past keys, oldest first
     optimizer = sgd(lr=cfg.lr)
 
     def step(batch: np.ndarray) -> float:
@@ -103,9 +102,9 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
         and the queue push, its last call. The key encoder keeps no graph, so it
         runs before the query graph is built; the graph and gradients are freed
         before the trailing, and only the loss leaves the step."""
-        nonlocal query, moco
+        nonlocal query, key_params, queue
         leaves = as_tensors(query)
-        key_leaves = {k: Tensor(v, requires_grad=False) for k, v in moco.key_params.items()}
+        key_leaves = {k: Tensor(v, requires_grad=False) for k, v in key_params.items()}
         firsts, seconds = make_view_pair(
             np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
             augment_cfg, augment_rng)
@@ -115,17 +114,16 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
                          key_leaves)
         centers = gram_schmidt(leaves["readout.centers"])
         q_vecs = project(features(firsts, leaves, encoder_cfg, centers=centers), leaves)
-        loss = info_nce(q_vecs, k_vecs, moco.queue, moco.temperature)
+        loss = info_nce(q_vecs, k_vecs, queue, cfg.temperature)
         grads = backward(loss, wrt=list(leaves.values()))
         query = opt_step(optimizer, query, {name: grads[leaf] for name, leaf in leaves.items()})
         loss_value = loss.item()
         del leaves, grads, loss
-        moco = queue_push(
-            replace(moco, key_params=momentum_update(moco.key_params, query, moco.momentum)),
-            k_vecs.data)
+        key_params = momentum_update(key_params, query, cfg.momentum)
+        queue = queue_push(queue, k_vecs.data, cfg.queue_capacity)
         return loss_value
 
-    log = [(epoch, loss_mean, moco.queue.shape[0], cfg.lr)
+    log = [(epoch, loss_mean, queue.shape[0], cfg.lr)
            for epoch, loss_mean in train_epochs(len(ds), range(cfg.epochs), cfg.batch_size,
                                                 order_rng, step, "pretraining")]
     encoder = {k: v for k, v in query.items() if not k.startswith("project.")}

@@ -11,7 +11,7 @@ import numpy as np
 
 from braincl.augment import AugmentConfig, NoiseSpec, make_view_pair
 from braincl.cli import main as cli_main
-from braincl.contrastive import MoCoState, info_nce, momentum_update, queue_push
+from braincl.contrastive import info_nce, momentum_update, queue_push
 from braincl.data import ClassSpec, Connectome, Dataset, Sample, SplitSpec, stratified_split, synth_dataset
 from braincl.metrics import ScoredSet, auroc, roc_points
 from braincl.model import (
@@ -117,7 +117,7 @@ def test_criterion_1_gradient_suite():
 
     # readout (orthonormalization + soft assignment + pooling) w.r.t. the
     # node embeddings and w.r.t. the raw centers
-    z_val = rng.standard_normal((8, cfg.width))
+    z_val = rng.standard_normal((8, cfg.d_model))
     w = Tensor(rng.standard_normal(cfg.feature_dim), requires_grad=False)
     centers = Tensor(gram_schmidt(params["readout.centers"]).data, requires_grad=False)
     assert gradcheck(lambda t: weighted_sum(readout(t, centers, params["readout.w_out"]), w),
@@ -290,17 +290,17 @@ def test_criterion_5_metric_oracle():
 
 @criterion(6, "queue FIFO over 8x64 pushes; momentum contraction factor 0.999")
 def test_criterion_6_moco_mechanics():
-    state = MoCoState.fresh({"w": np.zeros(1)}, dim=8, capacity=512)
+    queue = np.zeros((0, 8))
     rng = np.random.default_rng(6)
     pushed = []
     for _ in range(8):
         batch = rng.standard_normal((64, 8))
         batch /= np.linalg.norm(batch, axis=1, keepdims=True)
         pushed.append(batch)
-        state = queue_push(state, batch)
+        queue = queue_push(queue, batch, 512)
     expected = np.vstack(pushed)[-512:]
-    assert state.queue.shape == (512, 8)
-    assert np.array_equal(state.queue, expected)
+    assert queue.shape == (512, 8)
+    assert np.array_equal(queue, expected)
 
     key = {"w": rng.standard_normal(16)}
     query = {"w": rng.standard_normal(16)}
@@ -404,7 +404,7 @@ def test_criterion_8_protocol_fidelity(tmp_path):
 
     eye = Connectome(np.eye(4))
     big = Dataset(tuple(Sample(f"s{i:04d}", eye, label=i % 2) for i in range(1009)))
-    train, val, test = stratified_split(big, SplitSpec(seed=0))
+    train, val, test = stratified_split(big, SplitSpec(), 0)
     assert abs(len(train) - 706) <= 1
     assert abs(len(val) - 101) <= 1
     assert abs(len(test) - 202) <= 1

@@ -238,7 +238,7 @@ def tiny_finetune():  # 2 epochs over the train fold of 40 subjects, batch 8
     ds = synth_dataset(40, n_nodes=8, length=10, seed=3)
     fcfg = FinetuneConfig(epochs=2, lr=1e-3, batch_size=8, repeats=1)
     module.finetune(ds, None, cfg, fcfg)
-    train, _, _ = stratified_split(ds.labeled(), fcfg.split)
+    train, _, _ = stratified_split(ds.labeled(), fcfg.split, fcfg.seed)
     return [min(8, len(train) - start) for start in range(0, len(train), 8)], 8
 
 

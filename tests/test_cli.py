@@ -231,6 +231,30 @@ def test_evaluate_rejects_malformed_checkpoint_metadata(workdir, capsys, value):
     assert captured.err == f"error: {model}: entry 'meta.heads' is not an integer scalar\n"
 
 
+def test_evaluate_rejects_an_incomplete_checkpoint(workdir, capsys):
+    # a missing weight was a KeyError traceback from inside the forward pass
+    cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    rng = np.random.default_rng(0)
+    model = workdir / "model.bnck"
+    save_encoder_checkpoint(model, {**init_encoder_params(cfg, rng),
+                                    **init_classifier_params(cfg, rng)}, cfg)
+    entries = load_checkpoint(model)
+    del entries["param.layer0.ffn.w2"]
+    save_checkpoint(model, entries)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(workdir / "data"), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: incompatible checkpoint: missing ['layer0.ffn.w2'], "
+                            "unexpected []\n")
+
+    entries["param.layer0.ffn.w2"] = np.zeros((3, 10))
+    save_checkpoint(model, entries)
+    assert main(["evaluate", "--data", str(workdir / "data"), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == ("error: incompatible checkpoint: 'layer0.ffn.w2' has "
+                                       "shape (3, 10), expected (20, 10)\n")
+
+
 def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):
     # the default V=200 encoder's second FFN product has inner dimension 400,
     # where OpenBLAS gives other bits at 2 threads than at 1

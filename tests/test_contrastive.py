@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from braincl.contrastive import MoCoState, info_nce, momentum_update, queue_push
+from braincl.contrastive import info_nce, momentum_update, queue_push
 from braincl.numcore import NonFiniteError, Tensor, backward, gradcheck, unit_rows
 
 
@@ -128,23 +128,24 @@ def test_info_nce_input_validation():
     # a similarity that overflows once scaled is one error from the logits node
     with pytest.raises(NonFiniteError, match="'contrastive_logits'"):
         info_nce(q, q, np.array([[0.6, 0.8]]), 1e-310)
-    for temperature in (float("nan"), float("inf")):
+    for temperature in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match=f"temperature must be positive and finite, "
                                              f"got {temperature}"):
             info_nce(q, q, np.zeros((0, 2)), temperature)
+    # a queue with non-unit rows is rejected where it is read
+    with pytest.raises(ValueError, match="non-unit"):
+        info_nce(q, q, np.full((2, 2), 3.0), 0.07)
 
 
 def test_non_finite_rows_are_not_unit_vectors():
     # a NaN norm fails the unit check where keys enter and where the queue is read
     dim = 3
-    state = MoCoState.fresh({}, dim=dim, capacity=4)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^pushed keys contains non-unit vectors"):
-            queue_push(state, np.full(dim, bad))
+            queue_push(np.zeros((0, dim)), np.full(dim, bad), 4)
     q = Tensor(unit([1.0, 2.0, 2.0]))
-    nan_queue = MoCoState({}, queue=np.full((2, dim), np.nan), capacity=4).queue
     with pytest.raises(ValueError, match="^queue contains non-unit vectors"):
-        info_nce(q, q, nan_queue, 0.07)
+        info_nce(q, q, np.full((2, dim), np.nan), 0.07)
 
 # ---------------------------------------------------------------------------
 # momentum_update
@@ -181,81 +182,71 @@ def test_momentum_update_validation():
         momentum_update({"a": np.zeros(2)}, {"a": np.zeros(3)}, 0.5)
     with pytest.raises(ValueError):
         momentum_update({"a": np.zeros(2)}, {"a": np.zeros(2)}, 1.5)
+    with pytest.raises(ValueError):
+        momentum_update({"a": np.zeros(2)}, {"a": np.zeros(2)}, 1.2)
+    with pytest.raises(ValueError, match="momentum"):
+        momentum_update({"a": np.zeros(2)}, {"a": np.zeros(2)}, float("nan"))
 
 
 # ---------------------------------------------------------------------------
 # queue
 
 
-def fresh_state(dim=4, capacity=512) -> MoCoState:
-    return MoCoState.fresh({"w": np.zeros(1)}, dim=dim, capacity=capacity)
+EMPTY_QUEUE = np.zeros((0, 4))
 
 
 def test_queue_warmup_growth():
-    state = fresh_state()
     keys = random_units(np.random.default_rng(5), 64, 4)
-    state = queue_push(state, keys)
-    assert state.queue.shape == (64, 4)
-    np.testing.assert_array_equal(state.queue, keys)
+    queue = queue_push(EMPTY_QUEUE, keys, 512)
+    assert queue.shape == (64, 4)
+    np.testing.assert_array_equal(queue, keys)
+    assert EMPTY_QUEUE.shape == (0, 4)  # the queue pushed onto is left as it is
 
 
 def test_queue_fifo_eviction_at_capacity():
-    state = fresh_state()
     rng = np.random.default_rng(6)
     filler = random_units(rng, 512, 4)
-    state = queue_push(state, filler)
+    queue = queue_push(EMPTY_QUEUE, filler, 512)
     fresh_batch = random_units(rng, 64, 4)
-    state = queue_push(state, fresh_batch)
-    assert state.queue.shape == (512, 4)
-    np.testing.assert_array_equal(state.queue[-64:], fresh_batch)
-    np.testing.assert_array_equal(state.queue[:448], filler[64:])
+    queue = queue_push(queue, fresh_batch, 512)
+    assert queue.shape == (512, 4)
+    np.testing.assert_array_equal(queue[-64:], fresh_batch)
+    np.testing.assert_array_equal(queue[:448], filler[64:])
 
 
 def test_queue_replay_of_eight_batches():
     # after 8 pushes of 64 the queue holds exactly the last 512 keys in order
-    state = fresh_state()
+    queue = EMPTY_QUEUE
     rng = np.random.default_rng(7)
     all_keys = []
     for _ in range(8):
         batch = random_units(rng, 64, 4)
         all_keys.append(batch)
-        state = queue_push(state, batch)
+        queue = queue_push(queue, batch, 512)
     expected = np.vstack(all_keys)[-512:]
-    np.testing.assert_array_equal(state.queue, expected)
+    np.testing.assert_array_equal(queue, expected)
 
     # two more pushes roll the window forward
     for _ in range(2):
         batch = random_units(rng, 64, 4)
         all_keys.append(batch)
-        state = queue_push(state, batch)
+        queue = queue_push(queue, batch, 512)
     expected = np.vstack(all_keys)[-512:]
-    np.testing.assert_array_equal(state.queue, expected)
+    np.testing.assert_array_equal(queue, expected)
 
 
 def test_queue_rejects_non_unit_keys_and_wrong_dim():
-    state = fresh_state()
     with pytest.raises(ValueError, match="non-unit"):
-        queue_push(state, np.array([[0.5, 0.0, 0.0, 0.0]]))
+        queue_push(EMPTY_QUEUE, np.array([[0.5, 0.0, 0.0, 0.0]]), 512)
     with pytest.raises(ValueError, match="dim"):
-        queue_push(state, unit(np.ones(3)))
+        queue_push(EMPTY_QUEUE, unit(np.ones(3)), 512)
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        MoCoState(key_params={}, queue=np.zeros((0, 4)), momentum=1.2)
-    with pytest.raises(ValueError):
-        MoCoState(key_params={}, queue=np.zeros((0, 4)), temperature=0.0)
-    for temperature in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError, match=f"temperature must be positive and finite, "
-                                             f"got {temperature}"):
-            MoCoState.fresh({}, dim=4, temperature=temperature)
-    with pytest.raises(ValueError, match="momentum"):
-        MoCoState.fresh({}, dim=4, momentum=float("nan"))
-    with pytest.raises(ValueError):
-        MoCoState(key_params={}, queue=random_units(np.random.default_rng(8), 9, 4),
-                  capacity=8)
-    # a state built directly with non-unit rows is rejected where its queue is read
-    state = MoCoState(key_params={}, queue=np.full((2, 2), 3.0))
-    q = Tensor(unit([1.0, 1.0]))
-    with pytest.raises(ValueError, match="non-unit"):
-        info_nce(q, q, state.queue, state.temperature)
+def test_queue_push_validates_the_capacity():
+    keys = random_units(np.random.default_rng(8), 1, 4)
+    for capacity in (0, -1):
+        with pytest.raises(ValueError, match=f"queue capacity must be positive, got {capacity}"):
+            queue_push(EMPTY_QUEUE, keys, capacity)
+    # a queue already longer than the capacity it is pushed under is an error
+    with pytest.raises(ValueError, match="longer than its capacity"):
+        queue_push(random_units(np.random.default_rng(8), 9, 4), keys, 8)

@@ -424,7 +424,7 @@ def test_synth_classes_have_distinct_structure():
 
 def test_split_exact_divisibility():
     ds = make_labeled(50, 50)
-    train, val, test = stratified_split(ds, SplitSpec(seed=3))
+    train, val, test = stratified_split(ds, SplitSpec(), 3)
     for part, expect in zip((train, val, test), (70, 10, 20)):
         labels = np.array(part.labels)
         assert len(part) == expect
@@ -434,18 +434,18 @@ def test_split_exact_divisibility():
 
 def test_split_is_deterministic():
     ds = make_labeled(31, 40)
-    first = stratified_split(ds, SplitSpec(seed=9))
-    second = stratified_split(ds, SplitSpec(seed=9))
+    first = stratified_split(ds, SplitSpec(), 9)
+    second = stratified_split(ds, SplitSpec(), 9)
     for a, b in zip(first, second):
         assert [s.subject_id for s in a] == [s.subject_id for s in b]
-    shuffled = stratified_split(ds, SplitSpec(seed=10))
+    shuffled = stratified_split(ds, SplitSpec(), 10)
     assert any([s.subject_id for s in a] != [s.subject_id for s in b]
                for a, b in zip(first, shuffled))
 
 
 def test_split_abide_scale_sizes():
     ds = make_labeled(505, 504, n_nodes=2)
-    train, val, test = stratified_split(ds, SplitSpec(seed=0))
+    train, val, test = stratified_split(ds, SplitSpec(), 0)
     assert abs(len(train) - 706) <= 1
     assert abs(len(val) - 101) <= 1
     assert abs(len(test) - 202) <= 1
@@ -456,16 +456,16 @@ def test_split_rejects_unlabeled_and_tiny_classes():
     eye = Connectome(np.eye(3))
     ds = Dataset((Sample("a", eye, label=0), Sample("b", eye)))
     with pytest.raises(DatasetError, match="unlabeled"):
-        stratified_split(ds, SplitSpec())
+        stratified_split(ds, SplitSpec(), 0)
     with pytest.raises(DatasetError, match="need >= 3"):
-        stratified_split(make_labeled(2, 10), SplitSpec())
+        stratified_split(make_labeled(2, 10), SplitSpec(), 0)
 
 
 @given(n0=st.integers(3, 60), n1=st.integers(3, 60), seed=st.integers(0, 99))
 @settings(max_examples=40, deadline=None)
 def test_split_partition_properties(n0, n1, seed):
     ds = make_labeled(n0, n1, n_nodes=2)
-    parts = stratified_split(ds, SplitSpec(seed=seed))
+    parts = stratified_split(ds, SplitSpec(), seed)
     ids = [s.subject_id for part in parts for s in part]
     assert len(ids) == len(set(ids)) == len(ds)
     assert set(ids) == {s.subject_id for s in ds}

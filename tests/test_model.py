@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -59,8 +58,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(n_nodes=4, heads=2, n_clusters=8)  # clusters > width
     cfg = EncoderConfig(n_nodes=200)
-    assert cfg.width == 200
+    assert cfg.d_model == 200
     assert cfg.feature_dim == 800  # 8 per cluster, 100 clusters
+
+
+def test_config_resolves_its_widths_once_built():
+    # 10 clusters: the default 100 cannot be orthonormal in 20 dimensions
+    assert EncoderConfig(n_nodes=20, n_clusters=10) == \
+        EncoderConfig(n_nodes=20, d_model=20, ffn_dim=40, n_clusters=10)
+    cfg = EncoderConfig(n_nodes=20, d_model=16, n_clusters=10)
+    assert (cfg.d_model, cfg.ffn_dim) == (16, 32)
+    assert EncoderConfig(n_nodes=20, ffn_dim=7, n_clusters=10).ffn_dim == 7
+    with pytest.raises(ValueError, match="d_model must be positive, got 0"):
+        EncoderConfig(n_nodes=20, d_model=0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,7 @@ def encoder_reference(conn, params, cfg: EncoderConfig) -> Tensor:
     reference the fused linear, attention and linear_add_layer_norm nodes must
     reproduce, values and gradients."""
     z = affine_reference(Tensor(conn, requires_grad=False), params, "embed.w", "embed.b")
-    head_dim = cfg.width // cfg.heads
+    head_dim = cfg.d_model // cfg.heads
     scale = 1.0 / np.sqrt(head_dim)
     for i in range(cfg.layers):
         pre = f"layer{i}"
@@ -351,12 +361,11 @@ def encoder_unfused(conn, params, cfg: EncoderConfig) -> Tensor:
     ``leaky_relu`` and ``add_layer_norm``, which ``linear``'s slope and
     ``linear_add_layer_norm`` fold together."""
     z = linear(Tensor(conn, requires_grad=False), params["embed.w"], params["embed.b"])
-    scale = 1.0 / math.sqrt(cfg.width // cfg.heads)
     for i in range(cfg.layers):
         pre = f"layer{i}"
         q, k, v = (linear(z, params[f"{pre}.attn.w{c}"], params[f"{pre}.attn.{c}b"])
                    for c in "qkv")
-        attn = linear(attention(q, k, v, cfg.heads, scale),
+        attn = linear(attention(q, k, v, cfg.heads),
                       params[f"{pre}.attn.wo"], params[f"{pre}.attn.ob"])
         z = add_layer_norm(z, attn, params[f"{pre}.norm1.gain"], params[f"{pre}.norm1.bias"])
         hidden = leaky_relu(linear(z, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]),

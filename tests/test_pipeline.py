@@ -1,12 +1,12 @@
 import filecmp
 import importlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from braincl.augment import AugmentConfig, NoiseSpec
-from braincl.data import ClassSpec, synth_dataset
+from braincl.data import ClassSpec, SplitSpec, stratified_split, synth_dataset
 from braincl.metrics import ScoredSet
 from braincl.model import (EncoderConfig, init_classifier_params, init_encoder_params,
                            init_projection_params)
@@ -97,7 +97,7 @@ def test_pretrain_log_schema_and_queue_growth():
 
 def test_pretrain_checks_the_queue_once_per_step(monkeypatch):
     # queue_push checks the keys it admits and info_nce the queue it reads,
-    # so replacing the state re-checks nothing
+    # so holding the queue between steps re-checks nothing
     from braincl import contrastive
     checked = []
     check = contrastive._check_unit_rows
@@ -142,6 +142,18 @@ def test_finetune_fold_isolation():
     assert train_ids | val_ids | test_ids == {s.subject_id for s in ds}
 
 
+def test_finetune_splits_by_its_own_seed():
+    # the split holds the fractions only; its draw follows FinetuneConfig.seed
+    assert [f.name for f in fields(SplitSpec)] == ["train", "val", "test"]
+    ds = tiny_ds(n=40)
+    cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1, seed=4)
+    result = finetune(ds, None, ECFG, cfg)
+    folds = stratified_split(ds.labeled(), cfg.split, cfg.seed)
+    assert result.split_ids == tuple(frozenset(s.subject_id for s in part) for part in folds)
+    reseeded = finetune(ds, None, ECFG, replace(cfg, seed=5))
+    assert reseeded.split_ids != result.split_ids
+
+
 def test_finetune_requires_labels_and_compatible_checkpoint():
     from braincl.data import Dataset, Sample
     ds = tiny_ds()
@@ -173,8 +185,8 @@ def test_finetune_overlapping_folds_raise_pipeline_error(monkeypatch):
     from braincl.data import Dataset
     real_split = ft.stratified_split
 
-    def overlapping(ds, spec):
-        train, val, test = real_split(ds, spec)
+    def overlapping(ds, spec, seed):
+        train, val, test = real_split(ds, spec, seed)
         return train, Dataset(val.samples + train.samples[:1]), test
 
     monkeypatch.setattr(ft, "stratified_split", overlapping)
@@ -501,7 +513,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.augment.noise.kind == "uniform"
     assert cfg.pretrain.epochs == 5
     assert cfg.finetune.repeats == 2
-    assert cfg.finetune.split.seed == 9
+    assert cfg.finetune.seed == 9  # the split draws from it
     assert cfg.finetune.freeze_encoder is True
     assert cfg.pretrain_scope == "train_only"
 
@@ -599,6 +611,14 @@ def test_config_rejects_unknown_sections_and_keys():
     assert cfg == load_config(None, n_nodes=10)
 
 
+def test_config_accepts_only_the_rng_runs_draw_from():
+    assert load_config(None, n_nodes=8, text="[experiment]\nrng = numpy PCG64\n") == \
+        load_config(None, n_nodes=8)
+    for value in ("MT19937", "numpy  PCG64", "pcg64"):
+        with pytest.raises(ValueError, match=r"^\[experiment\] rng: "):
+            load_config(None, n_nodes=8, text=f"[experiment]\nrng = {value}\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("[pretrain]\nmomentum = 1.5\n", r"momentum must lie in \[0, 1\], got 1.5"),
     ("[pretrain]\ntemperature = -2\n", "temperature must be positive and finite, got -2.0"),
@@ -623,7 +643,8 @@ def test_with_seed_rewires_all_seeds():
     cfg = tiny_experiment().with_seed(42)
     assert cfg.pretrain.seed == 42
     assert cfg.finetune.seed == 42
-    assert cfg.finetune.split.seed == 42
+    # the split holds fractions only and draws from finetune.seed
+    assert cfg.finetune.split == tiny_experiment().finetune.split
 
 
 # ---------------------------------------------------------------------------

@@ -567,14 +567,15 @@ def test_attention_gradcheck(shape, heads):
     rng = np.random.default_rng(31)
     qkv = [rng.standard_normal(shape) for _ in range(3)]
     weights = Tensor(rng.standard_normal(shape), requires_grad=False)
-    scale = 0.7
-    gradcheck_each_input(lambda q, k, v: weighted_sum(attention(q, k, v, heads, scale), weights),
+    gradcheck_each_input(lambda q, k, v: weighted_sum(attention(q, k, v, heads), weights),
                          qkv, 1e-6)
-    # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that head's columns
+    # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that
+    # head's columns, with scale 1 / sqrt(d / heads)
     q, k, v = (Tensor(a) for a in qkv)
-    out = attention(q, k, v, heads, scale)
+    out = attention(q, k, v, heads)
     assert out.parents == (q, k, v) and out.shape == shape
     dh = shape[-1] // heads
+    scale = 1.0 / np.sqrt(dh)
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         s = scale * qkv[0][..., sl] @ np.swapaxes(qkv[1][..., sl], -1, -2)
@@ -582,9 +583,9 @@ def test_attention_gradcheck(shape, heads):
         p /= p.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(out.data[..., sl], p @ qkv[2][..., sl], rtol=0, atol=1e-13)
     with pytest.raises(GraphError):
-        attention(q, k, v, 3, scale)
+        attention(q, k, v, 3)
     with pytest.raises(GraphError):
-        attention(q, k, Tensor(np.zeros(shape[:-1] + (4,))), heads, scale)
+        attention(q, k, Tensor(np.zeros(shape[:-1] + (4,))), heads)
 
 
 @pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
@@ -830,8 +831,8 @@ def test_mean_nll_matches_reference_composition_bit_for_bit(shape, labels):
     (linear, [(4,), (4, 3), (3,)]),
     (linear, [(2, 5, 4), (4, 3), (3,)]),
     (lambda x, w, b: linear(x, w, b, 0.01), [(2, 5, 4), (4, 3), (3,)]),
-    (lambda q, k, v: attention(q, k, v, 1, 0.5), [(5, 4)] * 3),
-    (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 5, 4)] * 3),
+    (lambda q, k, v: attention(q, k, v, 1), [(5, 4)] * 3),
+    (lambda q, k, v: attention(q, k, v, 2), [(2, 5, 4)] * 3),
 ], ids=["linear_vector", "linear_batch", "linear_slope_batch", "attention_one_head",
         "attention_batch"])
 def test_fused_gradients_are_fresh_arrays_backward_can_adopt(fn, shapes):
@@ -889,7 +890,7 @@ PROTOCOL_CASES = {
     "concat": (lambda *t: concat(t, axis=-1), [(2, 3), (2, 1), (2, 4)]),
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
     "linear_slope": (lambda x, w, b: linear(x, w, b, 0.01), [(2, 3, 4), (4, 5), (5,)]),
-    "attention": (lambda q, k, v: attention(q, k, v, 2, 0.5), [(2, 3, 4)] * 3),
+    "attention": (lambda q, k, v: attention(q, k, v, 2), [(2, 3, 4)] * 3),
     "add_layer_norm": (add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)]),
     "linear_add_layer_norm": (linear_add_layer_norm,
                               [(2, 3, 5), (2, 3, 4), (4, 5), (5,), (5,), (5,)]),

@@ -14,7 +14,7 @@ from braincl.pipeline import FinetuneConfig, PretrainConfig, finetune, pretrain
 
 def linear_baseline_auroc(ds, seed) -> float:
     """Least squares on the flattened upper triangle, scored on the test fold."""
-    train, _, test = stratified_split(ds, SplitSpec(seed=seed))
+    train, _, test = stratified_split(ds, SplitSpec(), seed)
     iu = np.triu_indices(ds.n_nodes, k=1)
 
     def design(part):
