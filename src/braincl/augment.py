@@ -99,12 +99,19 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    k_min: int = 5
+    """How a view is altered: k in [k_min, k_max] picked nodes, each edge
+    moved by at most ``delta_max``, then background noise. The paper's range
+    is 5-20; a ``k_min`` left out follows ``k_max`` below 5, and one given
+    is validated as given."""
+
+    k_min: int | None = None  # None means min(5, k_max)
     k_max: int = 20
     delta_max: float = 0.5
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
+        if self.k_min is None:
+            object.__setattr__(self, "k_min", min(5, self.k_max))
         if not 0 <= self.k_min <= self.k_max:
             raise ValueError(f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if not 0.0 < self.delta_max <= 1.0:

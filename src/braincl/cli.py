@@ -98,10 +98,8 @@ def cmd_ingest(args) -> None:
 
 def cmd_augment(args) -> None:
     conn = read_connectome_file(Path(args.input))
-    k_max = min(args.k_max, conn.n_nodes)
-    k_min = min(AugmentConfig.k_min, k_max) if args.k_min is None else args.k_min
-    cfg = AugmentConfig(k_min=k_min, k_max=k_max, delta_max=args.delta_max,
-                        noise=NoiseSpec.parse(args.noise))
+    cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, conn.n_nodes),
+                        delta_max=args.delta_max, noise=NoiseSpec.parse(args.noise))
     rng = np.random.default_rng(args.seed or 0)
     views = dict(zip(("view1", "view2"), make_view_pair(conn.matrix, cfg, rng)))
     out = Path(args.out)
@@ -133,6 +131,9 @@ def cmd_finetune(args) -> None:
     encoder_ckpt = None
     if args.ckpt is not None:
         encoder_ckpt, ckpt_cfg = load_encoder_checkpoint(args.ckpt)
+        if any(k.startswith("classifier.") for k in encoder_ckpt):
+            _fail(f"{args.ckpt} holds a classification head; "
+                  f"pass a pretrained encoder checkpoint")
         # proj_dim sizes the pretraining projection head, which the checkpoint lacks
         run = asdict(cfg.encoder)
         differ = [f"{name} {value} in the checkpoint, {run[name]} in this run"
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="a .conn.csv file")
     p.add_argument("--out", required=True)
     p.add_argument("--k-min", type=int,
-                   help=f"default {AugmentConfig.k_min}, or the clamped --k-max if smaller")
+                   help="left out: 5, or the clamped --k-max if smaller (AugmentConfig's rule)")
     p.add_argument("--k-max", type=int, default=AugmentConfig.k_max)
     p.add_argument("--delta-max", type=float, default=AugmentConfig.delta_max)
     p.add_argument("--noise", default=str(AugmentConfig().noise))

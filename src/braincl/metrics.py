@@ -144,23 +144,24 @@ def write_roc_csv(path, curve: RocCurve) -> None:
 
 _SVG_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400",
                "#16a085", "#7f8c8d", "#2c3e50")
+_SVG_SIZE = 480  # width and height, in pixels
 
 
-def write_roc_svg(path, curves: dict[str, RocCurve], size: int = 480) -> None:
+def write_roc_svg(path, curves: dict[str, RocCurve]) -> None:
     """Standalone SVG: unit axes with ticks, one polyline per named curve."""
     margin = 56
-    span = size - 2 * margin
+    span = _SVG_SIZE - 2 * margin
 
     def x(fpr: float) -> float:
         return margin + fpr * span
 
     def y(tpr: float) -> float:
-        return size - margin - tpr * span
+        return _SVG_SIZE - margin - tpr * span
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
         f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(1)}" y2="{y(0)}" stroke="black"/>',
         f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(0)}" y2="{y(1)}" stroke="black"/>',
         f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(1)}" y2="{y(1)}" '
@@ -175,7 +176,7 @@ def write_roc_svg(path, curves: dict[str, RocCurve], size: int = 480) -> None:
                      f'stroke="black"/>')
         parts.append(f'<text x="{x(0) - 9}" y="{y(tick) + 4}" font-size="11" '
                      f'text-anchor="end">{tick:g}</text>')
-    parts.append(f'<text x="{x(0.5)}" y="{size - 12}" font-size="13" '
+    parts.append(f'<text x="{x(0.5)}" y="{_SVG_SIZE - 12}" font-size="13" '
                  f'text-anchor="middle">False positive rate</text>')
     parts.append(f'<text x="16" y="{y(0.5)}" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 16 {y(0.5)})">True positive rate</text>')

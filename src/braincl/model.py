@@ -19,14 +19,17 @@ fixed per-cluster width and flattens: the input of both heads.
 Every forward path works over trailing axes: a (V, V) connectome is one
 sample and a stacked (B, V, V) array is a batch that runs as one graph.
 
-``EncoderConfig`` fills in ``d_model`` (the node count) and ``ffn_dim``
-(twice ``d_model``) when they are left out, so a built config always holds
-its widths and two configs of the same encoder compare equal.
+``EncoderConfig`` fills in what is left out when it is built: ``d_model``
+(the node count), ``ffn_dim`` (twice ``d_model``), ``heads`` (the paper's 4,
+halved until it divides ``d_model``) and ``n_clusters`` (the paper's 100, or
+``d_model`` if smaller, since the centers must be orthonormal). So a built
+config always holds every size, a small graph gets a working encoder from
+its node count alone, and two configs of the same encoder compare equal.
+Values given explicitly are validated as given.
 
 Node relabeling: the embedding weight's input axis is the only
 node-indexed parameter, so permuting a connectome's rows and columns
-together with that axis permutes the encoder output rows the same way (see
-``relabel_nodes``).
+together with that axis permutes the encoder output rows the same way.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .numcore import (Tensor, attention, freeze, linear, linear_add_layer_norm, 
 __all__ = ["EncoderConfig", "RankDeficiencyError", "init_encoder_params",
            "init_classifier_params", "init_projection_params", "as_tensors",
            "gram_schmidt", "encoder_forward", "features",
-           "classify", "project", "cross_entropy", "relabel_nodes",
-           "parameter_counts"]
+           "classify", "project", "cross_entropy", "parameter_counts"]
 
 LEAKY_SLOPE = 0.01
 
@@ -57,19 +59,26 @@ class RankDeficiencyError(ValueError):
 class EncoderConfig:
     n_nodes: int
     layers: int = 2
-    heads: int = 4
-    d_model: int | None = None  # None means n_nodes; always an int once built
-    ffn_dim: int | None = None  # None means 2 * d_model; always an int once built
-    n_clusters: int = 100
+    heads: int | None = None  # None means 4, halved until it divides d_model
+    d_model: int | None = None  # None means n_nodes
+    ffn_dim: int | None = None  # None means 2 * d_model
+    n_clusters: int | None = None  # None means min(100, d_model)
     cluster_dim: int = 8
     proj_dim: int = 128
 
     def __post_init__(self):
-        # the widths are written out here, so every reader sees them resolved
+        # the sizes are written out here, so every reader sees them resolved
         if self.d_model is None:
             object.__setattr__(self, "d_model", self.n_nodes)
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 2 * self.d_model)
+        if self.heads is None:
+            heads = 4
+            while self.d_model % heads:
+                heads //= 2
+            object.__setattr__(self, "heads", heads)
+        if self.n_clusters is None:
+            object.__setattr__(self, "n_clusters", min(100, self.d_model))
         for name in ("n_nodes", "layers", "heads", "d_model", "ffn_dim", "n_clusters",
                      "cluster_dim", "proj_dim"):
             value = getattr(self, name)
@@ -238,17 +247,6 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # utilities
-
-
-def relabel_nodes(arrays: dict[str, np.ndarray], perm: np.ndarray) -> dict[str, np.ndarray]:
-    """Apply a node permutation to every node-indexed parameter axis.
-
-    Only the embedding's input axis is node-indexed; everything downstream
-    operates on abstract embedding coordinates. Relabeling the data as
-    C[perm][:, perm] together with this map permutes encoder output rows by
-    ``perm``.
-    """
-    return {**arrays, **freeze({"embed.w": arrays["embed.w"][perm]})}
 
 
 def parameter_counts(arrays: dict[str, np.ndarray]) -> dict[str, int]:

@@ -8,10 +8,12 @@ recorded in reports. Parsing and the resolved text walk the dataclass
 fields: a setting is written down once, as one field, and its default
 once, there. The code that uses a setting reads it from that field (the
 queue capacity, momentum and temperature from ``PretrainConfig``; the
-split's shuffle from ``FinetuneConfig.seed``), and ``EncoderConfig``
-writes out its derived widths when it is built, so ``asdict`` of it is
-already resolved. ``[experiment] rng`` is recorded in the text; a file may
-carry it with that one value.
+split's shuffle from ``FinetuneConfig.seed``). ``EncoderConfig`` and
+``AugmentConfig`` write out the sizes they derive when they are built
+(widths, head and cluster counts, ``k_min``), so ``asdict`` of either is
+already resolved; ``load_config`` adds only what comes from the data: the
+node count, and ``k_max`` clamped to it. ``[experiment] rng`` is recorded
+in the text; a file may carry it with that one value.
 """
 
 from __future__ import annotations
@@ -134,21 +136,6 @@ def _parse(parser: configparser.ConfigParser, section: str, key: str, kind: type
         raise ValueError(f"[{section}] {key}: {exc}") from None
 
 
-def _data_defaults(n_nodes: int, d_model: int | None) -> dict[str, dict[str, int]]:
-    """The node count, and head count, cluster count and augmented-node
-    range scaled down for small graphs; explicit values validate strictly."""
-    width = d_model if d_model is not None else n_nodes
-    heads = EncoderConfig.heads
-    while width % heads:
-        heads //= 2
-    k_max = min(AugmentConfig.k_max, n_nodes)
-    return {
-        "encoder": {"n_nodes": n_nodes, "heads": heads,
-                    "n_clusters": min(EncoderConfig.n_clusters, width)},
-        "augment": {"k_min": min(AugmentConfig.k_min, k_max), "k_max": k_max},
-    }
-
-
 def _build(cls, values: dict):
     """Instantiate ``cls`` from a nested dict of field values."""
     hints = get_type_hints(cls)
@@ -202,9 +189,10 @@ def _load(path, text: str | None, n_nodes: int) -> ExperimentConfig:
                 node = node.setdefault(name, {})
             node[attrs[-1]] = _parse(parser, section, key, kind)
 
-    encoder = values.get("encoder", {})
-    for name, defaults in _data_defaults(n_nodes, encoder.get("d_model")).items():
-        values[name] = {**defaults, **values.get(name, {})}
+    # the two defaults that come from the data; the configs resolve the rest
+    values["encoder"] = {"n_nodes": n_nodes, **values.get("encoder", {})}
+    values["augment"] = {"k_max": min(AugmentConfig.k_max, n_nodes),
+                         **values.get("augment", {})}
     if values["encoder"]["n_nodes"] != n_nodes:
         raise ValueError(f"config pins n_nodes={values['encoder']['n_nodes']} "
                          f"but data has {n_nodes}")

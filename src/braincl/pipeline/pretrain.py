@@ -80,11 +80,9 @@ def train_epochs(size: int, epochs: range, batch_size: int, order_rng: np.random
 
 
 def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
-             augment_cfg: AugmentConfig | None = None) -> PretrainResult:
+             augment_cfg: AugmentConfig) -> PretrainResult:
     if len(ds) == 0:
         raise PipelineError("cannot pretrain on an empty dataset")
-    if augment_cfg is None:
-        augment_cfg = AugmentConfig()
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(seeds[0])

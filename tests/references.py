@@ -22,6 +22,9 @@ gradients of the ``readout``, ``unit_rows``, ``contrastive_logits`` and
 ``replay_view`` builds one augmented view edge by edge with the draws the
 ``braincl.augment`` docstring lists, so it equals the stacked pass bit for
 bit and tells a test which nodes were picked and which way each went.
+
+``relabel_nodes`` permutes the one node-indexed parameter axis, which the
+permutation-equivariance test of the encoder needs.
 """
 
 import numpy as np
@@ -338,3 +341,14 @@ def replay_alteration(m: np.ndarray, nodes: set, cfg,
         for (u, v), e in zip(free, cfg.noise.draw(rng, len(free))):
             out[u, v] = out[v, u] = np.clip(m[u, v] + e, -1.0, 1.0)
     return out, direction
+
+
+def relabel_nodes(arrays: dict[str, np.ndarray], perm: np.ndarray) -> dict[str, np.ndarray]:
+    """Apply a node permutation to every node-indexed parameter axis.
+
+    Only the embedding's input axis is node-indexed; everything downstream
+    operates on abstract embedding coordinates. Relabeling the data as
+    C[perm][:, perm] together with this map permutes encoder output rows by
+    ``perm``.
+    """
+    return {**arrays, "embed.w": arrays["embed.w"][perm]}

@@ -63,6 +63,16 @@ def test_config_validation():
         AugmentConfig(delta_max=1.5)
 
 
+def test_config_resolves_k_min_from_k_max():
+    # the paper's 5-20 nodes; a range given only by its upper end stays valid
+    assert AugmentConfig() == AugmentConfig(k_min=5, k_max=20)
+    assert AugmentConfig(k_max=3).k_min == 3
+    assert AugmentConfig(k_max=0).k_min == 0
+    assert AugmentConfig(k_min=1, k_max=3).k_min == 1
+    with pytest.raises(ValueError, match=r"need 0 <= k_min <= k_max, got \[4, 3\]"):
+        AugmentConfig(k_min=4, k_max=3)
+
+
 # ---------------------------------------------------------------------------
 # node selection
 

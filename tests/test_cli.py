@@ -290,6 +290,24 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_finetune_rejects_a_finetuned_checkpoint(workdir, capsys):
+    # it was an 'incompatible checkpoint' error listing the head's weights as unexpected
+    cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    rng = np.random.default_rng(0)
+    model = workdir / "model_repeat0.bnck"
+    save_encoder_checkpoint(model, {**init_encoder_params(cfg, rng),
+                                    **init_classifier_params(cfg, rng)}, cfg)
+    capsys.readouterr()
+    assert main(["finetune", "--data", str(workdir / "data"), "--config",
+                 str(workdir / "run.ini"), "--ckpt", str(model),
+                 "--out", str(workdir / "ft")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {model} holds a classification head; "
+                            f"pass a pretrained encoder checkpoint\n")
+    assert not (workdir / "ft").exists()
+
+
 def test_finetune_rejects_checkpoint_with_other_encoder_config(workdir, capsys):
     # heads changes no parameter shape, so only the recorded config tells
     run = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)

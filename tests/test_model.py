@@ -19,13 +19,12 @@ from braincl.model import (
     init_projection_params,
     parameter_counts,
     project,
-    relabel_nodes,
 )
 from braincl.numcore import (NonFiniteError, Tensor, attention, backward, gradcheck, linear,
                              readout, unit_rows)
 from references import (add, add_layer_norm, concat, div, index, layer_norm, leaky_relu, matmul,
-                        mul, readout_reference, softmax, sqrt, stack, sub, total, transpose,
-                        unit_rows_reference, weighted_sum)
+                        mul, readout_reference, relabel_nodes, softmax, sqrt, stack, sub, total,
+                        transpose, unit_rows_reference, weighted_sum)
 
 
 def small_cfg(n_nodes=8, n_clusters=4, proj_dim=16) -> EncoderConfig:
@@ -63,14 +62,21 @@ def test_config_validation():
 
 
 def test_config_resolves_its_widths_once_built():
-    # 10 clusters: the default 100 cannot be orthonormal in 20 dimensions
-    assert EncoderConfig(n_nodes=20, n_clusters=10) == \
-        EncoderConfig(n_nodes=20, d_model=20, ffn_dim=40, n_clusters=10)
-    cfg = EncoderConfig(n_nodes=20, d_model=16, n_clusters=10)
-    assert (cfg.d_model, cfg.ffn_dim) == (16, 32)
-    assert EncoderConfig(n_nodes=20, ffn_dim=7, n_clusters=10).ffn_dim == 7
+    # the paper's 4 heads and 100 clusters scale down to a small graph's width
+    assert EncoderConfig(n_nodes=20) == \
+        EncoderConfig(n_nodes=20, heads=4, d_model=20, ffn_dim=40, n_clusters=20)
+    cfg = EncoderConfig(n_nodes=20, d_model=10)
+    assert (cfg.heads, cfg.ffn_dim, cfg.n_clusters) == (2, 20, 10)
+    assert (EncoderConfig(n_nodes=200).heads, EncoderConfig(n_nodes=200).n_clusters) == (4, 100)
+    assert EncoderConfig(n_nodes=7).heads == 1
+    assert EncoderConfig(n_nodes=20, ffn_dim=7).ffn_dim == 7
+    # values given explicitly are validated as given
     with pytest.raises(ValueError, match="d_model must be positive, got 0"):
         EncoderConfig(n_nodes=20, d_model=0)
+    with pytest.raises(ValueError, match="d_model 10 not divisible by heads 3"):
+        EncoderConfig(n_nodes=20, d_model=10, heads=3)
+    with pytest.raises(ValueError, match="n_clusters cannot exceed d_model"):
+        EncoderConfig(n_nodes=20, n_clusters=21)
 
 
 # ---------------------------------------------------------------------------

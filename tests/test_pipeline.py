@@ -452,6 +452,42 @@ def test_config_defaults_scale_to_small_data():
     assert cfg.pretrain.lr == 1e-5
 
 
+def _reference_data_defaults(n_nodes: int, d_model: int | None) -> dict[str, dict[str, int]]:
+    """The small-graph defaults as load_config once computed them in one place."""
+    width = d_model if d_model is not None else n_nodes
+    heads = 4
+    while width % heads:
+        heads //= 2
+    k_max = min(20, n_nodes)
+    return {
+        "encoder": {"n_nodes": n_nodes, "heads": heads, "n_clusters": min(100, width)},
+        "augment": {"k_min": min(5, k_max), "k_max": k_max},
+    }
+
+
+def test_config_defaults_follow_the_reference_rule():
+    for n_nodes in range(1, 257):
+        for d_model in (None, 1, 6, 12, 100, 130, 256):
+            text = "" if d_model is None else f"[model]\nd_model = {d_model}\n"
+            cfg = load_config(None, n_nodes=n_nodes, text=text)
+            expected = _reference_data_defaults(n_nodes, d_model)
+            got = {"encoder": {name: getattr(cfg.encoder, name) for name in expected["encoder"]},
+                   "augment": {name: getattr(cfg.augment, name) for name in expected["augment"]}}
+            assert got == expected, (n_nodes, d_model)
+
+
+def test_config_k_max_alone_sets_the_augmented_range():
+    cfg = load_config(None, n_nodes=20, text="[augment]\nk_max = 3\n")
+    assert (cfg.augment.k_min, cfg.augment.k_max) == (3, 3)
+    # explicit values are still validated as given
+    with pytest.raises(ValueError, match=r"need 0 <= k_min <= k_max, got \[4, 3\]"):
+        load_config(None, n_nodes=20, text="[augment]\nk_min = 4\nk_max = 3\n")
+    with pytest.raises(ValueError, match="d_model 10 not divisible by heads 3"):
+        load_config(None, n_nodes=20, text="[model]\nd_model = 10\nheads = 3\n")
+    with pytest.raises(ValueError, match="n_clusters cannot exceed d_model"):
+        load_config(None, n_nodes=20, text="[model]\nn_clusters = 21\n")
+
+
 # every key set away from its default (n_nodes comes from the data)
 EVERY_KEY = """
 [model]

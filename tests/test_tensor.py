@@ -10,7 +10,7 @@ from braincl.augment import AugmentConfig
 from braincl.contrastive import momentum_update
 from braincl.data import synth_dataset
 from braincl.model import (EncoderConfig, as_tensors, features, init_classifier_params,
-                           init_encoder_params, init_projection_params, relabel_nodes)
+                           init_encoder_params, init_projection_params)
 from braincl.numcore import (
     GraphError,
     NonFiniteError,
@@ -521,7 +521,6 @@ def test_leaf_adopts_arrays_nobody_can_write(tmp_path):
     save_encoder_checkpoint(tmp_path / "enc.bnck", encoder, cfg)
     produced = [stepped, adam_stepped, trailed, encoder,
                 init_classifier_params(cfg, rng), init_projection_params(cfg, rng),
-                relabel_nodes(encoder, rng.permutation(6)),
                 load_checkpoint(tmp_path / "raw.bnck"),
                 load_encoder_checkpoint(tmp_path / "enc.bnck")[0]]
     for arrays in produced:
