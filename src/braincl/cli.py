@@ -28,6 +28,7 @@ from .data import (
     write_connectome_file,
     write_dataset,
 )
+from .heap import fix_malloc_thresholds
 from .metrics import ScoredSet, roc_points, write_roc_csv, write_roc_svg
 from .model import (
     init_classifier_params,
@@ -342,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     pin_one_blas_thread()  # artifacts must not depend on the BLAS thread count
+    fix_malloc_thresholds()  # a step's freed pages stay mapped for the next one
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -101,10 +101,13 @@ def pearson_connectome(ts: np.ndarray) -> np.ndarray:
 
 
 # Bytes in any one temporary of a batched pass (the N x L x V series or the
-# N x V x V matrices), so each stays under glibc's default 128 KiB mmap
-# threshold: a larger block, once freed, raises that threshold for the rest
-# of the process, and one pass over a whole 200-subject desk dataset left
-# the peak RSS of the finetuning that followed 4% higher.
+# N x V x V matrices), which bounds one batch's memory however large the
+# dataset. It also keeps each temporary under glibc's default 128 KiB mmap
+# threshold, which a larger freed block raises for the rest of the process:
+# the CLI fixes that threshold (braincl.heap), but a library caller that
+# loads a dataset keeps glibc's dynamic one, and there one pass over a whole
+# 200-subject desk dataset left the peak RSS of the finetuning that followed
+# 4% higher.
 _BATCH_BYTES = 64 * 1024
 
 

@@ -184,7 +184,10 @@ def _spent(g, needed):
 
 
 def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis`` written over ``x``; the max subtraction keeps exp() in range."""
+    """Softmax along ``axis`` written over ``x``; the max subtraction keeps exp() in range.
+
+    ``attention`` runs it down axis 0 of its keys-first scores; ``readout``
+    and finetuning's scoring run it along the last axis."""
     x -= x.max(axis=axis, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=axis, keepdims=True)
@@ -270,8 +273,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``q``, ``k`` and ``v`` are (V, d) or (B, V, d); head h reads columns
     h*d/heads to (h+1)*d/heads of each and writes the same columns of the
     output, softmax(scale * q_h k_h^T) v_h with scale = 1 / sqrt(d / heads).
-    Besides its output O the node keeps only the softmax probabilities P;
-    its backward forms dS = P * (dP - rowsum(dO * O)) once for the q and k
+    The scores are written keys first, (V_keys, ..., heads, V_queries), so
+    the softmax's max, subtraction, sum and division run down the contiguous
+    rows of one (V, B * heads * V) array rather than along a V-wide last
+    axis, and each query's column is reduced on its own, as it would be
+    without the rest of its batch. Besides its output O the node keeps only
+    the softmax probabilities P, in that layout; its backward forms
+    dS = P * (dP - rowsum(dO * O)) in the same layout, once for the q and k
     gradients (FlashAttention, Dao et al. 2022, arXiv:2205.14135, Alg. 2
     without the tiling; rowsum(dO * O) equals rowsum(dP * P) at a fraction
     of the size).
@@ -293,23 +301,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         np.matmul(a, b, out=split(result))
         return result
 
+    def keys_first(a, b):  # a @ b per head, (..., heads, V, V), stored (V, ..., heads, V)
+        result = np.empty(shape[-2:-1] + shape[:-2] + (heads, shape[-2]))
+        np.matmul(a, b, out=np.moveaxis(result, 0, -2))
+        return result
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # the softmax over keys, in place on the scores
-    p = qh @ np.swapaxes(kh, -1, -2)
+    # the softmax over keys, in place on the keys-first scores
+    p = keys_first(kh, np.swapaxes(qh, -1, -2))
     p *= scale
-    _softmax_in_place(p)
-    out = merged(p, vh)
+    _softmax_in_place(p, axis=0)
+    out = merged(np.moveaxis(p, 0, -1), vh)
 
     def vjp(g, needed):
         gh = split(g)
         if needed[0] or needed[1]:
-            ds = gh @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
-            ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
+            ds = keys_first(vh, np.swapaxes(gh, -1, -2))  # dP, turned into dS in place
+            ds -= (gh * split(out)).sum(axis=-1)
             ds *= p
             ds *= scale
-        yield merged(ds, kh) if needed[0] else None
-        yield merged(np.swapaxes(ds, -1, -2), qh) if needed[1] else None
-        yield merged(np.swapaxes(p, -1, -2), gh) if needed[2] else None
+        yield merged(np.moveaxis(ds, 0, -1), kh) if needed[0] else None
+        yield merged(np.moveaxis(ds, 0, -2), qh) if needed[1] else None
+        yield merged(np.moveaxis(p, 0, -2), gh) if needed[2] else None
 
     return Tensor(out, op="attention", parents=(q, k, v), vjp=vjp)
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import braincl
+from braincl import cli, heap
 from braincl.cli import main
 from braincl.data import Connectome, write_connectome_file
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
@@ -275,6 +277,21 @@ def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         digests.add(hashlib.sha256((out / "pretrained.bnck").read_bytes()).hexdigest())
     assert len(digests) == 1
+
+
+def test_main_fixes_malloc_thresholds_beside_the_blas_pin_before_the_verb(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "pin_one_blas_thread", lambda: calls.append("blas"))
+    monkeypatch.setattr(cli, "fix_malloc_thresholds", lambda: calls.append("malloc"))
+    monkeypatch.setattr(cli, "cmd_describe", lambda args: calls.append("verb"))
+    assert main(["describe"]) == 0
+    assert sorted(calls[:2]) == ["blas", "malloc"] and calls[2:] == ["verb"]
+
+
+def test_malloc_thresholds_take_effect_on_glibc_and_are_harmless_without_mallopt(monkeypatch):
+    assert heap.fix_malloc_thresholds() is (platform.libc_ver()[0] == "glibc")
+    monkeypatch.setattr(heap, "_mallopt", lambda: None)
+    assert heap.fix_malloc_thresholds() is False
 
 
 def test_importing_the_cli_leaves_openssl_unloaded():

@@ -560,6 +560,19 @@ def test_linear_gradcheck(shape):
         linear(Tensor(x), Tensor(w), Tensor(b[:-1]))
 
 
+def assert_attention_is_per_head_softmax(out, qkv, heads):
+    # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that
+    # head's columns, with scale 1 / sqrt(d / heads)
+    dh = out.shape[-1] // heads
+    scale = 1.0 / np.sqrt(dh)
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        s = scale * qkv[0][..., sl] @ np.swapaxes(qkv[1][..., sl], -1, -2)
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out[..., sl], p @ qkv[2][..., sl], rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("shape, heads", [((5, 8), 1), ((5, 8), 4), ((2, 5, 8), 1),
                                           ((2, 5, 8), 4)])
 def test_attention_gradcheck(shape, heads):
@@ -568,23 +581,41 @@ def test_attention_gradcheck(shape, heads):
     weights = Tensor(rng.standard_normal(shape), requires_grad=False)
     gradcheck_each_input(lambda q, k, v: weighted_sum(attention(q, k, v, heads), weights),
                          qkv, 1e-6)
-    # one node, rank <= 3, and per head softmax(scale q_h k_h^T) v_h in that
-    # head's columns, with scale 1 / sqrt(d / heads)
     q, k, v = (Tensor(a) for a in qkv)
     out = attention(q, k, v, heads)
     assert out.parents == (q, k, v) and out.shape == shape
-    dh = shape[-1] // heads
-    scale = 1.0 / np.sqrt(dh)
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        s = scale * qkv[0][..., sl] @ np.swapaxes(qkv[1][..., sl], -1, -2)
-        p = np.exp(s - s.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(out.data[..., sl], p @ qkv[2][..., sl], rtol=0, atol=1e-13)
+    assert_attention_is_per_head_softmax(out.data, qkv, heads)
     with pytest.raises(GraphError):
         attention(q, k, v, 3)
     with pytest.raises(GraphError):
         attention(q, k, Tensor(np.zeros(shape[:-1] + (4,))), heads)
+
+
+@pytest.mark.parametrize("shape", [(32, 20, 20), (1, 200, 200)], ids=["desk", "paper"])
+def test_attention_is_per_head_softmax_at_desk_and_paper_sizes(shape):
+    # the scores are stored keys first, so the softmax runs down the rows of
+    # one (V, B * heads * V) array; too large to gradcheck, small enough to check
+    rng = np.random.default_rng(34)
+    qkv = [rng.standard_normal(shape) for _ in range(3)]
+    assert_attention_is_per_head_softmax(attention(*(Tensor(a) for a in qkv), 4).data, qkv, 4)
+
+
+def test_attention_of_a_batch_is_its_samples_one_at_a_time_bit_for_bit():
+    # the keys-first softmax reduces each query's column on its own, so a
+    # sample's output and gradients do not depend on the rest of its batch
+    rng = np.random.default_rng(35)
+    qkv = [rng.standard_normal((6, 20, 20)) for _ in range(3)]
+    g = rng.standard_normal((6, 20, 20))
+
+    def output_and_gradients(arrays, g):
+        out = attention(*(Tensor(a) for a in arrays), 4)
+        return [out.data, *out._vjp(g, (True, True, True))]
+
+    batch = output_and_gradients(qkv, g)
+    for i in range(6):
+        one = output_and_gradients([a[i] for a in qkv], g[i])
+        for j, (a, b) in enumerate(zip(batch, one)):
+            assert a[i].tobytes() == b.tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
