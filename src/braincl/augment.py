@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import check_connectomes
+from .tables import format_value
 
 __all__ = ["NoiseSpec", "AugmentConfig", "make_view_pair"]
 
@@ -86,8 +87,8 @@ class NoiseSpec:
         if self.kind == "none":
             return "none"
         if self.kind == "gaussian":
-            return f"N(0,{self.sigma:g})"
-        return f"uniform({self.low:g},{self.high:g})"
+            return f"N(0,{format_value(self.sigma)})"
+        return f"uniform({format_value(self.low)},{format_value(self.high)})"
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == "gaussian":

@@ -185,7 +185,7 @@ def cmd_evaluate(args) -> None:
 
 def _read_scores_csv(path: Path) -> ScoredSet:
     scores, labels = [], []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"score", "label"} <= set(reader.fieldnames):
             _fail(f"{path}: expected columns score,label")

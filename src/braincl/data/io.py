@@ -62,6 +62,10 @@ class Dataset:
         sizes = {s.connectome.n_nodes for s in self.samples}
         if len(sizes) > 1:
             raise DatasetError(f"mixed node counts across samples: {sorted(sizes)}")
+        ids = [s.subject_id for s in self.samples]
+        if len(set(ids)) < len(ids):
+            repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+            raise DatasetError(f"repeated subject id {repeated!r}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -120,7 +124,7 @@ def _parse_rows(name: str, rows: list[str], cols: int) -> np.ndarray:
 
 
 def read_connectome_file(path: Path) -> Connectome:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in path.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path.name}: empty file")
     try:
@@ -147,7 +151,7 @@ def read_connectome_file(path: Path) -> Connectome:
 
 
 def read_time_series_file(path: Path) -> np.ndarray:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in path.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path.name}: empty file")
     header = lines[0].split(",")
@@ -169,7 +173,7 @@ def read_time_series_file(path: Path) -> np.ndarray:
 
 def _read_labels(path: Path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["subject_id", "label"]:

@@ -1,4 +1,4 @@
-"""Binary-classification metrics: AUROC, threshold metrics, ROC curves.
+"""Binary-classification metrics: AUROC and ROC curves.
 
 AUROC uses the rank form (probability a random positive outscores a random
 negative, ties counting one half), which coincides exactly with the
@@ -14,8 +14,7 @@ import numpy as np
 
 from .tables import write_csv
 
-__all__ = ["ScoredSet", "ConfusionMetrics", "RocCurve",
-           "auroc", "confusion_metrics", "roc_points",
+__all__ = ["ScoredSet", "RocCurve", "auroc", "roc_points",
            "write_roc_csv", "write_roc_svg"]
 
 
@@ -69,37 +68,6 @@ def auroc(s: ScoredSet) -> float:
     n_pos, n_neg = s.n_positive, s.n_negative
     pos_rank_sum = float(ranks[s.labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    accuracy: float
-    sensitivity: float | None  # None when no positives exist
-    specificity: float | None  # None when no negatives exist
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-
-def confusion_metrics(s: ScoredSet, threshold: float = 0.5) -> ConfusionMetrics:
-    """Counts at a fixed threshold; a sample is predicted positive iff
-    its score is >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    predicted = s.scores >= threshold
-    actual = s.labels == 1
-    tp = int((predicted & actual).sum())
-    tn = int((~predicted & ~actual).sum())
-    fp = int((predicted & ~actual).sum())
-    fn = int((~predicted & actual).sum())
-    n_pos, n_neg = tp + fn, tn + fp
-    return ConfusionMetrics(
-        accuracy=(tp + tn) / s.scores.size,
-        sensitivity=tp / n_pos if n_pos else None,
-        specificity=tn / n_neg if n_neg else None,
-        tp=tp, tn=tn, fp=fp, fn=fn,
-    )
 
 
 @dataclass(frozen=True)

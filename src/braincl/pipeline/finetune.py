@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import Dataset, stratified_split
-from ..metrics import ScoredSet, auroc, confusion_metrics
+from ..metrics import ScoredSet, auroc
 from ..model import (
     EncoderConfig,
     as_tensors,
@@ -66,12 +66,18 @@ def score_dataset(ds: Dataset, arrays: dict[str, np.ndarray],
 
 
 def summarize_scores(scores: ScoredSet) -> dict[str, float]:
-    cm = confusion_metrics(scores, threshold=0.5)
+    """AUROC, and accuracy, sensitivity and specificity with a sample
+    predicted class 1 iff its class-1 probability is at least 0.5. ``auroc``
+    runs first: it raises unless both classes are present, so neither rate
+    below divides by zero."""
+    area = auroc(scores)
+    predicted = scores.scores >= 0.5
+    positive = scores.labels == 1
     return {
-        "accuracy": cm.accuracy,
-        "auroc": auroc(scores),
-        "sensitivity": cm.sensitivity if cm.sensitivity is not None else float("nan"),
-        "specificity": cm.specificity if cm.specificity is not None else float("nan"),
+        "accuracy": int((predicted == positive).sum()) / positive.size,
+        "auroc": area,
+        "sensitivity": int((predicted & positive).sum()) / int(positive.sum()),
+        "specificity": int((~predicted & ~positive).sum()) / int((~positive).sum()),
     }
 
 

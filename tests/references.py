@@ -25,6 +25,10 @@ bit and tells a test which nodes were picked and which way each went.
 
 ``relabel_nodes`` permutes the one node-indexed parameter axis, which the
 permutation-equivariance test of the encoder needs.
+
+``confusion_metrics`` counts true and false positives and negatives at 0.5
+and forms the three rates from the counts, as ``braincl.metrics`` did before
+``summarize_scores`` formed them itself; the rates must agree bit for bit.
 """
 
 import numpy as np
@@ -352,3 +356,17 @@ def relabel_nodes(arrays: dict[str, np.ndarray], perm: np.ndarray) -> dict[str, 
     ``perm``.
     """
     return {**arrays, "embed.w": arrays["embed.w"][perm]}
+
+
+def confusion_metrics(s) -> dict:
+    """Accuracy, sensitivity, specificity and the four counts of a two-class
+    ScoredSet, a sample predicted positive iff its score is >= 0.5."""
+    predicted = s.scores >= 0.5
+    actual = s.labels == 1
+    tp = int((predicted & actual).sum())
+    tn = int((~predicted & ~actual).sum())
+    fp = int((predicted & ~actual).sum())
+    fn = int((~predicted & actual).sum())
+    return {"accuracy": (tp + tn) / s.scores.size,
+            "sensitivity": tp / (tp + fn), "specificity": tn / (tn + fp),
+            "tp": tp, "tn": tn, "fp": fp, "fn": fn}

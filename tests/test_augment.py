@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braincl.augment import (
     AugmentConfig,
@@ -52,6 +54,18 @@ def test_noise_spec_parsing():
         NoiseSpec.parse("lognormal(1,2)")
     with pytest.raises(ValueError):
         NoiseSpec.parse("N(0.5,0.01)")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(
+    st.builds(lambda sigma: NoiseSpec(kind="gaussian", sigma=sigma), FINITE.map(abs)),
+    st.builds(lambda a, b: NoiseSpec(kind="uniform", low=min(a, b), high=max(a, b)),
+              FINITE, FINITE)))
+def test_noise_spec_text_parses_back_exactly(spec):
+    # a resolved config writes its noise setting by str, and a rerun parses it back
+    assert NoiseSpec.parse(str(spec)) == spec
 
 
 def test_config_validation():

@@ -257,6 +257,26 @@ def test_evaluate_rejects_an_incomplete_checkpoint(workdir, capsys):
                                        "shape (3, 10), expected (20, 10)\n")
 
 
+def test_evaluate_on_one_class_reports_the_auroc_error(workdir, capsys):
+    # the summary's auroc runs before any rate would divide by a zero class count
+    labels = workdir / "data" / "labels.csv"
+    rows = labels.read_text().splitlines()
+    labels.write_text("\n".join([rows[0], *(row for row in rows[1:] if row.endswith(",1"))]) + "\n")
+    cfg = EncoderConfig(n_nodes=10, layers=1, heads=2, n_clusters=4, proj_dim=8)
+    rng = np.random.default_rng(0)
+    model = workdir / "model.bnck"
+    save_encoder_checkpoint(model, {**init_encoder_params(cfg, rng),
+                                    **init_classifier_params(cfg, rng)}, cfg)
+    capsys.readouterr()
+    out = workdir / "ev"
+    assert main(["evaluate", "--data", str(workdir / "data"), "--model", str(model),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: auroc needs at least one sample of each class\n"
+    assert not out.exists()
+
+
 def test_pretrain_checkpoint_does_not_depend_on_blas_threads(tmp_path):
     # the default V=200 encoder's second FFN product has inner dimension 400,
     # where OpenBLAS gives other bits at 2 threads than at 1
@@ -451,6 +471,13 @@ def test_roc_svg_parses_whatever_the_score_file_is_called(tmp_path):
     labels = [el.text for el in ElementTree.parse(out / "roc.svg").iter()
               if el.tag.endswith("text")]
     assert "a&b<c (AUROC 1.000)" in labels
+
+
+def test_roc_reads_a_score_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes("\ufeffscore,label\n0.9,1\n0.4,0\n".encode())
+    assert main(["roc", "--scores", str(scores), "--out", str(tmp_path / "roc")]) == 0
+    assert "scores: auroc 1.0000" in capsys.readouterr().out
 
 
 def test_augment_defaults_fit_a_small_matrix(tmp_path, capsys):

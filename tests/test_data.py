@@ -251,6 +251,14 @@ def test_label_without_data_rejected(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_dataset_rejects_a_repeated_subject_id():
+    # it wrote one series file for both samples and a labels.csv naming the id twice
+    samples = list(synth_dataset(12, n_nodes=8, length=10))
+    samples[3] = replace(samples[3], subject_id=samples[0].subject_id)
+    with pytest.raises(DatasetError, match=r"^repeated subject id 'synth00'$"):
+        Dataset(tuple(samples))
+
+
 # ---------------------------------------------------------------------------
 # ingest: what a data file may look like, and how a bad one is reported
 
@@ -306,6 +314,22 @@ def test_file_layout_tolerance(tmp_path, series, matrix):
     assert a.time_series is None
     assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES))
     assert np.array_equal(b.connectome.matrix, MATRIX)
+
+
+@pytest.mark.parametrize("pattern", ["labels.csv", "*.conn.csv", "*.ts.csv"])
+def test_files_that_start_with_a_byte_order_mark_load_as_without(tmp_path, pattern):
+    # spreadsheet exports begin a UTF-8 file with one
+    ds = synth_dataset(4, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=2)
+    for name in ("plain", "bom"):
+        write_dataset(tmp_path / name, ds, as_time_series=pattern != "*.conn.csv")
+    paths = sorted((tmp_path / "bom").glob(pattern))
+    assert paths
+    for path in paths:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain, bom = load_dataset(tmp_path / "plain"), load_dataset(tmp_path / "bom")
+    assert [(s.subject_id, s.label) for s in bom] == [(s.subject_id, s.label) for s in plain]
+    for a, b in zip(plain, bom):
+        assert a.connectome.matrix.tobytes() == b.connectome.matrix.tobytes()
 
 
 def test_digit_separators_are_rejected(tmp_path):

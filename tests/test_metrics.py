@@ -8,11 +8,12 @@ from braincl.metrics import (
     ScoredSet,
     _tied_ranks,
     auroc,
-    confusion_metrics,
     roc_points,
     write_roc_csv,
     write_roc_svg,
 )
+from braincl.pipeline import summarize_scores
+from references import confusion_metrics
 
 
 def brute_force_auroc(scores, labels) -> float:
@@ -84,54 +85,75 @@ def test_scored_set_validation():
 
 
 # ---------------------------------------------------------------------------
-# confusion metrics
+# the summary of a scored set: auroc, and the three rates at 0.5
+
+
+def two_class_set(rng, decimals=None) -> ScoredSet:
+    n = int(rng.integers(2, 40))
+    labels = rng.integers(0, 2, n)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    scores = rng.random(n) if decimals is None else np.round(rng.random(n), decimals)
+    return ScoredSet(scores=scores, labels=labels)
 
 
 def test_confusion_perfect_two_samples():
-    m = confusion_metrics(ScoredSet(scores=[0.6, 0.4], labels=[1, 0]))
-    assert m.accuracy == 1.0 and m.sensitivity == 1.0 and m.specificity == 1.0
+    m = summarize_scores(ScoredSet(scores=[0.6, 0.4], labels=[1, 0]))
+    assert m == {"accuracy": 1.0, "auroc": 1.0, "sensitivity": 1.0, "specificity": 1.0}
 
 
 def test_confusion_all_positive_predictions():
-    m = confusion_metrics(ScoredSet(scores=[0.9, 0.8, 0.7, 0.6], labels=[1, 0, 1, 0]))
-    assert m.specificity == 0.0
-    assert m.sensitivity == 1.0
-    assert m.accuracy == 0.5
+    m = summarize_scores(ScoredSet(scores=[0.9, 0.8, 0.7, 0.6], labels=[1, 0, 1, 0]))
+    assert m["specificity"] == 0.0
+    assert m["sensitivity"] == 1.0
+    assert m["accuracy"] == 0.5
 
 
 def test_confusion_worked_example():
     # enumerate by hand: predictions at 0.5 are (1, 1, 0, 0) against labels
     # (1, 0, 1, 0), so TP=FP=FN=TN=1
-    m = confusion_metrics(ScoredSet(scores=[0.9, 0.6, 0.3, 0.2], labels=[1, 0, 1, 0]))
-    assert (m.tp, m.fp, m.fn, m.tn) == (1, 1, 1, 1)
-    assert m.accuracy == 0.5
-    assert m.sensitivity == 0.5
-    assert m.specificity == 0.5
-    # raising the threshold past 0.6 flips the false positive
-    m = confusion_metrics(ScoredSet(scores=[0.9, 0.6, 0.3, 0.2], labels=[1, 0, 1, 0]),
-                          threshold=0.65)
-    assert m.accuracy == 0.75
-    assert m.sensitivity == 0.5
-    assert m.specificity == 1.0
+    s = ScoredSet(scores=[0.9, 0.6, 0.3, 0.2], labels=[1, 0, 1, 0])
+    oracle = confusion_metrics(s)
+    assert (oracle["tp"], oracle["fp"], oracle["fn"], oracle["tn"]) == (1, 1, 1, 1)
+    m = summarize_scores(s)
+    assert m["accuracy"] == 0.5
+    assert m["sensitivity"] == 0.5
+    assert m["specificity"] == 0.5
 
 
 def test_confusion_boundary_score_counts_positive():
-    m = confusion_metrics(ScoredSet(scores=[0.5], labels=[1]), threshold=0.5)
-    assert m.tp == 1 and m.sensitivity == 1.0
-    assert m.specificity is None  # no negatives present
+    # a score of exactly 0.5 predicts class 1: a true positive here, a false one below
+    m = summarize_scores(ScoredSet(scores=[0.5, 0.2], labels=[1, 0]))
+    assert m["sensitivity"] == 1.0 and m["specificity"] == 1.0 and m["accuracy"] == 1.0
+    m = summarize_scores(ScoredSet(scores=[0.2, 0.5], labels=[1, 0]))
+    assert m["sensitivity"] == 0.0 and m["specificity"] == 0.0 and m["accuracy"] == 0.0
 
 
 def test_accuracy_decomposition_identity():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        n = int(rng.integers(2, 40))
-        labels = rng.integers(0, 2, n)
-        scores = rng.random(n)
-        m = confusion_metrics(ScoredSet(scores=scores, labels=labels))
-        n_pos, n_neg = int(labels.sum()), int((1 - labels).sum())
-        sens = m.sensitivity if m.sensitivity is not None else 0.0
-        spec = m.specificity if m.specificity is not None else 0.0
-        assert abs(m.accuracy - (sens * n_pos + spec * n_neg) / n) < 1e-12
+        s = two_class_set(rng)
+        m = summarize_scores(s)
+        n_pos, n_neg = s.n_positive, s.n_negative
+        assert abs(m["accuracy"] - (m["sensitivity"] * n_pos + m["specificity"] * n_neg)
+                   / (n_pos + n_neg)) < 1e-12
+
+
+def test_summary_rates_equal_the_confusion_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        s = two_class_set(rng, decimals=int(rng.integers(0, 3)))  # many scores at 0.5
+        m = summarize_scores(s)
+        oracle = confusion_metrics(s)
+        assert list(m) == ["accuracy", "auroc", "sensitivity", "specificity"]
+        for name in ("accuracy", "sensitivity", "specificity"):
+            assert m[name] == oracle[name], name
+        assert m["auroc"] == auroc(s)
+
+
+def test_summary_of_a_one_class_set_raises_naming_auroc():
+    for labels in ([1, 1], [0, 0]):
+        with pytest.raises(ValueError, match="auroc needs at least one sample of each class"):
+            summarize_scores(ScoredSet(scores=[0.3, 0.7], labels=labels))
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,7 @@ proj_dim = 16
 k_min = 2
 k_max = 7
 delta_max = 0.25
-noise = uniform(-0.1,0.1)
+noise = uniform(-0.1234567890123,0.0987654321)
 
 [pretrain]
 epochs = 5
