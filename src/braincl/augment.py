@@ -29,8 +29,8 @@ batch consumes the generator exactly as one call per sample would:
   order (none for ``none`` noise).
 
 The arithmetic then runs once over the (2B, V, V) stack of views, and one
-check over the whole stack (finite, exactly symmetric, unit diagonal,
-entries in [-1, 1]) replaces the per-view ``Connectome`` checks.
+``check_connectomes`` call over the whole stack (finite, exactly symmetric,
+unit diagonal, entries in [-1, 1]) checks every view.
 """
 
 from __future__ import annotations

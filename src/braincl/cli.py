@@ -20,7 +20,6 @@ from .augment import AugmentConfig, NoiseSpec, make_view_pair
 from .blas import pin_one_blas_thread
 from .data import (
     ClassSpec,
-    Connectome,
     DatasetError,
     load_dataset,
     read_connectome_file,
@@ -29,7 +28,7 @@ from .data import (
     write_dataset,
 )
 from .heap import fix_malloc_thresholds
-from .metrics import ScoredSet, roc_points, write_roc_csv, write_roc_svg
+from .metrics import RocCurve, ScoredSet, roc_points, write_roc_csv, write_roc_svg
 from .model import (
     init_classifier_params,
     init_encoder_params,
@@ -86,12 +85,10 @@ def cmd_synth(args) -> None:
 
 def cmd_ingest(args) -> None:
     ds = load_dataset(args.data)
-    labels = [s.label for s in ds]
-    n_labeled = sum(1 for l in labels if l is not None)
     print(f"samples: {len(ds)}")
     print(f"nodes per sample: {ds.n_nodes}")
-    print(f"labeled: {n_labeled} ({sum(1 for l in labels if l == 1)} positive, "
-          f"{sum(1 for l in labels if l == 0)} control)")
+    print(f"labeled: {len(ds.labeled())} ({ds.labels.count(1)} positive, "
+          f"{ds.labels.count(0)} control)")
     root = Path(args.data)
     print(f"files: {len(list(root.glob('*.ts.csv')))} *.ts.csv, "
           f"{len(list(root.glob('*.conn.csv')))} *.conn.csv")
@@ -99,16 +96,16 @@ def cmd_ingest(args) -> None:
 
 def cmd_augment(args) -> None:
     conn = read_connectome_file(Path(args.input))
-    cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, conn.n_nodes),
+    cfg = AugmentConfig(k_min=args.k_min, k_max=min(args.k_max, len(conn)),
                         delta_max=args.delta_max, noise=NoiseSpec.parse(args.noise))
     rng = np.random.default_rng(args.seed or 0)
-    views = dict(zip(("view1", "view2"), make_view_pair(conn.matrix, cfg, rng)))
+    views = dict(zip(("view1", "view2"), make_view_pair(conn, cfg, rng)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, view in views.items():
-        write_connectome_file(out / f"{name}.conn.csv", Connectome(view))
-    iu = np.triu_indices(conn.n_nodes, k=1)
-    deltas = ((name, np.abs(view - conn.matrix)[iu]) for name, view in views.items())
+        write_connectome_file(out / f"{name}.conn.csv", view)
+    iu = np.triu_indices(len(conn), k=1)
+    deltas = ((name, np.abs(view - conn)[iu]) for name, view in views.items())
     write_csv(out / "diff.csv", ["view", "entries_changed", "mean_abs_delta"],
               ([name, (delta > 0).sum(), delta.mean()] for name, delta in deltas))
     print(f"wrote views and diff summary to {out}")
@@ -175,15 +172,14 @@ def cmd_evaluate(args) -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / "scores.csv", ["subject_id", "score", "label"],
-                  ([sample.subject_id, score, sample.label]
-                   for sample, score in zip(ds, scores.scores)))
+                  zip(ds.ids, scores.scores, ds.labels))
         curve = roc_points(scores)
         write_roc_csv(out / "roc.csv", curve)
         write_roc_svg(out / "roc.svg", {"evaluation": curve})
         print(f"wrote scores and ROC artifacts to {out}")
 
 
-def _read_scores_csv(path: Path) -> ScoredSet:
+def _read_roc_curve(path: Path) -> RocCurve:
     scores, labels = [], []
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
@@ -197,7 +193,7 @@ def _read_scores_csv(path: Path) -> ScoredSet:
                 _fail(f"{path} row {i}: want a number score and an integer label, got "
                       f"score {row['score']!r}, label {row['label']!r}")
     try:
-        return ScoredSet(scores=np.array(scores), labels=np.array(labels))
+        return roc_points(ScoredSet(scores=np.array(scores), labels=np.array(labels)))
     except ValueError as exc:
         _fail(f"{path}: {exc}")
 
@@ -211,7 +207,7 @@ def cmd_roc(args) -> None:
                   f"give the score files different names")
         paths[path.stem] = path
     # read every file before making the output directory, so a bad one leaves none
-    curves = {stem: roc_points(_read_scores_csv(path)) for stem, path in paths.items()}
+    curves = {stem: _read_roc_curve(path) for stem, path in paths.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for stem, curve in curves.items():

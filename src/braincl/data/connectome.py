@@ -1,12 +1,13 @@
-"""Connectivity matrices and their construction from region time series."""
+"""Connectivity matrices, each a plain float64 (V, V) array that passes
+``check_connectomes``, and their construction from region time series."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Connectome", "check_connectomes", "validate_time_series", "pearson_connectome",
+__all__ = ["check_connectomes", "validate_time_series", "pearson_connectome",
            "pearson_connectomes"]
 
 
@@ -21,32 +22,6 @@ def check_connectomes(m: np.ndarray) -> None:
         raise ValueError("connectome diagonal must be exactly 1")
     if np.abs(m).max() > 1.0:
         raise ValueError("connectome entries must lie in [-1, 1]")
-
-
-class Connectome:
-    """A symmetric V x V correlation matrix with unit diagonal.
-
-    Values live in [-1, 1]; symmetry is exact (bitwise), not approximate.
-    The matrix is read-only.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"connectome must be square, got shape {m.shape}")
-        check_connectomes(m)
-        m = m.copy()
-        m.flags.writeable = False
-        self.matrix = m
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"Connectome(n_nodes={self.n_nodes})"
 
 
 def validate_time_series(ts: np.ndarray) -> np.ndarray:
@@ -71,8 +46,8 @@ def pearson_connectome(ts: np.ndarray) -> np.ndarray:
     V x V matrix; of an N x L x V stack of series, as the N x V x V matrices.
 
     The stack is one batched pass whose every matrix is bit for bit the one
-    its series alone gives; ``pearson_connectomes`` wraps each in a
-    Connectome, which checks it. Zero-variance regions get 0 off-diagonal
+    its series alone gives, and every matrix passes ``check_connectomes``.
+    Zero-variance regions get 0 off-diagonal
     by convention (no evidence of connectivity either way); the diagonal is
     forced to 1. Covariances use the population (1/L) normalization, which
     cancels in the ratio.
@@ -101,36 +76,33 @@ def pearson_connectome(ts: np.ndarray) -> np.ndarray:
 
 
 # Bytes in any one temporary of a batched pass (the N x L x V series or the
-# N x V x V matrices), which bounds one batch's memory however large the
-# dataset. It also keeps each temporary under glibc's default 128 KiB mmap
-# threshold, which a larger freed block raises for the rest of the process:
-# the CLI fixes that threshold (braincl.heap), but a library caller that
-# loads a dataset keeps glibc's dynamic one, and there one pass over a whole
-# 200-subject desk dataset left the peak RSS of the finetuning that followed
-# 4% higher.
+# N x V x V matrices) or of the check of a slice of a dataset's stack: a
+# bound however large the dataset. It also keeps each temporary under glibc's
+# default 128 KiB mmap threshold, which a larger freed block raises for the
+# rest of the process: the CLI fixes that threshold (braincl.heap), but a
+# library caller that loads a dataset keeps glibc's dynamic one, and there
+# one pass over a whole 200-subject desk dataset left the peak RSS of the
+# finetuning that followed 4% higher.
 _BATCH_BYTES = 64 * 1024
 
 
-def pearson_connectomes(series: Iterable[np.ndarray]) -> list[Connectome]:
-    """``pearson_connectome`` of each L x V series, in order, computed in
-    batched calls over series of one shape (sites differ in scan length).
-    The series are taken one at a time and a batch is computed once it is
-    full, so at most one batch per shape is held: a loader that hands over
-    each series as it parses it keeps none."""
-    out: list[Connectome | None] = []
+def pearson_connectomes(series: Iterable[tuple[int, np.ndarray]]
+                        ) -> Iterator[tuple[list[int], np.ndarray]]:
+    """``pearson_connectome`` of each (row, L x V series) pair, in batched
+    calls over series of one shape (sites differ in scan length), yielded as
+    (rows, matrices) for the caller to write into its stack. A batch is
+    computed once full, so at most one per shape is held: a loader that hands
+    over each series as it parses it keeps none."""
     pending: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}  # by shape
 
-    def flush(shape):
-        batch = pending.pop(shape)
-        for (i, _), m in zip(batch, pearson_connectome(np.stack([ts for _, ts in batch]))):
-            out[i] = Connectome(m)
+    def computed(shape):
+        rows, batch = zip(*pending.pop(shape))
+        return list(rows), pearson_connectome(np.stack(batch))  # a tuple would index axes
 
-    for i, ts in enumerate(series):
-        out.append(None)
+    for row, ts in series:
         shape = np.shape(ts)
-        pending.setdefault(shape, []).append((i, ts))
+        pending.setdefault(shape, []).append((row, ts))
         if len(pending[shape]) >= max(1, _BATCH_BYTES // (8 * max(shape[-2:]) * shape[-1])):
-            flush(shape)
+            yield computed(shape)
     for shape in list(pending):
-        flush(shape)
-    return out
+        yield computed(shape)

@@ -1,6 +1,5 @@
-"""Dataset model and directory-layout ingestion.
-
-A dataset directory holds:
+"""The dataset as arrays (ids, labels and one checked (N, V, V) stack of
+connectomes) and its directory layout. A dataset directory holds:
 
 * ``labels.csv`` (optional) with header ``subject_id,label``; label 0 is
   control, 1 is the positive class. Absent file means unlabeled data. An id
@@ -18,13 +17,16 @@ numpy's C tokenizer, which takes decimals only: ``#`` comments, empty fields
 and digit separators such as ``1_0`` are rejected. Only a file that fails
 that parse is read again row by row, so the error names the file and the
 first bad data row. ``load_dataset`` computes the connectomes of series of
-one shape in batched ``pearson_connectome`` calls. The writers emit LF line
-ends and every number by ``braincl.tables.format_value``.
+one shape in batched ``pearson_connectome`` calls, into one stack allocated
+once. The writers emit LF line ends and every number by
+``braincl.tables.format_value``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -32,9 +34,9 @@ from typing import Iterator
 import numpy as np
 
 from ..tables import format_value
-from .connectome import Connectome, pearson_connectomes, validate_time_series
+from .connectome import _BATCH_BYTES, check_connectomes, pearson_connectomes, validate_time_series
 
-__all__ = ["Sample", "Dataset", "DatasetError", "load_dataset", "write_dataset",
+__all__ = ["Dataset", "DatasetError", "load_dataset", "write_dataset",
            "read_connectome_file", "write_connectome_file"]
 
 
@@ -42,49 +44,75 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Sample:
-    subject_id: str
-    connectome: Connectome
-    label: int | None = None
-    time_series: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.label is not None and self.label not in (0, 1):
-            raise DatasetError(f"{self.subject_id}: label must be 0 or 1, got {self.label}")
+# a subject id names its files, so it may hold none of these
+_NOT_IN_IDS = {"/", "\0", os.sep, os.altsep} - {None}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple[Sample, ...] = field(default_factory=tuple)
+    """Subjects as arrays: their ``ids``, their ``labels`` (None where
+    unlabeled) and ``stack``, one float64 (N, V, V) array of their
+    connectomes, checked once, when the dataset is built, and then read-only.
+    Subject i's connectome is ``stack[rows[i]]``: a ``subset`` (so
+    ``labeled`` and a split's folds) shares its parent's stack under rows of
+    its own. ``series``, the (N, L, V) time series behind the stack, is kept
+    by ``synth_dataset`` only, for ``write_dataset``."""
+
+    ids: tuple[str, ...]
+    stack: np.ndarray = field(repr=False)
+    labels: tuple[int | None, ...]
+    series: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = {s.connectome.n_nodes for s in self.samples}
-        if len(sizes) > 1:
-            raise DatasetError(f"mixed node counts across samples: {sorted(sizes)}")
-        ids = [s.subject_id for s in self.samples]
+        ids, labels = tuple(self.ids), tuple(self.labels)
+        for sid, label in zip(ids, labels):
+            if not sid or any(c in sid for c in _NOT_IN_IDS):
+                raise DatasetError(f"subject id {sid!r} is empty or holds a path "
+                                   f"separator or NUL")
+            if label is not None and label not in (0, 1):
+                raise DatasetError(f"{sid}: label must be 0 or 1, got {label}")
         if len(set(ids)) < len(ids):
             repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
             raise DatasetError(f"repeated subject id {repeated!r}")
+        stack = np.asarray(self.stack, dtype=np.float64)
+        if stack.shape[:1] != (len(ids),) or len(labels) != len(ids) or stack.ndim != 3 \
+                or not 0 < stack.shape[1] == stack.shape[2]:
+            raise DatasetError(f"want {len(ids)} labels and an ({len(ids)}, V, V) stack, "
+                               f"got {len(labels)} and shape {stack.shape}")
+        # in slices, so no temporary of the check is the size of the stack
+        per_slice = max(1, _BATCH_BYTES // stack[0].nbytes) if len(stack) else 1
+        for start in range(0, len(stack), per_slice):
+            check_connectomes(stack[start:start + per_slice])
+        stack.flags.writeable = False  # the dataset takes the array over, uncopied
+        for name, value in (("ids", ids), ("labels", labels), ("stack", stack),
+                            ("rows", np.arange(len(ids)))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
+        return len(self.ids)
 
     @property
     def n_nodes(self) -> int:
-        if not self.samples:
-            raise DatasetError("empty dataset has no node count")
-        return self.samples[0].connectome.n_nodes
+        return self.stack.shape[-1]
 
-    @property
-    def labels(self) -> list[int | None]:
-        return [s.label for s in self.samples]
+    def gather(self, indices) -> np.ndarray:
+        """The connectomes at ``indices``, in one fancy index into the stack."""
+        return self.stack[self.rows[indices]]
+
+    def subset(self, indices) -> "Dataset":
+        """The subjects at ``indices``, in order, on this dataset's stack."""
+        idx = np.asarray(indices, dtype=np.intp)
+        sub = copy.copy(self)  # a shallow copy runs no __post_init__
+        for name, value in (("ids", tuple(self.ids[i] for i in idx)),
+                            ("labels", tuple(self.labels[i] for i in idx)),
+                            ("rows", self.rows[idx]),
+                            ("series", None if self.series is None else self.series[idx])):
+            object.__setattr__(sub, name, value)
+        return sub
 
     def labeled(self) -> "Dataset":
-        return Dataset(tuple(s for s in self.samples if s.label is not None))
+        return self.subset([i for i, label in enumerate(self.labels) if label is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +151,9 @@ def _parse_rows(name: str, rows: list[str], cols: int) -> np.ndarray:
     raise DatasetError(f"{name}: malformed number ({reason})")
 
 
-def read_connectome_file(path: Path) -> Connectome:
+def read_connectome_file(path: Path) -> np.ndarray:
+    """A ``.conn.csv`` file's matrix, read-only, which passes
+    ``check_connectomes``."""
     lines = [ln for ln in path.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path.name}: empty file")
@@ -147,7 +177,8 @@ def read_connectome_file(path: Path) -> Connectome:
     m = (m + m.T) / 2.0
     np.clip(m, -1.0, 1.0, out=m)
     np.fill_diagonal(m, 1.0)
-    return Connectome(m)
+    m.flags.writeable = False
+    return m
 
 
 def read_time_series_file(path: Path) -> np.ndarray:
@@ -198,7 +229,7 @@ def _read_labels(path: Path) -> dict[str, int]:
 
 def load_dataset(path) -> Dataset:
     """Load every subject found in a dataset directory, sorted by id, as its
-    connectome; no sample keeps a time series."""
+    connectome, written into one stack as it is parsed or computed."""
     root = Path(path)
     if not root.is_dir():
         raise DatasetError(f"{root}: not a directory")
@@ -215,24 +246,30 @@ def load_dataset(path) -> Dataset:
     if orphans:
         raise DatasetError(f"labels.csv names subjects with no data file: {orphans}")
 
-    conns: dict[str, Connectome] = {}
-    derived: list[str] = []  # the subjects whose connectome comes from their series
+    stack = None  # allocated once the first subject gives V
 
-    def parsed_series() -> Iterator[np.ndarray]:
+    def land(rows, matrices: np.ndarray) -> None:
+        nonlocal stack
+        if stack is None:
+            stack = np.empty((len(subject_ids), *matrices.shape[-2:]))
+        if matrices.shape[-1] != stack.shape[-1]:
+            raise DatasetError(f"mixed node counts across samples: "
+                               f"{sorted({matrices.shape[-1], stack.shape[-1]})}")
+        stack[rows] = matrices
+
+    def parsed_series() -> Iterator[tuple[int, np.ndarray]]:
         # each subject's files in id order, the series first; the series of a
         # subject with no matrix file goes on to its connectome, not into a list
-        for sid in subject_ids:
+        for row, sid in enumerate(subject_ids):
             ts = read_time_series_file(ts_files[sid]) if sid in ts_files else None
             if sid in conn_files:
-                conns[sid] = read_connectome_file(conn_files[sid])
+                land(row, read_connectome_file(conn_files[sid]))
             else:
-                derived.append(sid)
-                yield ts
+                yield row, ts
 
-    computed = pearson_connectomes(parsed_series())
-    conns.update(zip(derived, computed))
-    return Dataset(tuple(Sample(subject_id=sid, connectome=conns[sid], label=labels.get(sid))
-                         for sid in subject_ids))
+    for rows, matrices in pearson_connectomes(parsed_series()):
+        land(rows, matrices)
+    return Dataset(tuple(subject_ids), stack, tuple(labels.get(sid) for sid in subject_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +288,13 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def write_connectome_file(path: Path, conn: Connectome) -> None:
-    _write_rows(path, [[conn.n_nodes], *conn.matrix])
+def write_connectome_file(path: Path, matrix: np.ndarray) -> None:
+    """Write one (V, V) connectome, once it passes ``check_connectomes``."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"want one (V, V) connectome, got shape {m.shape}")
+    check_connectomes(m)
+    _write_rows(path, [[len(m)], *m])
 
 
 def write_time_series_file(path: Path, ts: np.ndarray) -> None:
@@ -261,16 +303,16 @@ def write_time_series_file(path: Path, ts: np.ndarray) -> None:
 
 
 def write_dataset(path, ds: Dataset, *, as_time_series: bool = True) -> None:
-    """Write a dataset in the directory layout ``load_dataset`` reads."""
+    """Write a dataset in the directory layout ``load_dataset`` reads, as
+    series files if it keeps series and ``as_time_series`` holds."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    labeled = [s for s in ds if s.label is not None]
+    labeled = [(sid, label) for sid, label in zip(ds.ids, ds.labels) if label is not None]
     if labeled:
-        _write_rows(root / "labels.csv",
-                    [("subject_id", "label"),
-                     *((_csv_field(s.subject_id), s.label) for s in labeled)])
-    for s in ds:
-        if as_time_series and s.time_series is not None:
-            write_time_series_file(root / f"{s.subject_id}.ts.csv", s.time_series)
+        _write_rows(root / "labels.csv", [("subject_id", "label"),
+                                          *((_csv_field(sid), label) for sid, label in labeled)])
+    for i, sid in enumerate(ds.ids):
+        if as_time_series and ds.series is not None:
+            write_time_series_file(root / f"{sid}.ts.csv", ds.series[i])
         else:
-            write_connectome_file(root / f"{s.subject_id}.conn.csv", s.connectome)
+            write_connectome_file(root / f"{sid}.conn.csv", ds.gather(i))

@@ -48,14 +48,15 @@ def stratified_split(ds: Dataset, spec: SplitSpec,
     ``seed`` (a finetuning run passes its own seed) and dealt to
     train/val/test according to largest-remainder quotas, so per-class
     counts match the fractions to within one sample. Deterministic: the
-    same (dataset, spec, seed) always yields the same partition.
+    same (dataset, spec, seed) always yields the same partition. Each part
+    is a subset that shares ``ds``'s stack.
     """
-    unlabeled = [s.subject_id for s in ds if s.label is None]
+    unlabeled = [sid for sid, label in zip(ds.ids, ds.labels) if label is None]
     if unlabeled:
         raise DatasetError(f"cannot stratify unlabeled samples: {unlabeled[:5]}")
     by_class: dict[int, list[int]] = {}
-    for idx, s in enumerate(ds):
-        by_class.setdefault(s.label, []).append(idx)
+    for idx, label in enumerate(ds.labels):
+        by_class.setdefault(label, []).append(idx)
     for label, members in sorted(by_class.items()):
         if len(members) < 3:
             raise DatasetError(f"class {label} has only {len(members)} samples; need >= 3")
@@ -72,6 +73,4 @@ def stratified_split(ds: Dataset, spec: SplitSpec,
             part.extend(int(i) for i in members[start:start + c])
             start += c
 
-    samples = ds.samples
-    return tuple(Dataset(tuple(samples[i] for i in sorted(part)))
-                 for part in part_indices)
+    return tuple(ds.subset(sorted(part)) for part in part_indices)

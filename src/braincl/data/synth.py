@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectome import pearson_connectomes
-from .io import Dataset, DatasetError, Sample
+from .io import Dataset, DatasetError
 
 __all__ = ["ClassSpec", "synth_dataset"]
 
@@ -56,7 +56,8 @@ def _loadings(n_nodes: int, blocks: int, shift: int) -> np.ndarray:
 
 def synth_dataset(n: int, n_nodes: int, length: int,
                   spec: ClassSpec = ClassSpec(), seed: int = 0) -> Dataset:
-    """Deterministic labeled dataset of ``n`` samples, balanced within one."""
+    """Deterministic labeled dataset of ``n`` samples, balanced within one,
+    that keeps its series."""
     if n < 1 or n_nodes < 1 or length < 2:
         raise ValueError("need n >= 1, n_nodes >= 1, length >= 2")
     shift = n_nodes // (2 * spec.blocks)
@@ -74,14 +75,16 @@ def synth_dataset(n: int, n_nodes: int, length: int,
 
     rng = np.random.default_rng(seed)
     width = len(str(max(n - 1, 1)))
-    series = []
+    series = np.empty((n, length, n_nodes))
     for i in range(n):
         loadings = templates[i % 2]
         if spec.sample_jitter > 0:
             loadings = loadings + spec.sample_jitter * rng.standard_normal(loadings.shape)
         factors = rng.standard_normal((length, spec.blocks))
         noise = rng.standard_normal((length, n_nodes))
-        series.append(factors @ loadings.T + spec.noise_sd * noise)
-    return Dataset(tuple(
-        Sample(subject_id=f"synth{i:0{width}d}", connectome=conn, label=i % 2, time_series=ts)
-        for i, (ts, conn) in enumerate(zip(series, pearson_connectomes(series)))))
+        series[i] = factors @ loadings.T + spec.noise_sd * noise
+    stack = np.empty((n, n_nodes, n_nodes))
+    for rows, matrices in pearson_connectomes(enumerate(series)):
+        stack[rows] = matrices
+    return Dataset(tuple(f"synth{i:0{width}d}" for i in range(n)), stack,
+                   tuple(i % 2 for i in range(n)), series=series)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Connectome
 from .numcore import (Tensor, attention, freeze, linear, linear_add_layer_norm, mean_nll,
                       readout, unit_rows)
 
@@ -178,18 +177,10 @@ def gram_schmidt(centers: Tensor) -> Tensor:
     return Tensor(q.T, op="gram_schmidt", parents=(centers,), vjp=vjp)
 
 
-def _as_input(conn) -> Tensor:
-    if isinstance(conn, Tensor):
-        return conn
-    if isinstance(conn, Connectome):
-        return Tensor(conn.matrix, requires_grad=False)
-    return Tensor(conn, requires_grad=False)
-
-
 def encoder_forward(conn, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     """Node embeddings, one row per node: (V, V) -> (V, d), and a stacked
     batch (B, V, V) -> (B, V, d)."""
-    x = _as_input(conn)
+    x = conn if isinstance(conn, Tensor) else Tensor(conn, requires_grad=False)
     if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.n_nodes, cfg.n_nodes):
         raise ValueError(f"input shape {x.shape} does not match V={cfg.n_nodes}")
 

@@ -58,11 +58,11 @@ def score_dataset(ds: Dataset, arrays: dict[str, np.ndarray],
     centers = gram_schmidt(params["readout.centers"])
     scores = []
     for start in range(0, len(ds), SCORE_BATCH):
-        conns = np.stack([s.connectome.matrix for s in ds.samples[start:start + SCORE_BATCH]])
+        conns = ds.gather(slice(start, start + SCORE_BATCH))
         logits = classify(features(conns, params, cfg, centers=centers), params)
         scores.append(_softmax_in_place(logits.data.copy())[:, 1])
     return ScoredSet(scores=np.concatenate(scores) if scores else np.array([]),
-                     labels=np.array([s.label for s in ds]))
+                     labels=np.array(ds.labels))
 
 
 def summarize_scores(scores: ScoredSet) -> dict[str, float]:
@@ -97,12 +97,11 @@ def check_compatible(ckpt: dict[str, np.ndarray], reference: dict[str, np.ndarra
 
 def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
              encoder_cfg: EncoderConfig, cfg: FinetuneConfig) -> FinetuneResult:
-    labeled = ds.labeled()
-    if len(labeled) != len(ds):
+    if None in ds.labels:
         raise PipelineError("finetuning requires a fully labeled dataset")
 
-    train, val, test = stratified_split(labeled, cfg.split, cfg.seed)
-    ids = tuple(frozenset(s.subject_id for s in part) for part in (train, val, test))
+    train, val, test = stratified_split(ds, cfg.split, cfg.seed)
+    ids = tuple(frozenset(part.ids) for part in (train, val, test))
     if ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2]:
         raise PipelineError("split produced overlapping folds")
     for name, part in zip(("train", "validation", "test"), (train, val, test)):
@@ -124,6 +123,7 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
     trainable = [k for k in params if not cfg.freeze_encoder or k.startswith("classifier.")]
 
     optimizer = adam(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    train_labels = np.array(train.labels)
 
     def step(batch: np.ndarray) -> float:
         """One forward and backward pass and the Adam step, its last call. Only
@@ -133,10 +133,9 @@ def finetune(ds: Dataset, encoder_ckpt: dict[str, np.ndarray] | None,
         leaves.update({k: Tensor(v, requires_grad=False)
                        for k, v in params.items() if k not in leaves})
         centers = gram_schmidt(leaves["readout.centers"])
-        samples = [train.samples[int(idx)] for idx in batch]
-        conns = np.stack([sample.connectome.matrix for sample in samples])
-        logits = classify(features(conns, leaves, encoder_cfg, centers=centers), leaves)
-        loss = cross_entropy(logits, [sample.label for sample in samples])
+        logits = classify(features(train.gather(batch), leaves, encoder_cfg, centers=centers),
+                          leaves)
+        loss = cross_entropy(logits, train_labels[batch])
         grads = backward(loss, wrt=[leaves[k] for k in trainable])
         params = {**params, **opt_step(optimizer, {k: params[k] for k in trainable},
                                        {k: grads[leaves[k]] for k in trainable})}

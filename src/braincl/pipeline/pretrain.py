@@ -103,9 +103,7 @@ def pretrain(ds: Dataset, encoder_cfg: EncoderConfig, cfg: PretrainConfig,
         nonlocal query, key_params, queue
         leaves = as_tensors(query)
         key_leaves = {k: Tensor(v, requires_grad=False) for k, v in key_params.items()}
-        firsts, seconds = make_view_pair(
-            np.stack([ds.samples[int(idx)].connectome.matrix for idx in batch]),
-            augment_cfg, augment_rng)
+        firsts, seconds = make_view_pair(ds.gather(batch), augment_cfg, augment_rng)
 
         key_centers = gram_schmidt(key_leaves["readout.centers"])
         k_vecs = project(features(seconds, key_leaves, encoder_cfg, centers=key_centers),

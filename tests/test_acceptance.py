@@ -12,7 +12,14 @@ import numpy as np
 from braincl.augment import AugmentConfig, NoiseSpec, make_view_pair
 from braincl.cli import main as cli_main
 from braincl.contrastive import info_nce, momentum_update, queue_push
-from braincl.data import ClassSpec, Connectome, Dataset, Sample, SplitSpec, stratified_split, synth_dataset
+from braincl.data import (
+    ClassSpec,
+    Dataset,
+    SplitSpec,
+    check_connectomes,
+    stratified_split,
+    synth_dataset,
+)
 from braincl.metrics import ScoredSet, auroc, roc_points
 from braincl.model import (
     EncoderConfig,
@@ -62,7 +69,8 @@ def random_connectome(rng, n, scale=0.9):
     m = rng.uniform(-scale, scale, (n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 1.0)
-    return Connectome(m)
+    check_connectomes(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def test_criterion_1_gradient_suite():
     def composed(t):
         return cross_entropy(classify(features(t, params, cfg), params), 0)
 
-    assert gradcheck(composed, conn.matrix, eps=GRAD_EPS) < GRAD_TOL
+    assert gradcheck(composed, conn, eps=GRAD_EPS) < GRAD_TOL
 
     def over_params(leaves):
         return cross_entropy(
@@ -187,17 +195,17 @@ def test_criterion_3_augmentation_invariants():
 
         # replay the node selection and directions to know what happened
         dilate_cfg = replace(cfg, noise=NoiseSpec(kind="none"))
-        replayed, direction = replay_view(conn.matrix, dilate_cfg, np.random.default_rng(seed))
+        replayed, direction = replay_view(conn, dilate_cfg, np.random.default_rng(seed))
         nodes = set(direction)
 
         # the first view of a batch of one: dilated only, then also noised
         shrunk, noised, noised2 = (
-            make_view_pair(conn.matrix[None], view_cfg, np.random.default_rng(seed))[0][0]
+            make_view_pair(conn[None], view_cfg, np.random.default_rng(seed))[0][0]
             for view_cfg in (dilate_cfg, cfg, cfg))
 
         # every view was made from the replayed nodes and directions
         ok = np.array_equal(shrunk, replayed)
-        ok &= np.array_equal(noised, replay_view(conn.matrix, cfg, np.random.default_rng(seed))[0])
+        ok &= np.array_equal(noised, replay_view(conn, cfg, np.random.default_rng(seed))[0])
         for m in (shrunk, noised):
             ok &= np.array_equal(m, m.T)
             ok &= np.array_equal(np.diagonal(m), np.ones(n))
@@ -207,7 +215,7 @@ def test_criterion_3_augmentation_invariants():
         # locality of dilation and of noise
         outside = [i for i in range(n) if i not in nodes]
         sub = np.ix_(outside, outside)
-        ok &= np.array_equal(shrunk[sub], conn.matrix[sub])
+        ok &= np.array_equal(shrunk[sub], conn[sub])
         if nodes:
             inside = sorted(nodes)
             ok &= np.array_equal(noised[inside, :], shrunk[inside, :])
@@ -219,7 +227,7 @@ def test_criterion_3_augmentation_invariants():
                 owner = u if u in nodes else v
                 if u in nodes and v in nodes:
                     owner = min(u, v)
-                before = abs(conn.matrix[u, v])
+                before = abs(conn[u, v])
                 after = abs(shrunk[u, v])
                 ok &= after >= before - 1e-15 if direction[owner] > 0 \
                     else after <= before + 1e-15
@@ -402,8 +410,8 @@ def test_criterion_8_protocol_fidelity(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(out1, out2, files, shallow=False)
     assert mismatch == [] and errors == [], f"differing artifacts: {mismatch or errors}"
 
-    eye = Connectome(np.eye(4))
-    big = Dataset(tuple(Sample(f"s{i:04d}", eye, label=i % 2) for i in range(1009)))
+    big = Dataset(tuple(f"s{i:04d}" for i in range(1009)),
+                  np.broadcast_to(np.eye(4), (1009, 4, 4)), tuple(i % 2 for i in range(1009)))
     train, val, test = stratified_split(big, SplitSpec(), 0)
     assert abs(len(train) - 706) <= 1
     assert abs(len(val) - 101) <= 1

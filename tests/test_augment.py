@@ -357,7 +357,7 @@ def test_batched_view_pair_errors():
         make_view_pair(stack, AugmentConfig(k_min=1, k_max=7), rng)
     assert rng.bit_generator.state == before  # nothing drawn
 
-    # one check over the whole stack raises the Connectome errors
+    # one check over the whole stack raises the check_connectomes errors
     cfg = AugmentConfig(k_min=0, k_max=0, noise=NoiseSpec(kind="none"))
     bad = stack.copy()
     bad[2, 3, 3] = 0.5

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from braincl.augment import AugmentConfig
-from braincl.data import Dataset, stratified_split, synth_dataset
+from braincl.data import ClassSpec, load_dataset, stratified_split, synth_dataset, write_dataset
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.pipeline.config import FinetuneConfig, PretrainConfig
 from braincl.pipeline.finetune import SCORE_BATCH, score_dataset
@@ -32,19 +32,21 @@ MODULES = {"cli": "cli", "data": "data", "pretrain": "pipeline.pretrain",
            "finetune": "pipeline.finetune", "experiment": "pipeline.experiment"}
 
 
-def load_probe():
-    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
-    probe = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = probe  # its dataclasses look their module up
+def load_perfbench(name: str):
+    """A module of perfbench/, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PROBE_PATH.with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
-        spec.loader.exec_module(probe)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return probe
+    return module
 
 
 def swapped_names():
-    probe = load_probe()
+    probe = load_perfbench("probe")
     pairs = [pair for targets in probe.LAYERS.values() for pair in targets]
     pairs += probe.EPOCH_START + probe.STEP_START + probe.STEP_END
     return sorted(set(pairs))
@@ -54,6 +56,25 @@ def swapped_names():
 def test_probe_names_are_bound(key, attr):
     module = importlib.import_module(f"braincl.{MODULES[key]}")
     assert callable(getattr(module, attr, None)), f"braincl.{MODULES[key]}.{attr}"
+
+
+WORKLOADS = load_perfbench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_benchmark_inputs_load_as_the_synthetic_stack(tmp_path, workload, seed):
+    # the call perfbench/run.py's make_inputs makes; values, not file digests,
+    # since synth's matmul bits depend on the BLAS kernel
+    wl = WORKLOADS[workload]
+    ds = synth_dataset(wl.subjects, wl.nodes, wl.length, spec=ClassSpec(blocks=wl.blocks),
+                       seed=seed)
+    write_dataset(tmp_path, ds)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["labels.csv", *(f"{sid}.ts.csv" for sid in ds.ids)])
+    loaded = load_dataset(tmp_path)
+    assert (loaded.ids, loaded.labels) == (ds.ids, ds.labels)
+    assert loaded.stack.tobytes() == ds.stack.tobytes()
 
 
 def test_features_takes_params_second():
@@ -80,7 +101,7 @@ def test_score_dataset_does_not_start_an_epoch(monkeypatch):
     assert scored.scores.shape == (len(ds),)
     np.testing.assert_array_equal(scored.labels, ds.labels)
     # slicing is invisible: the same scores as one sample at a time
-    singles = [score_dataset(Dataset((s,)), arrays, cfg).scores[0] for s in ds]
+    singles = [score_dataset(ds.subset([i]), arrays, cfg).scores[0] for i in range(len(ds))]
     np.testing.assert_allclose(scored.scores, singles, rtol=0, atol=1e-12)
 
 
@@ -206,7 +227,7 @@ def test_desk_pretrain_step_graph_stays_fused(monkeypatch):
     # 80 at the empty-queue step and 83 at the next, and a node of its own for
     # each leaky ReLU and each residual branch's last map read 70
     module = importlib.import_module("braincl.pipeline.pretrain")
-    probe = load_probe()
+    probe = load_perfbench("probe")
     counts = []
     backward = module.backward
 
@@ -250,7 +271,7 @@ def tiny_pretrain():
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("run", [tiny_pretrain, tiny_finetune], ids=["pretrain", "finetune"])
 def test_probe_sees_one_step_per_batch_and_one_epoch_per_epoch(run, traced):
-    probe = load_probe().Probe(traced=traced)
+    probe = load_perfbench("probe").Probe(traced=traced)
     modules = {key: importlib.import_module(f"braincl.{name}") for key, name in MODULES.items()}
     with probe.installed(modules):
         batches, batch_size = run()

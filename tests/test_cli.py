@@ -13,7 +13,7 @@ import pytest
 import braincl
 from braincl import cli, heap
 from braincl.cli import main
-from braincl.data import Connectome, write_connectome_file
+from braincl.data import write_connectome_file
 from braincl.model import EncoderConfig, init_classifier_params, init_encoder_params
 from braincl.numcore import load_checkpoint, save_checkpoint
 from braincl.pipeline import save_encoder_checkpoint
@@ -67,8 +67,8 @@ def test_synth_and_ingest(workdir, capsys):
 
 def test_ingest_counts_the_files_of_each_kind(tmp_path, capsys):
     # a subject with both files counts once in each; the matrix wins
-    write_connectome_file(tmp_path / "a.conn.csv", Connectome(np.eye(3)))
-    write_connectome_file(tmp_path / "b.conn.csv", Connectome(np.eye(3)))
+    write_connectome_file(tmp_path / "a.conn.csv", np.eye(3))
+    write_connectome_file(tmp_path / "b.conn.csv", np.eye(3))
     for sid in ("b", "c"):
         (tmp_path / f"{sid}.ts.csv").write_text("3,3\n0.5,1.0,0\n-1.5,2.0,1\n2.0,-0.25,0\n")
     assert main(["ingest", "--data", str(tmp_path)]) == 0
@@ -102,7 +102,7 @@ def test_augment_writes_views_and_diff(tmp_path):
 
 
 # sha256 of the files `braincl augment` wrote for these inputs when views were
-# still built one Connectome at a time; the batched augmentation keeps them
+# still built one view at a time; the batched augmentation keeps them
 AUGMENT_BYTES = {
     ("--k-min", "1", "--k-max", "3", "--seed", "5"): (
         "d6f4dd09b31a421d06485c9e701b18b1281c648c9a3eadcbde57bd91009ca901",
@@ -450,6 +450,17 @@ def test_roc_names_the_file_and_row_of_a_malformed_score(tmp_path, capsys, bad_r
     assert not out.exists()  # every file is read before the directory is made
 
 
+def test_roc_names_the_file_that_holds_one_class(tmp_path, capsys):
+    good, one_class = tmp_path / "good.csv", tmp_path / "one.csv"
+    good.write_text("score,label\n0.9,1\n0.1,0\n")
+    one_class.write_text("score,label\n0.9,1\n0.4,1\n")
+    out = tmp_path / "roc"
+    assert main(["roc", "--scores", str(good), str(one_class), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {one_class}: roc_points needs at least one "
+                                       f"sample of each class\n")
+    assert not out.exists()
+
+
 def test_roc_refuses_score_files_that_share_a_name(tmp_path, capsys):
     a, b = tmp_path / "a" / "s.csv", tmp_path / "b" / "s.csv"
     for path in (a, b):
@@ -483,9 +494,9 @@ def test_roc_reads_a_score_file_that_starts_with_a_byte_order_mark(tmp_path, cap
 def test_augment_defaults_fit_a_small_matrix(tmp_path, capsys):
     # the default node range 5-20 shrinks to 3-3 on a 3-node matrix
     conn = tmp_path / "tiny.conn.csv"
-    write_connectome_file(conn, Connectome(np.array([[1.0, 0.3, -0.2],
-                                                     [0.3, 1.0, 0.5],
-                                                     [-0.2, 0.5, 1.0]])))
+    write_connectome_file(conn, np.array([[1.0, 0.3, -0.2],
+                                          [0.3, 1.0, 0.5],
+                                          [-0.2, 0.5, 1.0]]))
     out = tmp_path / "aug"
     assert main(["augment", "--input", str(conn), "--out", str(out)]) == 0
     with (out / "diff.csv").open() as fh:

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import os
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from braincl.cli import main
 from braincl.data import (
     ClassSpec,
-    Connectome,
     Dataset,
     DatasetError,
-    Sample,
     SplitSpec,
     check_connectomes,
     load_dataset,
@@ -22,14 +20,13 @@ from braincl.data import (
 )
 from braincl.data import connectome as connectome_module
 from braincl.data import io as data_io
-from braincl.data.io import read_time_series_file, write_connectome_file
+from braincl.data.io import read_time_series_file, write_connectome_file, write_time_series_file
 
 
 def make_labeled(n0: int, n1: int, n_nodes: int = 4) -> Dataset:
-    eye = Connectome(np.eye(n_nodes))
-    samples = [Sample(f"c{i:04d}", eye, label=0) for i in range(n0)]
-    samples += [Sample(f"p{i:04d}", eye, label=1) for i in range(n1)]
-    return Dataset(tuple(samples))
+    ids = [f"c{i:04d}" for i in range(n0)] + [f"p{i:04d}" for i in range(n1)]
+    return Dataset(tuple(ids), np.broadcast_to(np.eye(n_nodes), (n0 + n1, n_nodes, n_nodes)),
+                   (0,) * n0 + (1,) * n1)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +140,10 @@ def test_pearson_connectomes_batches_by_shape_in_bounded_stacks(monkeypatch):
         return pearson_connectome(ts)
 
     monkeypatch.setattr(connectome_module, "pearson_connectome", recording)
-    conns = connectome_module.pearson_connectomes(series)
-    assert [c.matrix.tobytes() for c in conns] == [
+    conns = {}
+    for rows, matrices in connectome_module.pearson_connectomes(enumerate(series)):
+        conns.update(zip(rows, matrices))
+    assert [conns[row].tobytes() for row in range(len(series))] == [
         pearson_connectome(ts).tobytes() for ts in series]
     # one shape per call, and no stack past the batch budget unless it holds one series
     per_shape = {}
@@ -155,17 +154,61 @@ def test_pearson_connectomes_batches_by_shape_in_bounded_stacks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# connectome type
+# the dataset's stack
 
 
 def test_connectome_validation():
-    with pytest.raises(ValueError):
-        Connectome(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        Connectome(np.array([[0.9, 0.5], [0.5, 1.0]]))  # diagonal
-    bad = np.array([[1.0, 1.5], [1.5, 1.0]])
-    with pytest.raises(ValueError):
-        Connectome(bad)  # out of range
+    # a dataset checks its stack, and the matrix writer what it writes
+    for bad in ([[1.0, 0.5], [0.4, 1.0]],  # asymmetric
+                [[0.9, 0.5], [0.5, 1.0]],  # diagonal
+                [[1.0, 1.5], [1.5, 1.0]]):  # out of range
+        with pytest.raises(ValueError):
+            Dataset(("s",), np.array([bad]), (0,))
+        with pytest.raises(ValueError):
+            write_connectome_file(os.devnull, np.array(bad))
+
+
+def test_dataset_checks_every_slice_of_a_large_stack():
+    # the check runs in bounded slices; the last subject of the last slice counts
+    stack = np.repeat(np.eye(20)[None], 50, axis=0)
+    stack[-1, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        Dataset(tuple(f"s{i}" for i in range(50)), stack, (0,) * 50)
+    with pytest.raises(DatasetError, match=r"want 2 labels and an \(2, V, V\) stack"):
+        Dataset(("a", "b"), np.eye(3)[None], (0, 1))
+    with pytest.raises(DatasetError, match="got 1 and shape"):
+        Dataset(("a", "b"), np.repeat(np.eye(3)[None], 2, axis=0), (0,))
+
+
+def test_loaded_stack_is_shared_by_every_subset_and_gathers_exactly(tmp_path):
+    write_dataset(tmp_path, synth_dataset(30, n_nodes=6, length=12, spec=ClassSpec(blocks=3),
+                                          seed=4))
+    ds = load_dataset(tmp_path)
+    assert not ds.stack.flags.writeable
+    labeled = ds.labeled()
+    assert np.shares_memory(labeled.stack, ds.stack)
+    for fold in stratified_split(labeled, SplitSpec(), 0):
+        assert np.shares_memory(fold.stack, ds.stack)
+        batch = np.array([len(fold) - 1, 0, len(fold) // 2])
+        want = np.stack([ds.stack[ds.ids.index(fold.ids[i])] for i in batch])
+        assert fold.gather(batch).tobytes() == want.tobytes()
+    partly = Dataset(ds.ids, ds.stack, (None,) + ds.labels[1:])
+    assert partly.labeled().ids == ds.ids[1:]
+    assert np.shares_memory(partly.labeled().stack, ds.stack)
+
+
+@pytest.mark.parametrize("sid", sorted({"", "a/b", f"a{os.sep}b", f"a{os.altsep or '/'}b",
+                                        "a\0b"}))
+def test_dataset_rejects_an_id_that_cannot_name_a_file(tmp_path, sid):
+    # such an id made write_dataset fail half-way, after labels.csv
+    ds = synth_dataset(4, n_nodes=5, length=9, spec=ClassSpec(separation=0.0))
+    out = tmp_path / "out"
+    with pytest.raises(DatasetError) as exc:
+        write_dataset(out, Dataset((ds.ids[0], sid, *ds.ids[2:]), ds.stack, ds.labels,
+                                   series=ds.series))
+    assert str(exc.value) == (f"subject id {sid!r} is empty or holds a path separator "
+                              f"or NUL")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -177,49 +220,48 @@ def test_matrix_directory_roundtrip(tmp_path):
     write_dataset(tmp_path, ds, as_time_series=False)
     loaded = load_dataset(tmp_path)
     assert len(loaded) == 3
-    for a, b in zip(ds, loaded):
-        assert a.subject_id == b.subject_id
-        assert a.label == b.label
-        np.testing.assert_allclose(a.connectome.matrix, b.connectome.matrix, atol=1e-15)
+    assert loaded.ids == ds.ids
+    assert loaded.labels == ds.labels
+    np.testing.assert_allclose(ds.stack, loaded.stack, atol=1e-15)
 
 
 def test_ids_with_commas_and_quotes_round_trip(tmp_path):
     # labels.csv quotes such an id as csv does; plain ids keep their bytes
     ds = synth_dataset(3, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=8)
-    ds = Dataset(tuple(replace(s, subject_id=sid) for s, sid in zip(ds, ["a,b", "plain", 'x"y'])))
+    ds = Dataset(("a,b", "plain", 'x"y'), ds.stack, ds.labels, series=ds.series)
     write_dataset(tmp_path, ds, as_time_series=True)
     assert (tmp_path / "labels.csv").read_text().splitlines()[1:] == [
-        f'"a,b",{ds.samples[0].label}', f"plain,{ds.samples[1].label}",
-        f'"x""y",{ds.samples[2].label}']
+        f'"a,b",{ds.labels[0]}', f"plain,{ds.labels[1]}",
+        f'"x""y",{ds.labels[2]}']
     loaded = load_dataset(tmp_path)
-    assert [s.subject_id for s in loaded] == sorted(s.subject_id for s in ds)
-    by_id = {s.subject_id: s for s in loaded}
-    for s in ds:
-        assert by_id[s.subject_id].label == s.label
-        assert by_id[s.subject_id].time_series is None
-        assert by_id[s.subject_id].connectome.matrix.tobytes() == s.connectome.matrix.tobytes()
+    assert list(loaded.ids) == sorted(ds.ids)
+    assert loaded.series is None
+    for i, sid in enumerate(ds.ids):
+        row = loaded.ids.index(sid)
+        assert loaded.labels[row] == ds.labels[i]
+        assert loaded.stack[row].tobytes() == ds.stack[i].tobytes()
         np.testing.assert_array_equal(
-            read_time_series_file(tmp_path / f"{s.subject_id}.ts.csv"), s.time_series)
+            read_time_series_file(tmp_path / f"{sid}.ts.csv"), ds.series[i])
 
 
 def test_time_series_only_directory_computes_connectomes(tmp_path):
     ds = synth_dataset(4, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=5)
     write_dataset(tmp_path, ds, as_time_series=True)
     loaded = load_dataset(tmp_path)
-    for a, b in zip(ds, loaded):
-        assert b.time_series is None
-        series = read_time_series_file(tmp_path / f"{b.subject_id}.ts.csv")
-        np.testing.assert_allclose(b.connectome.matrix, pearson_connectome(series), atol=0)
-        np.testing.assert_allclose(a.connectome.matrix, b.connectome.matrix, atol=1e-12)
+    assert loaded.series is None
+    for i, sid in enumerate(loaded.ids):
+        series = read_time_series_file(tmp_path / f"{sid}.ts.csv")
+        np.testing.assert_allclose(loaded.stack[i], pearson_connectome(series), atol=0)
+        np.testing.assert_allclose(ds.stack[i], loaded.stack[i], atol=1e-12)
 
 
 def test_unlabeled_directory_loads(tmp_path):
     ds = synth_dataset(2, n_nodes=4, length=8, spec=ClassSpec(blocks=2), seed=6)
-    stripped = Dataset(tuple(Sample(s.subject_id, s.connectome) for s in ds))
+    stripped = Dataset(ds.ids, ds.stack, (None,) * len(ds))
     write_dataset(tmp_path, stripped, as_time_series=False)
     assert not (tmp_path / "labels.csv").exists()
     loaded = load_dataset(tmp_path)
-    assert all(s.label is None for s in loaded)
+    assert all(label is None for label in loaded.labels)
 
 
 def test_short_matrix_file_is_malformed(tmp_path):
@@ -231,21 +273,21 @@ def test_short_matrix_file_is_malformed(tmp_path):
 
 
 def test_mixed_node_counts_rejected(tmp_path):
-    write_connectome_file(tmp_path / "a.conn.csv", Connectome(np.eye(3)))
-    write_connectome_file(tmp_path / "b.conn.csv", Connectome(np.eye(4)))
+    write_connectome_file(tmp_path / "a.conn.csv", np.eye(3))
+    write_connectome_file(tmp_path / "b.conn.csv", np.eye(4))
     with pytest.raises(DatasetError, match="mixed node counts"):
         load_dataset(tmp_path)
 
 
 def test_bad_label_rejected(tmp_path):
-    write_connectome_file(tmp_path / "a.conn.csv", Connectome(np.eye(3)))
+    write_connectome_file(tmp_path / "a.conn.csv", np.eye(3))
     (tmp_path / "labels.csv").write_text("subject_id,label\na,2\n")
     with pytest.raises(DatasetError, match="outside"):
         load_dataset(tmp_path)
 
 
 def test_label_without_data_rejected(tmp_path):
-    write_connectome_file(tmp_path / "a.conn.csv", Connectome(np.eye(3)))
+    write_connectome_file(tmp_path / "a.conn.csv", np.eye(3))
     (tmp_path / "labels.csv").write_text("subject_id,label\na,1\nghost,0\n")
     with pytest.raises(DatasetError, match="ghost"):
         load_dataset(tmp_path)
@@ -253,10 +295,11 @@ def test_label_without_data_rejected(tmp_path):
 
 def test_dataset_rejects_a_repeated_subject_id():
     # it wrote one series file for both samples and a labels.csv naming the id twice
-    samples = list(synth_dataset(12, n_nodes=8, length=10))
-    samples[3] = replace(samples[3], subject_id=samples[0].subject_id)
+    ds = synth_dataset(12, n_nodes=8, length=10)
+    ids = list(ds.ids)
+    ids[3] = ids[0]
     with pytest.raises(DatasetError, match=r"^repeated subject id 'synth00'$"):
-        Dataset(tuple(samples))
+        Dataset(tuple(ids), ds.stack, ds.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +352,12 @@ def test_malformed_file_error_names_file_and_row(tmp_path, capsys, name, text, m
 def test_file_layout_tolerance(tmp_path, series, matrix):
     (tmp_path / "a.ts.csv").write_bytes(series.encode())
     (tmp_path / "b.conn.csv").write_bytes(matrix.encode())
-    a, b = load_dataset(tmp_path)
+    loaded = load_dataset(tmp_path)
+    assert loaded.ids == ("a", "b")
     assert np.array_equal(read_time_series_file(tmp_path / "a.ts.csv"), SERIES)
-    assert a.time_series is None
-    assert np.array_equal(a.connectome.matrix, pearson_connectome(SERIES))
-    assert np.array_equal(b.connectome.matrix, MATRIX)
+    assert loaded.series is None
+    assert np.array_equal(loaded.stack[0], pearson_connectome(SERIES))
+    assert np.array_equal(loaded.stack[1], MATRIX)
 
 
 @pytest.mark.parametrize("pattern", ["labels.csv", "*.conn.csv", "*.ts.csv"])
@@ -327,9 +371,8 @@ def test_files_that_start_with_a_byte_order_mark_load_as_without(tmp_path, patte
     for path in paths:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     plain, bom = load_dataset(tmp_path / "plain"), load_dataset(tmp_path / "bom")
-    assert [(s.subject_id, s.label) for s in bom] == [(s.subject_id, s.label) for s in plain]
-    for a, b in zip(plain, bom):
-        assert a.connectome.matrix.tobytes() == b.connectome.matrix.tobytes()
+    assert (bom.ids, bom.labels) == (plain.ids, plain.labels)
+    assert plain.stack.tobytes() == bom.stack.tobytes()
 
 
 def test_digit_separators_are_rejected(tmp_path):
@@ -359,7 +402,7 @@ def test_well_formed_files_take_the_bulk_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_parse_floats", refuse)
     for layout in ("ts", "conn"):
         loaded = load_dataset(tmp_path / layout)
-        assert [s.subject_id for s in loaded] == [s.subject_id for s in ds]
+        assert loaded.ids == ds.ids
 
 
 def test_mixed_series_lengths_load_per_subject(tmp_path):
@@ -367,28 +410,33 @@ def test_mixed_series_lengths_load_per_subject(tmp_path):
     # own series
     short = synth_dataset(3, n_nodes=5, length=9, spec=ClassSpec(separation=0.0), seed=1)
     long = synth_dataset(4, n_nodes=5, length=14, spec=ClassSpec(separation=0.0), seed=2)
-    renamed = [Sample(f"{tag}{s.subject_id}", s.connectome, s.label, s.time_series)
-               for tag, ds in (("a", short), ("b", long)) for s in ds]
-    write_dataset(tmp_path, Dataset(tuple(renamed)))
+    # a dataset keeps series of one length, so each subject's file is written alone
+    renamed = [(f"{tag}{sid}", ds.series[i], ds.stack[i], ds.labels[i])
+               for tag, ds in (("a", short), ("b", long)) for i, sid in enumerate(ds.ids)]
+    for sid, ts, _, _ in renamed:
+        write_time_series_file(tmp_path / f"{sid}.ts.csv", ts)
+    (tmp_path / "labels.csv").write_text(
+        "subject_id,label\n" + "".join(f"{sid},{label}\n" for sid, _, _, label in renamed))
     loaded = load_dataset(tmp_path)
-    assert [s.subject_id for s in loaded] == [s.subject_id for s in renamed]
-    for want, got in zip(renamed, loaded):
-        series = read_time_series_file(tmp_path / f"{want.subject_id}.ts.csv")
-        assert np.array_equal(series, want.time_series)  # repr round-trips exactly
-        assert got.time_series is None
-        assert got.connectome.matrix.tobytes() == want.connectome.matrix.tobytes()
-        assert got.label == want.label
+    assert list(loaded.ids) == [sid for sid, _, _, _ in renamed]
+    assert loaded.series is None
+    for row, (sid, ts, matrix, label) in enumerate(renamed):
+        series = read_time_series_file(tmp_path / f"{sid}.ts.csv")
+        assert np.array_equal(series, ts)  # repr round-trips exactly
+        assert loaded.stack[row].tobytes() == matrix.tobytes()
+        assert loaded.labels[row] == label
 
 
 def test_matrix_file_wins_over_series_file(tmp_path):
     (tmp_path / "s.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25\n")
     (tmp_path / "s.conn.csv").write_text("2\n1.0,0.5\n0.5,1.0\n")
     (tmp_path / "t.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,2.0\n2.0,-0.25\n")
-    s, t = load_dataset(tmp_path)
-    assert np.array_equal(s.connectome.matrix, MATRIX)
-    assert s.time_series is None and t.time_series is None
+    loaded = load_dataset(tmp_path)
+    assert loaded.ids == ("s", "t")
+    assert np.array_equal(loaded.stack[0], MATRIX)
+    assert loaded.series is None
     assert np.array_equal(read_time_series_file(tmp_path / "s.ts.csv"), SERIES)
-    assert np.array_equal(t.connectome.matrix, pearson_connectome(SERIES))
+    assert np.array_equal(loaded.stack[1], pearson_connectome(SERIES))
     # the losing series file is still parsed: a bad one fails the load
     (tmp_path / "s.ts.csv").write_text("3,2\n0.5,1.0\n-1.5,x\n2.0,-0.25\n")
     with pytest.raises(DatasetError, match="s.ts.csv row 1"):
@@ -402,11 +450,10 @@ def test_matrix_file_wins_over_series_file(tmp_path):
 def test_synth_is_deterministic():
     a = synth_dataset(10, n_nodes=8, length=15, seed=42)
     b = synth_dataset(10, n_nodes=8, length=15, seed=42)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.time_series, sb.time_series)
-        assert np.array_equal(sa.connectome.matrix, sb.connectome.matrix)
+    assert np.array_equal(a.series, b.series)
+    assert np.array_equal(a.stack, b.stack)
     c = synth_dataset(10, n_nodes=8, length=15, seed=43)
-    assert not np.array_equal(a.samples[0].time_series, c.samples[0].time_series)
+    assert not np.array_equal(a.series[0], c.series[0])
 
 
 def test_synth_labels_balanced():
@@ -431,14 +478,16 @@ def test_synth_degenerate_spec_rejected():
 
 def test_synth_classes_have_distinct_structure():
     ds = synth_dataset(60, n_nodes=20, length=30, spec=ClassSpec(separation=1.0), seed=7)
-    mean0 = np.mean([s.connectome.matrix for s in ds if s.label == 0], axis=0)
-    mean1 = np.mean([s.connectome.matrix for s in ds if s.label == 1], axis=0)
+    labels = np.array(ds.labels)
+    mean0 = np.mean(ds.stack[labels == 0], axis=0)
+    mean1 = np.mean(ds.stack[labels == 1], axis=0)
     between = np.abs(mean0 - mean1).max()
     assert between > 0.2
 
     flat = synth_dataset(60, n_nodes=20, length=30, spec=ClassSpec(separation=0.0), seed=7)
-    mean0 = np.mean([s.connectome.matrix for s in flat if s.label == 0], axis=0)
-    mean1 = np.mean([s.connectome.matrix for s in flat if s.label == 1], axis=0)
+    labels = np.array(flat.labels)
+    mean0 = np.mean(flat.stack[labels == 0], axis=0)
+    mean1 = np.mean(flat.stack[labels == 1], axis=0)
     assert np.abs(mean0 - mean1).max() < between / 2
 
 
@@ -461,10 +510,9 @@ def test_split_is_deterministic():
     first = stratified_split(ds, SplitSpec(), 9)
     second = stratified_split(ds, SplitSpec(), 9)
     for a, b in zip(first, second):
-        assert [s.subject_id for s in a] == [s.subject_id for s in b]
+        assert a.ids == b.ids
     shuffled = stratified_split(ds, SplitSpec(), 10)
-    assert any([s.subject_id for s in a] != [s.subject_id for s in b]
-               for a, b in zip(first, shuffled))
+    assert any(a.ids != b.ids for a, b in zip(first, shuffled))
 
 
 def test_split_abide_scale_sizes():
@@ -477,8 +525,7 @@ def test_split_abide_scale_sizes():
 
 
 def test_split_rejects_unlabeled_and_tiny_classes():
-    eye = Connectome(np.eye(3))
-    ds = Dataset((Sample("a", eye, label=0), Sample("b", eye)))
+    ds = Dataset(("a", "b"), np.broadcast_to(np.eye(3), (2, 3, 3)), (0, None))
     with pytest.raises(DatasetError, match="unlabeled"):
         stratified_split(ds, SplitSpec(), 0)
     with pytest.raises(DatasetError, match="need >= 3"):
@@ -490,9 +537,9 @@ def test_split_rejects_unlabeled_and_tiny_classes():
 def test_split_partition_properties(n0, n1, seed):
     ds = make_labeled(n0, n1, n_nodes=2)
     parts = stratified_split(ds, SplitSpec(), seed)
-    ids = [s.subject_id for part in parts for s in part]
+    ids = [sid for part in parts for sid in part.ids]
     assert len(ids) == len(set(ids)) == len(ds)
-    assert set(ids) == {s.subject_id for s in ds}
+    assert set(ids) == set(ds.ids)
     for part, frac in zip(parts, (0.7, 0.1, 0.2)):
         labels = np.array(part.labels)
         assert abs((labels == 0).sum() - frac * n0) <= 1

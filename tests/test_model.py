@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from braincl.data import Connectome
+from braincl.data import check_connectomes
 from braincl.model import (
     LEAKY_SLOPE,
     EncoderConfig,
@@ -36,7 +36,8 @@ def random_connectome(rng, n):
     m = rng.uniform(-0.9, 0.9, (n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 1.0)
-    return Connectome(m)
+    check_connectomes(m)
+    return m
 
 
 def full_params(cfg, seed=0):
@@ -103,9 +104,9 @@ def test_duplicate_nodes_get_identical_embeddings():
     m[:, 3] = m[3, :]
     m[3, 3] = 1.0
     m[3, 5] = m[5, 3] = 1.0
-    conn = Connectome(m)
-    assert np.array_equal(conn.matrix[3], conn.matrix[5])
-    z = encoder_forward(conn, params, cfg).data
+    check_connectomes(m)
+    assert np.array_equal(m[3], m[5])
+    z = encoder_forward(m, params, cfg).data
     np.testing.assert_allclose(z[3], z[5], atol=1e-12)
 
 
@@ -118,7 +119,8 @@ def test_encoder_node_relabeling_equivariance():
     pooled = features(conn, as_tensors(arrays), cfg).data
     for _ in range(50):
         perm = rng.permutation(8)
-        permuted = Connectome(conn.matrix[perm][:, perm])
+        permuted = conn[perm][:, perm]
+        check_connectomes(permuted)
         relabeled = as_tensors(relabel_nodes(arrays, perm))
         z_perm = encoder_forward(permuted, relabeled, cfg).data
         np.testing.assert_allclose(z_perm, z[perm], atol=1e-10)
@@ -142,7 +144,7 @@ def test_batched_features_match_per_sample():
     cfg = small_cfg()
     arrays = full_params(cfg, seed=25)
     rng = np.random.default_rng(26)
-    conns = [random_connectome(rng, 8).matrix for _ in range(5)]
+    conns = [random_connectome(rng, 8) for _ in range(5)]
     weights = rng.standard_normal((5, cfg.feature_dim))
 
     leaves = as_tensors(arrays)
@@ -330,7 +332,7 @@ def test_fused_model_matches_reference_composition(n_nodes, n_clusters, batch):
     cfg = EncoderConfig(n_nodes=n_nodes, n_clusters=n_clusters, proj_dim=32)
     arrays = full_params(cfg, seed=n_nodes)
     rng = np.random.default_rng(n_nodes + 1)
-    conns = np.stack([random_connectome(rng, n_nodes).matrix for _ in range(batch)])
+    conns = np.stack([random_connectome(rng, n_nodes) for _ in range(batch)])
     paths = {
         "encoder_forward": (lambda p: encoder_forward(conns, p, cfg),
                             lambda p: encoder_reference(conns, p, cfg)),
@@ -394,7 +396,7 @@ def test_fused_model_matches_separate_nodes_bit_for_bit(batch):
     cfg = EncoderConfig(n_nodes=20, n_clusters=10, proj_dim=32)
     arrays = full_params(cfg, seed=7)
     rng = np.random.default_rng(8)
-    conns = [random_connectome(rng, 20).matrix for _ in range(batch or 1)]
+    conns = [random_connectome(rng, 20) for _ in range(batch or 1)]
     conns = conns[0] if batch is None else np.stack(conns)
 
     def project_unfused(feats, p):
@@ -434,7 +436,7 @@ def test_fused_encoder_peaks_below_separate_nodes():
     cfg = EncoderConfig(n_nodes=20, n_clusters=10, proj_dim=32)
     arrays = init_encoder_params(cfg, np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    conns = np.stack([random_connectome(rng, 20).matrix for _ in range(32)])
+    conns = np.stack([random_connectome(rng, 20) for _ in range(32)])
     weights = rng.standard_normal((32, cfg.feature_dim))
 
     def traced_peak(forward) -> int:
@@ -581,7 +583,7 @@ def test_full_composition_gradcheck_wrt_input():
     def fn(t: Tensor) -> Tensor:
         return cross_entropy(classify(features(t, params, cfg), params), 0)
 
-    assert gradcheck(fn, conn.matrix) < 1e-4
+    assert gradcheck(fn, conn) < 1e-4
 
 
 def test_parameter_counts_are_grouped():

@@ -116,7 +116,7 @@ def test_pretrain_checks_the_queue_once_per_step(monkeypatch):
 def test_pretrain_rejects_empty_dataset():
     from braincl.data import Dataset
     with pytest.raises(PipelineError):
-        pretrain(Dataset(()), ECFG, PretrainConfig(epochs=1), AUG)
+        pretrain(Dataset((), np.empty((0, 10, 10)), ()), ECFG, PretrainConfig(epochs=1), AUG)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_finetune_fold_isolation():
     assert not train_ids & val_ids
     assert not train_ids & test_ids
     assert not val_ids & test_ids
-    assert train_ids | val_ids | test_ids == {s.subject_id for s in ds}
+    assert train_ids | val_ids | test_ids == set(ds.ids)
 
 
 def test_finetune_splits_by_its_own_seed():
@@ -149,15 +149,15 @@ def test_finetune_splits_by_its_own_seed():
     cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1, seed=4)
     result = finetune(ds, None, ECFG, cfg)
     folds = stratified_split(ds.labeled(), cfg.split, cfg.seed)
-    assert result.split_ids == tuple(frozenset(s.subject_id for s in part) for part in folds)
+    assert result.split_ids == tuple(frozenset(part.ids) for part in folds)
     reseeded = finetune(ds, None, ECFG, replace(cfg, seed=5))
     assert reseeded.split_ids != result.split_ids
 
 
 def test_finetune_requires_labels_and_compatible_checkpoint():
-    from braincl.data import Dataset, Sample
+    from braincl.data import Dataset
     ds = tiny_ds()
-    stripped = Dataset(tuple(Sample(s.subject_id, s.connectome) for s in ds))
+    stripped = Dataset(ds.ids, ds.stack, (None,) * len(ds))
     cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1)
     with pytest.raises(PipelineError):
         finetune(stripped, None, ECFG, cfg)
@@ -187,7 +187,9 @@ def test_finetune_overlapping_folds_raise_pipeline_error(monkeypatch):
 
     def overlapping(ds, spec, seed):
         train, val, test = real_split(ds, spec, seed)
-        return train, Dataset(val.samples + train.samples[:1]), test
+        return train, Dataset(val.ids + train.ids[:1],
+                              np.concatenate([val.gather(slice(None)), train.gather([0])]),
+                              val.labels + train.labels[:1]), test
 
     monkeypatch.setattr(ft, "stratified_split", overlapping)
     cfg = FinetuneConfig(epochs=1, lr=1e-3, batch_size=8, repeats=1)
@@ -417,15 +419,14 @@ def test_experiment_with_supplied_checkpoint_skips_pretraining():
 
 
 def test_partially_labeled_data_pretrains_on_everything():
-    from braincl.data import Dataset, Sample
+    from braincl.data import Dataset
     ds = tiny_ds(n=32)
     # strip labels from a quarter of the samples; they still feed pretraining
-    samples = [Sample(s.subject_id, s.connectome) if i % 4 == 0 else s
-               for i, s in enumerate(ds)]
-    mixed = Dataset(tuple(samples))
+    mixed = Dataset(ds.ids, ds.stack, tuple(None if i % 4 == 0 else label
+                                            for i, label in enumerate(ds.labels)))
     report, results, pre = run_experiment(mixed, tiny_experiment(repeats=1))
     assert pre is not None
-    labeled_ids = {s.subject_id for s in mixed if s.label is not None}
+    labeled_ids = {sid for sid, label in zip(mixed.ids, mixed.labels) if label is not None}
     train_ids, val_ids, test_ids = results[0].split_ids
     assert train_ids | val_ids | test_ids == labeled_ids
 

@@ -366,7 +366,7 @@ def test_backward_frees_an_encoder_forward_while_the_loss_lives():
     conns = synth_dataset(3, n_nodes=8, length=20, seed=5)
 
     def build():
-        loss = total(features(np.stack([s.connectome.matrix for s in conns.samples]), leaves, cfg))
+        loss = total(features(conns.stack, leaves, cfg))
         seen, todo, refs = {id(loss)}, [loss], []
         while todo:
             for parent in todo.pop().parents:

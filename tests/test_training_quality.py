@@ -18,14 +18,14 @@ def linear_baseline_auroc(ds, seed) -> float:
     iu = np.triu_indices(ds.n_nodes, k=1)
 
     def design(part):
-        rows = np.array([s.connectome.matrix[iu] for s in part])
+        rows = part.gather(slice(None))[:, iu[0], iu[1]]
         return np.column_stack([rows, np.ones(len(part))])
 
-    targets = np.array([2.0 * s.label - 1.0 for s in train])
+    targets = np.array([2.0 * label - 1.0 for label in train.labels])
     weights, *_ = np.linalg.lstsq(design(train), targets, rcond=None)
     raw = design(test) @ weights
     scores = 1.0 / (1.0 + np.exp(-raw))
-    return auroc(ScoredSet(scores=scores, labels=np.array([s.label for s in test])))
+    return auroc(ScoredSet(scores=scores, labels=np.array(test.labels)))
 
 
 def test_linear_baseline_confirms_desk_separability():
